@@ -98,30 +98,74 @@ class ClearingResult:
         )
 
 
-def build_lp(program: WelfareProgram, binary_values: Sequence[int]) -> LinearProgram:
-    """LP for one enumeration cell: binaries substituted into row rhs."""
-    lower = np.array([v.lower for v in program.variables])
-    upper = np.array([v.upper for v in program.variables])
-    objective = np.array([v.objective for v in program.variables])
+def build_lp(
+    program: WelfareProgram,
+    binary_values: Sequence[int],
+    agent: int | None = None,
+    prices: ContractGrid | None = None,
+) -> LinearProgram:
+    """LP for one enumeration cell: binaries substituted into row rhs.
+
+    With ``agent`` set, the LP is that agent's block alone (its columns in
+    program order, its rows, no balance rows). With ``prices`` set, each
+    segment column also pays the price of its contract, so the objective is
+    valuation minus payment. The constant the LP leaves out is
+    ``_cell_constant`` with the same arguments.
+    """
+    if agent is None:
+        columns = list(range(len(program.variables)))
+    else:
+        columns = [j for j, v in enumerate(program.variables) if v.agent_index == agent]
+    local = {j: i for i, j in enumerate(columns)}
+    variables = [program.variables[j] for j in columns]
+    objective = np.array([v.objective for v in variables])
+    if prices is not None:
+        for (a, coord), (_, deltas) in program.quantities.items():
+            if agent is None or a == agent:
+                for d in deltas:
+                    objective[local[d]] -= prices.values[coord]
     rows = []
     for row in program.rows:
+        if agent is not None and row.agent_index != agent:
+            continue
         rhs = row.rhs
         for b_index, coeff in row.binary_terms:
             rhs -= coeff * binary_values[b_index]
-        indices, coeffs = zip(*row.terms) if row.terms else ((), ())
-        rows.append(LPRow(tuple(indices), tuple(coeffs), row.sense, rhs))
+        indices = tuple(local[j] for j, _ in row.terms)
+        coeffs = tuple(c for _, c in row.terms)
+        rows.append(LPRow(indices, coeffs, row.sense, rhs))
     return LinearProgram(
         objective=objective,
-        lower=lower,
-        upper=upper,
+        lower=np.array([v.lower for v in variables]),
+        upper=np.array([v.upper for v in variables]),
         rows=tuple(rows),
         sense="max",
     )
 
 
-def _cell_constant(program: WelfareProgram, binary_values: Sequence[int]) -> float:
-    extra = sum(c * binary_values[b] for b, c in program.binary_objective)
-    return program.objective_constant + extra
+def _cell_constant(
+    program: WelfareProgram,
+    binary_values: Sequence[int],
+    agent: int | None = None,
+    prices: ContractGrid | None = None,
+) -> float:
+    """Objective constant of ``build_lp`` with the same arguments: utility at
+    the pinned lower ends and of the fixed binaries, less the payment on the
+    pinned lower ends when ``prices`` is set."""
+    if agent is None:
+        extra = sum(c * binary_values[b] for b, c in program.binary_objective)
+        constant = program.objective_constant + extra
+    else:
+        constant = program.agent_constants[agent] + sum(
+            c * binary_values[b]
+            for b, c in program.binary_objective
+            if program.binaries[b][0] == agent
+        )
+    if prices is not None:
+        for (a, coord), (lower, _) in program.quantities.items():
+            if agent is None or a == agent:
+                constant -= float(prices.values[coord]) * lower
+    return constant
 
 
 def _maximize_welfare(
@@ -171,7 +215,8 @@ def clear(program: WelfareProgram, tol: float = DEFAULT_TOL) -> ClearingResult:
     for a, bid in enumerate(program.bids):
         grid = np.zeros(dims.shape)
         for coord in bid.utilities:
-            grid[coord] = outcome.x[program.x_index[(a, coord)]]
+            lower, deltas = program.quantities[(a, coord)]
+            grid[coord] = lower + sum(outcome.x[d] for d in deltas)
         allocation = ContractGrid(grid)
         z: dict[str, float] = {}
         for d in bid.decisions:
@@ -196,10 +241,6 @@ def clear(program: WelfareProgram, tol: float = DEFAULT_TOL) -> ClearingResult:
     )
 
 
-def _agent_binary_positions(program: WelfareProgram, agent: int) -> list[int]:
-    return [i for i, (a, _) in enumerate(program.binaries) if a == agent]
-
-
 def best_response_value(
     program: WelfareProgram, agent: int, prices: ContractGrid
 ) -> float:
@@ -208,48 +249,21 @@ def best_response_value(
     Enumerates the agent's own binaries; each cell is a small LP over the
     agent's block only (no balance rows).
     """
-    bid = program.bids[agent]
-    local_vars = [
-        i for i, v in enumerate(program.variables) if v.agent_index == agent
-    ]
-    remap = {global_i: local_i for local_i, global_i in enumerate(local_vars)}
-    lower = np.array([program.variables[i].lower for i in local_vars])
-    upper = np.array([program.variables[i].upper for i in local_vars])
-    objective = np.array([program.variables[i].objective for i in local_vars])
-    for coord in bid.utilities:
-        objective[remap[program.x_index[(agent, coord)]]] -= prices.values[coord]
-
-    own_rows = [row for row in program.rows if row.agent_index == agent]
-    own_positions = _agent_binary_positions(program, agent)
-    own_constant = {
-        b: c for b, c in program.binary_objective if program.binaries[b][0] == agent
-    }
-
+    own = [b for b, (a, _) in enumerate(program.binaries) if a == agent]
     best = None
-    for values in itertools.product((0, 1), repeat=len(own_positions)):
-        assignment = dict(zip(own_positions, values))
-        rows = []
-        for row in own_rows:
-            rhs = row.rhs - sum(
-                c * assignment[b] for b, c in row.binary_terms
-            )
-            indices = tuple(remap[i] for i, _ in row.terms)
-            coeffs = tuple(c for _, c in row.terms)
-            rows.append(LPRow(indices, coeffs, row.sense, rhs))
-        lp = LinearProgram(objective, lower, upper, tuple(rows), sense="max")
-        outcome = solve_lp(lp)
+    for values in itertools.product((0, 1), repeat=len(own)):
+        cell = [0] * len(program.binaries)
+        for b, value in zip(own, values):
+            cell[b] = value
+        outcome = solve_lp(build_lp(program, cell, agent=agent, prices=prices))
         if outcome.status != "optimal":
             continue
-        value = (
-            outcome.objective
-            + program.agent_constants[agent]
-            + sum(c * assignment[b] for b, c in own_constant.items())
-        )
+        value = outcome.objective + _cell_constant(program, cell, agent=agent, prices=prices)
         if best is None or value > best:
             best = value
     if best is None:
-        raise Infeasible(f"agent {bid.agent_id!r} has no feasible position")
-    return best
+        raise Infeasible(f"agent {program.bids[agent].agent_id!r} has no feasible position")
+    return float(best)
 
 
 def _verify(
@@ -300,11 +314,20 @@ def verify_equilibrium(
 def welfare_equivalence_check(
     program: WelfareProgram, result: ClearingResult, tol: float = DEFAULT_TOL
 ) -> bool:
-    """True iff a confirmed equilibrium achieves the centrally optimal welfare."""
-    if not result.verification.confirmed:
-        return False
-    direct, _, _ = _maximize_welfare(program)
-    return abs(result.welfare - direct) <= tol
+    """Strong-duality certificate that a confirmed equilibrium is welfare-optimal.
+
+    True iff the verification is confirmed, the market balances, and the
+    welfare equals the sum of the agents' best responses at the posted prices.
+    Any balanced allocation's welfare is at most that sum (payments cancel),
+    so equality certifies optimality without re-solving the central program.
+    """
+    report = result.verification
+    total = sum(report.best_responses.values())
+    return (
+        report.confirmed
+        and report.balance_residual <= tol
+        and abs(result.welfare - total) <= tol
+    )
 
 
 def clear_bids(

@@ -13,7 +13,6 @@ import datetime as dt
 import json
 import os
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -32,33 +31,11 @@ def fixture_path(name: str) -> Path:
     return Path(str(resources.files("statemarket") / "fixtures" / name))
 
 
-@dataclass
-class RunConfig:
-    command: str
-    scenarios: Path | None = None
-    out: Path | None = None
-    states: int = 2
-    solver: str = "lloyd"
-    restarts: int = 64
-    seed: int = 0
-    tolerance: float = 1e-6
-    bids: Path | None = None
-    sweep_pi: bool = False
-    svg: Path | None = None
-    endpoint: str | None = None
-    locations: tuple[tuple[float, float], ...] = ()
-    target_time: str | None = None
-    cache_dir: Path = Path("cache")
-    dimension: int | None = None
-    result: Path | None = None
-    partition: Path | None = None
-    payments: Path | None = None
-
-    def __post_init__(self) -> None:
-        for attr in ("scenarios", "bids", "result", "partition", "payments"):
-            path = getattr(self, attr)
-            if path is not None and not Path(path).exists():
-                raise ValidationError(f"--{attr.replace('_', '-')}: {path} does not exist")
+def _check_inputs_exist(args: argparse.Namespace) -> None:
+    for attr in ("scenarios", "bids", "result", "partition", "payments"):
+        path = getattr(args, attr, None)
+        if path is not None and not Path(path).exists():
+            raise ValidationError(f"--{attr}: {path} does not exist")
 
 
 def _now() -> str:
@@ -71,65 +48,61 @@ def _infer_dimension(path: Path) -> int:
     return max(len(header) - 2, 1)
 
 
-def _load_scenarios(config: RunConfig) -> scenarios.ScenarioSet:
-    k = config.dimension or _infer_dimension(config.scenarios)
-    return scenarios.load_scenarios_csv(config.scenarios, k)
+def _load_scenarios(args: argparse.Namespace) -> scenarios.ScenarioSet:
+    k = args.dimension or _infer_dimension(args.scenarios)
+    return scenarios.load_scenarios_csv(args.scenarios, k)
 
 
-def cmd_ingest(config: RunConfig) -> int:
-    if config.endpoint:
-        if not config.locations:
+def cmd_ingest(args: argparse.Namespace) -> int:
+    endpoint = args.endpoint or os.environ.get(ENDPOINT_ENV)
+    if endpoint:
+        locations = tuple(_parse_location(v) for v in args.location)
+        if not locations:
             raise ValidationError("ingest from an endpoint needs at least one --location")
         scen = scenarios.fetch_ensemble(
-            config.endpoint,
-            config.locations,
-            config.target_time or _now(),
-            cache_dir=config.cache_dir,
+            endpoint,
+            locations,
+            args.target_time or _now(),
+            cache_dir=args.cache_dir,
         )
-    elif config.scenarios:
-        scen = _load_scenarios(config)
+    elif args.scenarios:
+        scen = _load_scenarios(args)
     else:
         raise ValidationError("ingest needs --scenarios or an endpoint")
-    if config.out is None:
-        raise ValidationError("ingest needs --out")
-    scenarios.write_scenarios_csv(scen, config.out)
+    scenarios.write_scenarios_csv(scen, args.out)
     variance = quantize.size_of_state(scen, range(scen.num_scenarios))
     mean = ", ".join(f"{v:.6g}" for v in scen.mean())
     print(f"scenarios: L={scen.num_scenarios} k={scen.dimension}")
     print(f"mean: ({mean})  variance: {variance:.6g}")
-    print(f"written: {config.out}")
+    print(f"written: {args.out}")
     return 0
 
 
 _SOLVERS = ("exact", "lloyd", "dp1d")
 
 
-def cmd_partition(config: RunConfig) -> int:
-    if config.scenarios is None or config.out is None:
-        raise ValidationError("partition needs --scenarios and --out")
-    if config.solver not in _SOLVERS:
-        raise ValidationError(f"--solver must be one of {_SOLVERS}")
-    scen = _load_scenarios(config)
-    if config.solver == "exact":
-        solution = quantize.solve_exact(scen, config.states)
-    elif config.solver == "dp1d":
-        solution = quantize.solve_dp_1d(scen, config.states)
+def cmd_partition(args: argparse.Namespace) -> int:
+    scen = _load_scenarios(args)
+    if args.solver == "exact":
+        solution = quantize.solve_exact(scen, args.states)
+    elif args.solver == "dp1d":
+        solution = quantize.solve_dp_1d(scen, args.states)
     else:
         solution = quantize.solve_lloyd(
-            scen, config.states, restarts=config.restarts, seed=config.seed
+            scen, args.states, restarts=args.restarts, seed=args.seed
         )
     solution.dump_json(
-        config.out,
-        metadata={"created_at": _now(), "source": str(config.scenarios)},
+        args.out,
+        metadata={"created_at": _now(), "source": str(args.scenarios)},
     )
     text = quantize.describe_states(solution)
-    Path(config.out).with_suffix(".states.txt").write_text(text, encoding="utf-8")
-    if config.svg is not None:
-        quantize.export_partition_svg(solution, config.svg)
+    Path(args.out).with_suffix(".states.txt").write_text(text, encoding="utf-8")
+    if args.svg is not None:
+        quantize.export_partition_svg(solution, args.svg)
     bound = "" if solution.lower_bound is None else f" lower_bound={solution.lower_bound:.9g}"
     print(f"objective: {solution.objective:.9g} (solver: {solution.provenance}{bound})")
     print(text, end="")
-    print(f"written: {config.out}")
+    print(f"written: {args.out}")
     return 0
 
 
@@ -171,17 +144,15 @@ def _write_csv(path: Path, header: list[str], rows: list[list[float]]) -> None:
             writer.writerow([format(v, ".12g") for v in row])
 
 
-def cmd_clear(config: RunConfig) -> int:
-    if config.bids is None or config.out is None:
-        raise ValidationError("clear needs --bids and --out")
-    bids, dims = load_bids_json(config.bids)
-    out = Path(config.out)
+def cmd_clear(args: argparse.Namespace) -> int:
+    bids, dims = load_bids_json(args.bids)
+    out = Path(args.out)
     prices_csv = out.with_suffix(".prices.csv")
-    created = {"created_at": _now(), "bids": str(config.bids)}
+    created = {"created_at": _now(), "bids": str(args.bids)}
 
-    if config.sweep_pi:
+    if args.sweep_pi:
         results = clearing.sweep_two_state_beliefs(
-            bids, dims, SWEEP_VALUES, tol=config.tolerance
+            bids, dims, SWEEP_VALUES, tol=args.tolerance
         )
         header, table = _sweep_table(dims, bids, results)
         _write_csv(prices_csv, header, table)
@@ -203,7 +174,7 @@ def cmd_clear(config: RunConfig) -> int:
             raise VerificationFailure("some sweep points failed equilibrium verification")
         return 0
 
-    result = clearing.clear_bids(bids, dims, tol=config.tolerance)
+    result = clearing.clear_bids(bids, dims, tol=args.tolerance)
     result.dump_json(out, metadata=created)
     rows = [
         [float(n), float(t), float(s + 1), float(result.prices.values[n, t, s])]
@@ -227,20 +198,20 @@ def cmd_clear(config: RunConfig) -> int:
     return 0
 
 
-def cmd_report(config: RunConfig) -> int:
-    if config.result is None and config.partition is None and config.payments is None:
+def cmd_report(args: argparse.Namespace) -> int:
+    if args.result is None and args.partition is None and args.payments is None:
         raise ValidationError("report needs --result, --partition, or --payments")
-    if config.partition is not None:
-        payload = json.loads(Path(config.partition).read_text(encoding="utf-8"))
+    if args.partition is not None:
+        payload = json.loads(Path(args.partition).read_text(encoding="utf-8"))
         try:
             solution = quantize.QuantizationSolution.from_dict(payload)
         except (KeyError, TypeError) as exc:
             raise ValidationError(
-                f"{config.partition} is not a partition solution file ({exc!r})"
+                f"{args.partition} is not a partition solution file ({exc!r})"
             ) from None
         print(quantize.describe_states(solution), end="")
-    if config.result is not None:
-        payload = json.loads(Path(config.result).read_text(encoding="utf-8"))
+    if args.result is not None:
+        payload = json.loads(Path(args.result).read_text(encoding="utf-8"))
         results = [e["result"] for e in payload["sweep"]] if "sweep" in payload else [payload]
         for entry in results:
             try:
@@ -259,10 +230,10 @@ def cmd_report(config: RunConfig) -> int:
                     )
             except (KeyError, TypeError) as exc:
                 raise ValidationError(
-                    f"{config.result} is not a clearing result file ({exc!r})"
+                    f"{args.result} is not a clearing result file ({exc!r})"
                 ) from None
-    if config.payments is not None:
-        payload = json.loads(Path(config.payments).read_text(encoding="utf-8"))
+    if args.payments is not None:
+        payload = json.loads(Path(args.payments).read_text(encoding="utf-8"))
         prices = ContractGrid(np.asarray(payload["prices"], dtype=float))
         from .market import payment  # local: tiny helper use
 
@@ -282,8 +253,17 @@ def _parse_location(text: str) -> tuple[float, float]:
         raise ValidationError(f"--location must be 'lat,lon', got {text!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are validation errors (exit 1), not argparse's exit 2,
+    which this CLI reserves for solver failures."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="statemarket",
         description="State-contingent day-ahead market pipeline",
     )
@@ -321,31 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    endpoint = getattr(args, "endpoint", None) or os.environ.get(ENDPOINT_ENV)
-    return RunConfig(
-        command=args.command,
-        scenarios=getattr(args, "scenarios", None),
-        out=getattr(args, "out", None),
-        states=getattr(args, "states", 2),
-        solver=getattr(args, "solver", "lloyd"),
-        restarts=getattr(args, "restarts", 64),
-        seed=getattr(args, "seed", 0),
-        tolerance=getattr(args, "tolerance", 1e-6),
-        bids=getattr(args, "bids", None),
-        sweep_pi=getattr(args, "sweep_pi", False),
-        svg=getattr(args, "svg", None),
-        endpoint=endpoint,
-        locations=tuple(_parse_location(v) for v in getattr(args, "location", [])),
-        target_time=getattr(args, "target_time", None),
-        cache_dir=getattr(args, "cache_dir", Path("cache")),
-        dimension=getattr(args, "dimension", None),
-        result=getattr(args, "result", None),
-        partition=getattr(args, "partition", None),
-        payments=getattr(args, "payments", None),
-    )
-
-
 _COMMANDS = {
     "ingest": cmd_ingest,
     "partition": cmd_partition,
@@ -355,10 +310,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-        return _COMMANDS[config.command](config)
+        args = build_parser().parse_args(argv)
+        _check_inputs_exist(args)
+        return _COMMANDS[args.command](args)
     except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 3

@@ -306,9 +306,7 @@ def valuation(
 
 @dataclass(frozen=True)
 class ProgramVariable:
-    agent_index: int  # -1 for shared variables (none currently)
-    role: str  # "x" | "delta" | "decision" | "epigraph"
-    key: object
+    agent_index: int
     lower: float
     upper: float
     objective: float
@@ -328,9 +326,12 @@ class ProgramRow:
 class WelfareProgram:
     """The central welfare maximization problem in symbolic form.
 
-    Continuous structure is fully assembled; binary decisions are catalogued
-    and appear in rows/objective through ``binary_terms`` so that fixing them
-    yields a linear program. One balance row exists per traded (n, t, s).
+    Every traded quantity is ``lower + sum(delta)`` over its utility segments;
+    ``quantities`` maps (agent, coord) to that lower end and the segment
+    columns, and no column or row stands for the quantity itself. Continuous
+    structure is fully assembled; binary decisions are catalogued and appear
+    in rows/objective through ``binary_terms`` so that fixing them yields a
+    linear program. One balance row exists per traded (n, t, s).
     """
 
     bids: tuple[AgentBid, ...]
@@ -339,9 +340,8 @@ class WelfareProgram:
     variables: tuple[ProgramVariable, ...]
     rows: tuple[ProgramRow, ...]
     balance_rows: dict[Coord, int]
-    x_index: dict[tuple[int, Coord], int]
+    quantities: dict[tuple[int, Coord], tuple[float, tuple[int, ...]]]
     decision_index: dict[tuple[int, str], int]
-    epigraph_index: dict[int, int]
     agent_constants: tuple[float, ...]
     objective_constant: float
     binary_objective: tuple[tuple[int, float], ...]
@@ -357,6 +357,9 @@ def assemble_welfare(bids: Sequence[AgentBid], dims: MarketDimensions) -> Welfar
     With all binaries fixed the continuous relaxation is an LP: concave
     piecewise utilities enter through bounded segment variables whose slopes
     are non-increasing, so they fill in order automatically under maximization.
+    Quantities are substituted as ``lower + sum(delta)`` into the balance and
+    linking rows, so the pinned part ``lower`` moves into their right-hand
+    sides.
     """
     bids = tuple(bids)
     if not bids:
@@ -391,48 +394,33 @@ def assemble_welfare(bids: Sequence[AgentBid], dims: MarketDimensions) -> Welfar
 
     variables: list[ProgramVariable] = []
     rows: list[ProgramRow] = []
-    x_index: dict[tuple[int, Coord], int] = {}
+    quantities: dict[tuple[int, Coord], tuple[float, tuple[int, ...]]] = {}
     decision_index: dict[tuple[int, str], int] = {}
-    epigraph_index: dict[int, int] = {}
     agent_constants: list[float] = []
     binary_objective: dict[int, float] = {}
 
-    def add_var(agent, role, key, lower, upper, objective) -> int:
-        variables.append(ProgramVariable(agent, role, key, lower, upper, objective))
+    def add_var(agent, lower, upper, objective) -> int:
+        variables.append(ProgramVariable(agent, lower, upper, objective))
         return len(variables) - 1
 
     for a, bid in enumerate(bids):
         expectation = bid.risk == "expectation"
         # worst-case agents maximize an epigraph variable under per-state rows
-        epi = None
-        if not expectation:
-            epi = add_var(a, "epigraph", None, -np.inf, np.inf, 1.0)
-            epigraph_index[a] = epi
+        epi = None if expectation else add_var(a, -np.inf, np.inf, 1.0)
         state_offsets = np.zeros(dims.states)  # constants inside each state's utility
         state_terms: list[list[tuple[int, float]]] = [[] for _ in range(dims.states)]
 
         for coord in bid.sorted_coords():
             piece = bid.utilities[coord]
-            x_var = add_var(a, "x", coord, piece.lower, piece.upper, 0.0)
-            x_index[(a, coord)] = x_var
             state = coord[2]
             state_offsets[state] += piece.value(piece.lower)
-            link_terms = [(x_var, 1.0)]
+            deltas = []
             for width, slope in piece.segments():
                 weight = bid.beliefs[state] * slope if expectation else 0.0
-                d_var = add_var(a, "delta", (coord, len(link_terms) - 1), 0.0, width, weight)
-                link_terms.append((d_var, -1.0))
+                deltas.append(add_var(a, 0.0, width, weight))
                 if not expectation:
-                    state_terms[state].append((d_var, slope))
-            rows.append(
-                ProgramRow(
-                    label=f"pwl:{bid.agent_id}:{coord}",
-                    agent_index=a,
-                    terms=tuple(link_terms),
-                    sense="=",
-                    rhs=piece.lower,
-                )
-            )
+                    state_terms[state].append((deltas[-1], slope))
+            quantities[(a, coord)] = (piece.lower, tuple(deltas))
 
         for d in bid.decisions:
             if d.kind == "binary":
@@ -442,7 +430,7 @@ def assemble_welfare(bids: Sequence[AgentBid], dims: MarketDimensions) -> Welfar
                     binary_objective[b] = binary_objective.get(b, 0.0) + d.utility_coeff
                 continue
             weight = d.utility_coeff if expectation else 0.0
-            z_var = add_var(a, "decision", d.name, d.lower, d.upper, weight)
+            z_var = add_var(a, d.lower, d.upper, weight)
             decision_index[(a, d.name)] = z_var
             if not expectation and d.utility_coeff != 0.0:
                 for s in range(dims.states):
@@ -471,7 +459,12 @@ def assemble_welfare(bids: Sequence[AgentBid], dims: MarketDimensions) -> Welfar
                 )
 
         for i, constraint in enumerate(bid.constraints):
-            terms = [(x_index[(a, coord)], c) for coord, c in constraint.x_terms]
+            terms = []
+            rhs = constraint.rhs
+            for coord, c in constraint.x_terms:
+                lower, deltas = quantities[(a, coord)]
+                terms += [(d, c) for d in deltas]
+                rhs -= c * lower
             binary_terms = []
             for name, c in constraint.z_terms:
                 if bid.decision(name).kind == "binary":
@@ -484,26 +477,28 @@ def assemble_welfare(bids: Sequence[AgentBid], dims: MarketDimensions) -> Welfar
                     agent_index=a,
                     terms=tuple(terms),
                     sense=constraint.sense,
-                    rhs=constraint.rhs,
+                    rhs=rhs,
                     binary_terms=tuple(binary_terms),
                 )
             )
 
     balance_rows: dict[Coord, int] = {}
     for coord in dims.coordinates():
-        terms = [
-            (x_index[(a, coord)], 1.0) for a in range(len(bids)) if (a, coord) in x_index
-        ]
-        if not terms:
+        traders = [quantities[(a, coord)] for a in range(len(bids)) if (a, coord) in quantities]
+        if not traders:
             continue  # nobody trades this contract; its price is reported as 0
+        # kept even without terms: pinned quantities must still net to zero
+        rhs = 0.0
+        for lower, _ in traders:
+            rhs -= lower
         balance_rows[coord] = len(rows)
         rows.append(
             ProgramRow(
                 label=f"balance:{coord}",
                 agent_index=None,
-                terms=tuple(terms),
+                terms=tuple((d, 1.0) for _, deltas in traders for d in deltas),
                 sense="=",
-                rhs=0.0,
+                rhs=rhs,
             )
         )
 
@@ -514,9 +509,8 @@ def assemble_welfare(bids: Sequence[AgentBid], dims: MarketDimensions) -> Welfar
         variables=tuple(variables),
         rows=tuple(rows),
         balance_rows=balance_rows,
-        x_index=x_index,
+        quantities=quantities,
         decision_index=decision_index,
-        epigraph_index=epigraph_index,
         agent_constants=tuple(agent_constants),
         objective_constant=float(sum(agent_constants)),
         binary_objective=tuple(sorted(binary_objective.items())),

@@ -11,6 +11,7 @@ import csv
 import datetime as dt
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -221,6 +222,18 @@ def _request_key(endpoint: str, params: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write beside ``path``, then rename into place: an interrupted write
+    never leaves a truncated entry under the final name."""
+    partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        partial.write_text(text, encoding="utf-8")
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
 def fetch_ensemble(
     endpoint: str,
     locations: Sequence[tuple[float, float]],
@@ -280,7 +293,7 @@ def fetch_ensemble(
                 "body_sha256": hashlib.sha256(body.encode("utf-8")).hexdigest(),
                 "fetched_at": stamp,
             }
-            cache_file.write_text(json.dumps(record, sort_keys=True), encoding="utf-8")
+            _write_atomic(cache_file, json.dumps(record, sort_keys=True))
         member_lists.append(_parse_members(body))
         cache_keys.append(key)
         fetched_at.append(stamp)

@@ -1,5 +1,7 @@
 """Market clearing: golden tables, equilibrium verification, auction facts."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,12 @@ from statemarket.market import (
     MarketDimensions,
     PiecewiseUtility,
     assemble_welfare,
+    payment,
     valuation,
 )
 from statemarket.clearing import (
+    best_response_value,
+    build_lp,
     clear,
     clear_bids,
     sweep_two_state_beliefs,
@@ -153,6 +158,28 @@ def test_welfare_equivalence_rejects_non_equilibrium():
         tampered, verification=verify_equilibrium(tampered, program, tol=1e-6)
     )
     assert welfare_equivalence_check(program, tampered) is False
+
+
+def test_welfare_equivalence_rejects_tampered_welfare_or_balance():
+    from dataclasses import replace
+
+    bids, dims = price_formation_bids(0.7)
+    program = assemble_welfare(bids, dims)
+    result = clear(program)
+    assert welfare_equivalence_check(program, result)
+    inflated = replace(result, welfare=result.welfare + 1.0)
+    assert welfare_equivalence_check(program, inflated) is False
+
+    # surplus and gaps untouched, but the wind farm now sells 1 MWh nobody buys
+    moved = result.allocations["wind_farm"].values.copy()
+    moved[0, 0, 0] -= 1.0
+    allocations = {**result.allocations, "wind_farm": ContractGrid(moved)}
+    unbalanced = replace(result, allocations=allocations)
+    unbalanced = replace(
+        unbalanced, verification=verify_equilibrium(unbalanced, program, tol=1e-6)
+    )
+    assert unbalanced.verification.confirmed
+    assert welfare_equivalence_check(program, unbalanced) is False
 
 
 def test_random_convex_markets_satisfy_auction_facts():
@@ -315,3 +342,93 @@ def test_mixed_risk_market_clears_and_verifies():
     assert result.verification.confirmed
     assert result.verification.budget_residual <= 1e-9
     assert min(result.surplus.values()) >= -1e-9
+
+
+# --- differential test against scipy's HiGHS ----------------------------------
+
+def highs_optimum(lp):
+    """(objective, x) of ``lp`` by HiGHS, or None when it is infeasible."""
+    from scipy.optimize import linprog
+
+    n = lp.num_vars
+    a_eq, b_eq, a_ub, b_ub = [], [], [], []
+    for row in lp.rows:
+        dense = np.zeros(n)
+        np.add.at(dense, list(row.indices), row.coeffs)
+        if row.sense == "=":
+            a_eq.append(dense)
+            b_eq.append(row.rhs)
+        else:
+            flip = 1.0 if row.sense == "<=" else -1.0
+            a_ub.append(flip * dense)
+            b_ub.append(flip * row.rhs)
+    res = linprog(
+        -lp.objective,
+        A_ub=np.array(a_ub) if a_ub else None,
+        b_ub=b_ub or None,
+        A_eq=np.array(a_eq) if a_eq else None,
+        b_eq=b_eq or None,
+        bounds=[(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
+                for lo, hi in zip(lp.lower, lp.upper)],
+        method="highs",
+    )
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return -res.fun, res.x
+
+
+def differential_markets():
+    for seed in range(12):
+        yield random_convex_market(seed)
+    for risk in ("expectation", "worst_case"):
+        yield commitment_bids(risk)
+
+
+@pytest.mark.parametrize("market", list(differential_markets()))
+def test_welfare_and_best_responses_match_highs(market):
+    pytest.importorskip("scipy")
+    bids, dims = market
+    program = assemble_welfare(bids, dims)
+    result = clear(program)
+    scale = max(1.0, abs(result.welfare))
+
+    reference = float("-inf")
+    for cell in itertools.product((0, 1), repeat=len(program.binaries)):
+        solved = highs_optimum(build_lp(program, cell))
+        if solved is not None:
+            constant = program.objective_constant + sum(
+                c * cell[b] for b, c in program.binary_objective
+            )
+            reference = max(reference, solved[0] + constant)
+    assert result.welfare == pytest.approx(reference, abs=1e-7 * scale)
+
+    # each agent's LP at the posted prices, priced through valuation(), not
+    # through the constant the builder leaves out
+    for a, bid in enumerate(bids):
+        own = [b for b, (owner, _) in enumerate(program.binaries) if owner == a]
+        best = float("-inf")
+        for values in itertools.product((0, 1), repeat=len(own)):
+            cell = [0] * len(program.binaries)
+            for b, value in zip(own, values):
+                cell[b] = value
+            solved = highs_optimum(build_lp(program, cell, agent=a, prices=result.prices))
+            if solved is None:
+                continue
+            columns = [j for j, v in enumerate(program.variables) if v.agent_index == a]
+            x = dict(zip(columns, solved[1]))
+            grid = np.zeros(dims.shape)
+            for coord in bid.utilities:
+                lower, deltas = program.quantities[(a, coord)]
+                grid[coord] = lower + sum(x[d] for d in deltas)
+            z = {}
+            for d in bid.decisions:
+                if d.kind == "binary":
+                    z[d.name] = float(cell[program.binaries.index((a, d.name))])
+                else:
+                    z[d.name] = x[program.decision_index[(a, d.name)]]
+            value = valuation(bid, grid, z, tol=1e-7) - payment(result.prices, ContractGrid(grid))
+            best = max(best, value)
+        ours = best_response_value(program, a, result.prices)
+        assert type(ours) is float
+        assert ours == pytest.approx(best, abs=1e-6 * scale), bid.agent_id

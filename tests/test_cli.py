@@ -344,3 +344,18 @@ def test_clear_malformed_bids_exit_code(tmp_path, capsys):
     assert run(["clear", "--bids", bad, "--out", tmp_path / "r.json"]) == 1
     bad.write_text("{not json")
     assert run(["clear", "--bids", bad, "--out", tmp_path / "r.json"]) == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["partition", "--solver", "bogus", "--scenarios", SCENARIOS, "--out", "p.json"],
+        ["clear", "--bids", "x"],
+        ["nonsense"],
+        [],
+    ],
+)
+def test_usage_errors_are_validation_exit_code(args, capsys):
+    # exit 2 means solver failure, so argparse's own exit 2 must not leak out
+    assert run(args) == 1
+    assert "usage:" in capsys.readouterr().err

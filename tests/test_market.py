@@ -158,6 +158,33 @@ def test_assemble_price_formation_structure():
     labels = [row.label for row in program.rows]
     assert sum(1 for l in labels if l.startswith("balance")) == 2
     assert sum(1 for l in labels if l.startswith("link")) == 2
+    # one segment column per (agent, state) plus the generator's decision;
+    # quantities are lower + sum(delta), so there are no x columns or pwl rows
+    assert len(program.variables) == 7
+    assert len(program.rows) == 4
+    assert not any(l.startswith("pwl") for l in labels)
+
+
+def test_quantities_substitute_lower_ends_into_rows():
+    bids, dims = price_formation_bids(0.5)
+    program = assemble_welfare(bids, dims)
+    wind_lower, wind_deltas = program.quantities[(0, (0, 0, 0))]
+    assert wind_lower == -10.0 and len(wind_deltas) == 1
+    balance = program.rows[program.balance_rows[(0, 0, 0)]]
+    # wind [-10, 0], load [0, 11], generator [-5, 0]
+    assert balance.rhs == 15.0
+    assert len(balance.terms) == 3 and all(c == 1.0 for _, c in balance.terms)
+    link = next(r for r in program.rows if r.label == "link:advance_generator:0")
+    assert link.rhs == 5.0  # 0 - 1.0 * (-5)
+
+
+def test_pinned_quantities_keep_an_empty_balance_row():
+    pinned = PiecewiseUtility([3.0], [0.0])
+    bid = AgentBid("rigid", np.array([1.0]), utilities={(0, 0, 0): pinned})
+    program = assemble_welfare([bid], MarketDimensions(1, 1, 1))
+    assert program.quantities[(0, (0, 0, 0))] == (3.0, ())
+    row = program.rows[program.balance_rows[(0, 0, 0)]]
+    assert row.terms == () and row.rhs == -3.0
 
 
 def test_assemble_counts_binaries_and_cells():

@@ -1,6 +1,7 @@
 """Scenario ingestion: CSV round-trips, validation, ensemble fetch + cache."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,3 +279,35 @@ def test_fetch_network_error_propagates(tmp_path):
             cache_dir=tmp_path,
             transport=transport,
         )
+
+
+def test_interrupted_cache_write_leaves_no_entry(tmp_path, monkeypatch):
+    members = {(52.0, 2.0): [4.2, 5.5, 9.1]}
+    real_write = Path.write_text
+
+    def write_prefix_then_fail(self, data, *args, **kwargs):
+        real_write(self, data[: len(data) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", write_prefix_then_fail)
+    with pytest.raises(OSError):
+        fetch_ensemble(
+            "https://ensembles.invalid/api",
+            [(52.0, 2.0)],
+            "2026-02-18T23:00:00",
+            cache_dir=tmp_path,
+            transport=fake_transport(members),
+        )
+    monkeypatch.undo()
+    assert list(tmp_path.iterdir()) == []
+
+    transport = fake_transport(members)
+    scen = fetch_ensemble(
+        "https://ensembles.invalid/api",
+        [(52.0, 2.0)],
+        "2026-02-18T23:00:00",
+        cache_dir=tmp_path,
+        transport=transport,
+    )
+    assert len(transport.calls) == 1
+    assert scen.num_scenarios == 3
