@@ -168,29 +168,33 @@ def _cell_constant(
     return constant
 
 
-def _maximize_welfare(
+def _best_cell(
     program: WelfareProgram,
+    agent: int | None = None,
+    prices: ContractGrid | None = None,
 ) -> tuple[float, tuple[int, ...], LPResult]:
-    """Best (welfare, binary cell, LP solution); ties keep the lex-smallest cell.
+    """Best (value, binary cell, LP solution) of ``build_lp`` plus its constant.
 
-    Cells are independent and could be solved in parallel; selection is a
-    deterministic reduction either way.
+    Enumerates every binary, or with ``agent`` set only that agent's own (the
+    others stay 0); ties keep the lex-smallest cell. Cells are independent and
+    could be solved in parallel; selection is a deterministic reduction.
     """
-    if len(program.binaries) > MAX_BINARIES:
-        raise TooManyBinaries(
-            f"{len(program.binaries)} binary decisions exceed the enumeration cap "
-            f"of {MAX_BINARIES}"
-        )
+    own = [b for b, (a, _) in enumerate(program.binaries) if agent is None or a == agent]
     best = None
-    for cell in itertools.product((0, 1), repeat=len(program.binaries)):
-        outcome = solve_lp(build_lp(program, cell))
+    for values in itertools.product((0, 1), repeat=len(own)):
+        cell = [0] * len(program.binaries)
+        for b, value in zip(own, values):
+            cell[b] = value
+        outcome = solve_lp(build_lp(program, cell, agent, prices))
         if outcome.status != "optimal":
             continue
-        welfare = outcome.objective + _cell_constant(program, cell)
-        if best is None or welfare > best[0]:
-            best = (welfare, cell, outcome)
+        value = outcome.objective + _cell_constant(program, cell, agent, prices)
+        if best is None or value > best[0]:
+            best = (value, tuple(cell), outcome)
     if best is None:
-        raise Infeasible("no binary assignment admits a feasible allocation")
+        if agent is None:
+            raise Infeasible("no binary assignment admits a feasible allocation")
+        raise Infeasible(f"agent {program.bids[agent].agent_id!r} has no feasible position")
     return best
 
 
@@ -201,7 +205,12 @@ def clear(program: WelfareProgram, tol: float = DEFAULT_TOL) -> ClearingResult:
     contracts nobody can trade are priced at zero. The verification report is
     populated by re-solving each agent's best response at the posted prices.
     """
-    welfare, cell, outcome = _maximize_welfare(program)
+    if len(program.binaries) > MAX_BINARIES:
+        raise TooManyBinaries(
+            f"{len(program.binaries)} binary decisions exceed the enumeration cap "
+            f"of {MAX_BINARIES}"
+        )
+    welfare, cell, outcome = _best_cell(program)
     dims = program.dims
 
     prices_grid = np.zeros(dims.shape)
@@ -249,21 +258,7 @@ def best_response_value(
     Enumerates the agent's own binaries; each cell is a small LP over the
     agent's block only (no balance rows).
     """
-    own = [b for b, (a, _) in enumerate(program.binaries) if a == agent]
-    best = None
-    for values in itertools.product((0, 1), repeat=len(own)):
-        cell = [0] * len(program.binaries)
-        for b, value in zip(own, values):
-            cell[b] = value
-        outcome = solve_lp(build_lp(program, cell, agent=agent, prices=prices))
-        if outcome.status != "optimal":
-            continue
-        value = outcome.objective + _cell_constant(program, cell, agent=agent, prices=prices)
-        if best is None or value > best:
-            best = value
-    if best is None:
-        raise Infeasible(f"agent {program.bids[agent].agent_id!r} has no feasible position")
-    return float(best)
+    return float(_best_cell(program, agent, prices)[0])
 
 
 def _verify(

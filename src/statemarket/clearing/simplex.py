@@ -7,6 +7,12 @@ results reproducible bit for bit. Row duals are reported in the user's
 optimization sense, i.e. as the derivative of the optimal objective with
 respect to the row right-hand side.
 
+Phase 1 starts from one artificial per row. Artificials still basic after it
+are driven out: one transposed basis solve gives that basis row of B^-1 A,
+and its first non-basic structural or slack column with an entry above 1e-7
+takes the artificial's place (the row's own slack always qualifies in exact
+arithmetic, so a redundant equality row ends with its fixed slack basic).
+
 Designed for desk-scale instances (tens of rows); the basis is refactorized
 every iteration, trading speed for numerical robustness.
 """
@@ -48,7 +54,6 @@ class LinearProgram:
     upper: np.ndarray
     rows: tuple[LPRow, ...]
     sense: str = "max"
-    names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         c = np.asarray(self.objective, dtype=float)
@@ -110,40 +115,25 @@ class _Simplex:
         m, n = struct.shape
         self.m, self.n_struct = m, n
         self.b = b
+        self.total = n + 2 * m
 
-        slack_lo = np.empty(m)
-        slack_hi = np.empty(m)
-        for i, row in enumerate(lp.rows):
-            if row.sense == "<=":
-                slack_lo[i], slack_hi[i] = 0.0, np.inf
-            elif row.sense == ">=":
-                slack_lo[i], slack_hi[i] = -np.inf, 0.0
-            else:
-                slack_lo[i], slack_hi[i] = 0.0, 0.0
-
+        senses = np.array([row.sense for row in lp.rows], dtype="U2")
+        slack_lo = np.where(senses == ">=", -np.inf, 0.0)
+        slack_hi = np.where(senses == "<=", np.inf, 0.0)
         self.lower = np.concatenate([lp.lower, slack_lo, np.zeros(m)])
         self.upper = np.concatenate([lp.upper, slack_hi, np.full(m, np.inf)])
 
-        start = np.where(
-            np.isfinite(self.lower[: n + m]),
-            self.lower[: n + m],
-            np.where(np.isfinite(self.upper[: n + m]), self.upper[: n + m], 0.0),
+        self.status = np.where(
+            np.isfinite(self.lower),
+            AT_LOWER,
+            np.where(np.isfinite(self.upper), AT_UPPER, FREE),
         )
+        self.status[n + m :] = BASIC
+        self.basis = list(range(n + m, self.total))
+        start = self._nonbasic_values()
         residual = b - struct @ start[:n] - start[n : n + m]
         sign = np.where(residual >= 0, 1.0, -1.0)
         self.A = np.hstack([struct, np.eye(m), np.diag(sign)])
-        self.total = n + 2 * m
-
-        self.status = np.empty(self.total, dtype=int)
-        for j in range(n + m):
-            if np.isfinite(self.lower[j]):
-                self.status[j] = AT_LOWER
-            elif np.isfinite(self.upper[j]):
-                self.status[j] = AT_UPPER
-            else:
-                self.status[j] = FREE
-        self.status[n + m :] = BASIC
-        self.basis = list(range(n + m, self.total))
         self.iterations = 0
         self.scale = max(1.0, float(np.max(np.abs(b))) if m else 1.0)
 
@@ -168,34 +158,29 @@ class _Simplex:
         v[self.basis] = x_basic
         return v
 
-    def run(self, cost: np.ndarray, enterable: np.ndarray, max_iter: int) -> str:
-        """Minimize cost over the current basis; returns 'optimal' or 'unbounded'."""
+    def run(self, cost: np.ndarray) -> str:
+        """Minimize cost over the current basis; returns 'optimal' or 'unbounded'.
+
+        Fixed variables (pinned artificials included) never enter.
+        """
         tol = PIVOT_TOL * self.scale
-        for _ in range(max_iter):
+        movable = ~(self.upper - self.lower <= 0.0)
+        limit = 200 * (self.total + 1)
+        for _ in range(limit):
             self.iterations += 1
-            v = self.values()
             y = self._solve_basis(cost[self.basis], transpose=True)
             reduced = cost - self.A.T @ y
-
-            entering = -1
-            direction = 0.0
-            for j in range(self.total):
-                if not enterable[j] or self.status[j] == BASIC:
-                    continue
-                if self.upper[j] - self.lower[j] <= 0.0:
-                    continue  # fixed variables can never move
-                if self.status[j] == AT_LOWER and reduced[j] < -tol:
-                    entering, direction = j, 1.0
-                    break
-                if self.status[j] == AT_UPPER and reduced[j] > tol:
-                    entering, direction = j, -1.0
-                    break
-                if self.status[j] == FREE and abs(reduced[j]) > tol:
-                    entering, direction = j, (1.0 if reduced[j] < 0 else -1.0)
-                    break
-            if entering < 0:
+            eligible = movable & (
+                ((self.status == AT_LOWER) & (reduced < -tol))
+                | ((self.status == AT_UPPER) & (reduced > tol))
+                | ((self.status == FREE) & (np.abs(reduced) > tol))
+            )
+            if not eligible.any():
                 return "optimal"
+            entering = int(np.argmax(eligible))
+            direction = 1.0 if reduced[entering] < 0 else -1.0
 
+            v = self.values()
             w = self._solve_basis(self.A[:, entering])
             span = self.upper[entering] - self.lower[entering]
             best_delta = span if np.isfinite(span) else np.inf
@@ -233,52 +218,48 @@ class _Simplex:
             self.basis[leaving_pos] = entering
             self.status[entering] = BASIC
             self.status[leaving_col] = AT_UPPER if hit_upper else AT_LOWER
-        raise NumericalFailure(f"simplex exceeded {max_iter} iterations")
+        raise NumericalFailure(f"simplex exceeded {limit} iterations")
 
 
-def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> LPResult:
+def solve_lp(lp: LinearProgram) -> LPResult:
     """Solve to optimality and report primal values, row duals, reduced costs.
 
-    Duals follow the user's sense (derivative of the optimum w.r.t. the row
-    rhs); complementary slackness is verified to FEAS_TOL before returning.
-    Raises NumericalFailure instead of returning silently wrong answers.
+    Two phases: phase 1 minimizes the sum of the artificials, which are then
+    pinned at zero and driven out of the basis (one transposed basis solve
+    each); phase 2 optimizes the user's objective. Each phase may take
+    ``200 * (columns + 1)`` pivots. Duals follow the user's sense (derivative
+    of the optimum w.r.t. the row rhs); complementary slackness is verified
+    to FEAS_TOL before returning. Raises NumericalFailure instead of
+    returning silently wrong answers.
     """
     state = _Simplex(lp)
     n, m = state.n_struct, state.m
-    if max_iter is None:
-        max_iter = 200 * (state.total + 1)
 
     phase1_cost = np.zeros(state.total)
     phase1_cost[n + m :] = 1.0
-    enterable = np.ones(state.total, dtype=bool)
-    if state.run(phase1_cost, enterable, max_iter) != "optimal":
+    if state.run(phase1_cost) != "optimal":
         raise NumericalFailure("phase 1 cannot be unbounded; numerical trouble")
     values = state.values()
     if float(np.abs(values[n + m :]).sum()) > FEAS_TOL * state.scale:
         return LPResult("infeasible", None, None, None, None, state.iterations)
 
-    # pin artificials at zero; redundant rows keep theirs basic
     state.lower[n + m :] = 0.0
     state.upper[n + m :] = 0.0
     for pos in range(m):
         col = state.basis[pos]
         if col < n + m:
             continue
-        for candidate in range(n + m):
-            if state.status[candidate] == BASIC:
-                continue
-            w = state._solve_basis(state.A[:, candidate])
-            if abs(w[pos]) > 1e-7:
-                state.basis[pos] = candidate
-                state.status[candidate] = BASIC
-                state.status[col] = AT_LOWER
-                break
+        row = state._solve_basis(np.eye(1, m, pos)[0], transpose=True) @ state.A[:, : n + m]
+        candidates = np.flatnonzero((state.status[: n + m] != BASIC) & (np.abs(row) > 1e-7))
+        if candidates.size:  # empty only if rounding hides the row's own slack
+            state.basis[pos] = int(candidates[0])
+            state.status[candidates[0]] = BASIC
+            state.status[col] = AT_LOWER
 
     sign = -1.0 if lp.sense == "max" else 1.0
     cost = np.zeros(state.total)
     cost[:n] = sign * lp.objective
-    enterable[n + m :] = False
-    status = state.run(cost, enterable, max_iter)
+    status = state.run(cost)
     if status == "unbounded":
         return LPResult("unbounded", None, None, None, None, state.iterations)
 
@@ -290,19 +271,17 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> LPResult:
     reduced_user = sign * reduced[:n]
     objective = float(lp.objective @ x)
 
-    _validate_solution(lp, state, x, values, duals, reduced_user)
+    _validate_solution(lp, state, x, reduced_user)
     return LPResult("optimal", x, objective, duals, reduced_user, state.iterations)
 
 
-def _validate_solution(lp, state, x, values, duals, reduced_user) -> None:
-    """Primal feasibility, dual sign consistency, complementary slackness."""
+def _validate_solution(lp, state, x, reduced_user) -> None:
+    """Primal feasibility, reduced-cost signs, complementary slackness."""
     tol = FEAS_TOL * state.scale
     if np.any(x < lp.lower - tol) or np.any(x > lp.upper + tol):
         raise NumericalFailure("primal bounds violated at claimed optimum")
-    matrix, rhs = _dense_matrix(lp)
-    activity = matrix @ x if len(lp.rows) else np.zeros(0)
-    for i, row in enumerate(lp.rows):
-        residual = activity[i] - rhs[i]
+    residuals = state.A[:, : state.n_struct] @ x - state.b
+    for i, (row, residual) in enumerate(zip(lp.rows, residuals)):
         if row.sense == "=" and abs(residual) > tol:
             raise NumericalFailure(f"equality row {i} violated by {residual:.3e}")
         if row.sense == "<=" and residual > tol:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import clearing, quantize, scenarios
 from .errors import SolverFailure, ValidationError, VerificationFailure
-from .market import ContractGrid, load_bids_json
+from .market import ContractGrid, load_bids_json, payment
 
 ENDPOINT_ENV = "STATEMARKET_ENDPOINT"
 SWEEP_VALUES = [round(0.1 * i, 1) for i in range(11)]
@@ -49,8 +49,7 @@ def _infer_dimension(path: Path) -> int:
 
 
 def _load_scenarios(args: argparse.Namespace) -> scenarios.ScenarioSet:
-    k = args.dimension or _infer_dimension(args.scenarios)
-    return scenarios.load_scenarios_csv(args.scenarios, k)
+    return scenarios.load_scenarios_csv(args.scenarios, _infer_dimension(args.scenarios))
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -235,8 +234,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.payments is not None:
         payload = json.loads(Path(args.payments).read_text(encoding="utf-8"))
         prices = ContractGrid(np.asarray(payload["prices"], dtype=float))
-        from .market import payment  # local: tiny helper use
-
         for agent, position in sorted(payload["positions"].items()):
             grid = ContractGrid(np.asarray(position, dtype=float))
             paid = payment(prices, grid)
@@ -275,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--location", action="append", default=[], metavar="LAT,LON")
     ingest.add_argument("--target-time", help="ISO-8601 realization time")
     ingest.add_argument("--cache-dir", type=Path, default=Path("cache"))
-    ingest.add_argument("--k", type=int, dest="dimension")
     ingest.add_argument("--out", type=Path, required=True)
 
     partition = sub.add_parser("partition", help="compute a minimal-size state partition")
@@ -285,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     partition.add_argument("--restarts", type=int, default=64)
     partition.add_argument("--seed", type=int, default=0)
     partition.add_argument("--svg", type=Path)
-    partition.add_argument("--k", type=int, dest="dimension")
     partition.add_argument("--out", type=Path, required=True)
 
     clear_cmd = sub.add_parser("clear", help="clear a bid file to allocation and prices")

@@ -177,31 +177,20 @@ class QuantizationSolution:
         return np.bincount(self.assignment, weights=w, minlength=self.num_states)
 
     def to_dict(self) -> dict:
-        scen = self.partition.scenarios
         return {
+            **self.partition.to_dict(),
             "num_states": self.num_states,
-            "tie_rule": "smallest-index",
-            "centers": self.partition.centers.tolist(),
             "assignment": self.assignment.tolist(),
             "distances": self.distances.tolist(),
             "objective": self.objective,
             "lower_bound": self.lower_bound,
             "provenance": self.provenance,
-            "scenarios": {
-                "points": scen.points.tolist(),
-                "weights": scen.weights.tolist(),
-            },
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "QuantizationSolution":
-        scen = ScenarioSet(
-            np.asarray(payload["scenarios"]["points"], dtype=float),
-            np.asarray(payload["scenarios"]["weights"], dtype=float),
-        )
-        partition = StatePartition(np.asarray(payload["centers"], dtype=float), scen)
         return cls(
-            partition=partition,
+            partition=StatePartition.from_dict(payload),
             assignment=np.asarray(payload["assignment"], dtype=int),
             distances=np.asarray(payload["distances"], dtype=float),
             objective=float(payload["objective"]),

@@ -152,22 +152,20 @@ def _optimal_blocks(points: np.ndarray, weights: np.ndarray, num_states: int) ->
     return blocks
 
 
-def solve_exact(
-    scenarios: ScenarioSet, num_states: int, *, exact_limit: int = EXACT_LIMIT
-) -> QuantizationSolution:
+def solve_exact(scenarios: ScenarioSet, num_states: int) -> QuantizationSolution:
     """Globally optimal partition by exhaustive-equivalent subset DP.
 
-    Guaranteed optimal for L <= ``exact_limit``; one-dimensional measures of
+    Guaranteed optimal for L <= ``EXACT_LIMIT``; one-dimensional measures of
     any size delegate to the 1-D DP, which is also exact. The reported lower
     bound equals the objective.
     """
     _check_states(scenarios, num_states)
     length = scenarios.num_scenarios
-    if length > exact_limit:
+    if length > EXACT_LIMIT:
         if scenarios.dimension == 1:
             return solve_dp_1d(scenarios, num_states)
         raise InstanceTooLarge(
-            f"L={length} exceeds the exact-solver limit {exact_limit} for k>=2"
+            f"L={length} exceeds the exact-solver limit {EXACT_LIMIT} for k>=2"
         )
     blocks = _optimal_blocks(scenarios.points, scenarios.weights, num_states)
     assignment = np.empty(length, dtype=int)
@@ -256,7 +254,7 @@ def _seed_centers(
     return points[chosen].astype(float).copy()
 
 
-def _assign_with_repair(points, weights, centers, num_states):
+def _assign_with_repair(points, centers, num_states):
     """Nearest-center assignment; empty states are repaired by relocating the
     center onto the worst-served point, which strictly lowers the objective."""
     while True:
@@ -276,13 +274,11 @@ def _lloyd_single_run(points, weights, num_states, rng):
     objective strictly decreases until the assignment repeats.
     """
     centers = _seed_centers(points, weights, num_states, rng)
-    assignment, d2, centers = _assign_with_repair(points, weights, centers, num_states)
+    assignment, d2, centers = _assign_with_repair(points, centers, num_states)
     history = [float(weights @ d2)]
     for _ in range(LLOYD_MAX_ITERATIONS):
         centers = _cell_barycentres(points, weights, assignment, num_states)
-        new_assignment, d2, centers = _assign_with_repair(
-            points, weights, centers, num_states
-        )
+        new_assignment, d2, centers = _assign_with_repair(points, centers, num_states)
         history.append(float(weights @ d2))
         if np.array_equal(new_assignment, assignment):
             break

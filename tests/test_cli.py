@@ -7,6 +7,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 from urllib.parse import parse_qs, urlparse
 
 import pytest
+import requests
 
 from statemarket.cli import fixture_path, main
 
@@ -120,7 +121,11 @@ def test_ingest_live_fetch_two_locations(tmp_path, capsys, ensemble_server):
     assert out.read_bytes() == out2.read_bytes()
 
 
-def test_ingest_bad_endpoint_exit_code(tmp_path, capsys):
+def test_ingest_bad_endpoint_exit_code(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise requests.ConnectionError("name or service not known")
+
+    monkeypatch.setattr("statemarket.scenarios.requests.get", unreachable)
     code = run(
         [
             "ingest",

@@ -124,6 +124,40 @@ def test_equality_rows_and_free_variables():
     assert result.x[0] == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize(
+    "rows, status",
+    [
+        ((), "optimal"),
+        ((LPRow((), (), "<=", 1.0),), "optimal"),
+        ((LPRow((), (), ">=", 1.0),), "infeasible"),
+    ],
+)
+def test_lp_without_variables(rows, status):
+    # an agent whose only contract is pinned contributes such an LP
+    lp = LinearProgram(np.zeros(0), np.zeros(0), np.zeros(0), rows, sense="max")
+    result = solve_lp(lp)
+    assert result.status == status
+    if status == "optimal":
+        assert result.objective == 0.0 and result.x.shape == (0,)
+
+
+def test_duplicated_equality_row_drives_out_its_artificial():
+    # the repeated row leaves one artificial basic at zero after phase 1; it
+    # must leave the basis before phase 2 without moving the optimum
+    row = LPRow((0, 1), (1.0, 1.0), "=", 1.0)
+    lp = LinearProgram(
+        objective=np.array([1.0, 2.0]),
+        lower=np.zeros(2),
+        upper=np.full(2, np.inf),
+        rows=(row, row),
+        sense="max",
+    )
+    result = solve_lp(lp)
+    assert result.status == "optimal"
+    assert result.x == pytest.approx([0.0, 1.0])
+    assert result.objective == pytest.approx(2.0)
+
+
 def test_reduced_cost_signs_at_optimum():
     rng = np.random.default_rng(81)
     for _ in range(10):
