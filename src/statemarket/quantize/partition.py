@@ -4,6 +4,11 @@ A partition is represented by its generating centers; the cell of center s
 is the set of realizations at least as close to it as to any other center,
 with boundary points assigned to the smallest index. Cells therefore cover
 the sample space and are pairwise disjoint by construction.
+
+Assignment (``nearest_center``) is a running minimum over the centers in
+index order: a point moves to center s only when its squared distance to s
+is strictly smaller (``<``) than the best so far, so a boundary point stays
+with the smallest index. ``classify`` and the solvers all go through it.
 """
 
 from __future__ import annotations
@@ -22,10 +27,34 @@ from ..scenarios import ScenarioSet, barycentre
 MIN_CENTER_SEPARATION = 1e-12
 
 
-def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, shape (len(points), len(centers))."""
-    diff = points[:, None, :] - centers[None, :, :]
-    return np.einsum("lsk,lsk->ls", diff, diff)
+def _squared_distances_to(coordinates: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance of every point to one center, shape (L,).
+
+    ``coordinates`` holds the points one coordinate per row, shape (k, L), as
+    ``points.T`` does; a contiguous copy is faster to read.
+
+    The squares of the even coordinates are summed in order, then those of the
+    odd coordinates, and the two sums are added. This is the order in which
+    numpy's float64 einsum kernel sums a row of fewer than eight terms when its
+    vectors hold two doubles, as in the x86-64 wheels, so for k <= 7 the result
+    equals ``einsum("lk,lk->l", d, d)`` with ``d = points - center`` bit for
+    bit. From k = 8 that kernel unrolls its loop and orders the terms another
+    way; builds with wider vectors or fused multiply-add differ too.
+    """
+
+    def lane(first: int) -> np.ndarray:
+        total = coordinates[first] - center[first]
+        total *= total
+        for j in range(first + 2, center.shape[0], 2):
+            term = coordinates[j] - center[j]
+            term *= term
+            total += term
+        return total
+
+    d2 = lane(0)
+    if center.shape[0] > 1:
+        d2 += lane(1)
+    return d2
 
 
 def nearest_center(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -33,9 +62,15 @@ def nearest_center(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray,
 
     Returns (assignment, squared distance to the assigned center).
     """
-    d2 = _squared_distances(points, centers)
-    assignment = np.argmin(d2, axis=1)
-    return assignment, d2[np.arange(points.shape[0]), assignment]
+    coordinates = np.ascontiguousarray(points.T)
+    assignment = np.zeros(points.shape[0], dtype=np.intp)
+    best = _squared_distances_to(coordinates, centers[0])
+    for s in range(1, centers.shape[0]):
+        d2 = _squared_distances_to(coordinates, centers[s])
+        # indices so far are below s, so the max writes s exactly where closer
+        np.maximum(assignment, (d2 < best) * s, out=assignment)
+        np.minimum(best, d2, out=best)
+    return assignment, best
 
 
 @dataclass(frozen=True)
@@ -55,10 +90,10 @@ class StatePartition:
             )
         if not np.all(np.isfinite(centers)):
             raise ValueError("centers must be finite")
-        d2 = _squared_distances(centers, centers)
-        np.fill_diagonal(d2, np.inf)
-        if np.min(d2) <= MIN_CENTER_SEPARATION**2:
-            raise ValueError("centers must be pairwise distinct")
+        for s in range(centers.shape[0] - 1):
+            d2 = _squared_distances_to(centers[s + 1:].T, centers[s])
+            if np.min(d2) <= MIN_CENTER_SEPARATION**2:
+                raise ValueError("centers must be pairwise distinct")
         owned = np.unique(nearest_center(self.scenarios.points, centers)[0])
         if owned.size != centers.shape[0]:
             empty = sorted(set(range(centers.shape[0])) - set(owned.tolist()))
@@ -102,8 +137,7 @@ def classify(partition: StatePartition, xi: Sequence[float]) -> int:
         raise DimensionMismatch(
             f"point has dimension {point.shape[0]}, partition has {partition.dimension}"
         )
-    d2 = np.sum((partition.centers - point) ** 2, axis=1)
-    return int(np.argmin(d2))
+    return int(nearest_center(point[None, :], partition.centers)[0][0])
 
 
 def size_of_state(scenarios: ScenarioSet, subset: Sequence[int]) -> float:

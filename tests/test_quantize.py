@@ -12,6 +12,7 @@ from statemarket.quantize import (
     size_of_state,
     solve_exact,
 )
+from statemarket.quantize.partition import nearest_center
 from statemarket.scenarios import ScenarioSet
 
 from oracles import best_partition_bruteforce, blocks_cost
@@ -100,6 +101,55 @@ def test_classify_matches_explicit_distance_argmin():
             for c in solution.partition.centers
         ]
         assert classify(solution.partition, probe) == int(np.argmin(distances))
+
+
+def dense_nearest_center(points, centers):
+    """The L x S x k einsum-then-argmin kernel that nearest_center replaced."""
+    diff = points[:, None, :] - centers[None, :, :]
+    d2 = np.einsum("lsk,lsk->ls", diff, diff)
+    assignment = np.argmin(d2, axis=1)
+    return assignment, d2[np.arange(points.shape[0]), assignment]
+
+
+def assert_matches_dense_kernel(points, centers):
+    assignment, d2 = nearest_center(points, centers)
+    expected_assignment, expected_d2 = dense_nearest_center(points, centers)
+    assert assignment.dtype == np.intp
+    assert np.array_equal(assignment, expected_assignment)
+    assert np.array_equal(d2, expected_d2)
+    return assignment
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("states", [1, 2, 8])
+def test_nearest_center_matches_dense_kernel_bitwise(dim, states):
+    rng = np.random.default_rng(100 * dim + states)
+    for scale in (1e-3, 1.0, 1e3):
+        points = rng.normal(size=(257, dim)) * scale
+        centers = rng.normal(size=(states, dim)) * scale
+        assert_matches_dense_kernel(points, centers)
+        assert_matches_dense_kernel(points[:1], centers)  # a single point
+    # integer grids: many points are exactly equidistant from several centers
+    grid = rng.integers(-3, 4, (400, dim)).astype(float)
+    centers = rng.permutation(np.unique(grid, axis=0))[:states]
+    assert_matches_dense_kernel(grid, centers)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_nearest_center_ties_go_to_smallest_index(dim):
+    unit = np.eye(dim)
+    far = np.full((1, dim), 50.0)
+    # center 0 is far away; centers 1 and 2 (and 3 for k >= 2) sit at distance 1
+    # from the origin, so the origin is a two- or three-way tie won by index 1
+    centers = np.vstack([far, unit[0], -unit[0]] + ([unit[1]] if dim > 1 else []))
+    points = np.zeros((3, dim))
+    points[1, 0] = 0.5  # nearer to index 1
+    points[2, 0] = -0.5  # nearer to index 2
+    assignment = assert_matches_dense_kernel(points, centers)
+    assert assignment.tolist() == [1, 1, 2]
+    # the same tie reversed: the smaller index still wins
+    assignment = assert_matches_dense_kernel(np.zeros((1, dim)), centers[[0, 2, 1]])
+    assert assignment.tolist() == [1]
 
 
 def test_each_center_lies_in_its_own_cell():

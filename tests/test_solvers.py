@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from statemarket.cli import fixture_path
 from statemarket.errors import DimensionNotOne, InstanceTooLarge
 from statemarket.quantize import (
     partition_objective,
@@ -11,8 +12,13 @@ from statemarket.quantize import (
     solve_exact,
     solve_lloyd,
 )
-from statemarket.quantize.solvers import _lloyd_single_run
-from statemarket.scenarios import ScenarioSet, barycentre
+from statemarket.quantize.solvers import (
+    _cell_barycentres,
+    _lloyd_single_run,
+    _seed_centers,
+    _weighted_draw,
+)
+from statemarket.scenarios import ScenarioSet, barycentre, load_scenarios_csv
 
 from oracles import best_partition_bruteforce, blocks_cost
 
@@ -220,6 +226,73 @@ def test_lloyd_converged_solution_is_centroidal():
     assert_centroidal(solution, tol=1e-9)
     assert solution.lower_bound is None
     assert solution.provenance == "lloyd"
+
+
+def test_lloyd_on_fixture_matches_pinned_result():
+    # Assignments and objectives of the solver as it was before the kernels
+    # became a running-min assignment and gathered barycentres (commit aa7df4b).
+    pinned = {
+        2: ("010111001001011110111010101010100011011", 2.8142330248183187),
+        3: ("020111002001011210221010101011200011012", 2.012906112637362),
+        4: ("030121003002012310332020202011300022013", 1.5618384869759867),
+    }
+    scen = load_scenarios_csv(fixture_path("scenarios_northsea_39x2.csv"), 2)
+    for states, (assignment, objective) in pinned.items():
+        solution = solve_lloyd(scen, states, restarts=64, seed=0)
+        assert "".join(map(str, solution.assignment)) == assignment
+        assert solution.objective == pytest.approx(objective, rel=1e-12, abs=0)
+
+
+def masked_barycentres(points, weights, assignment, num_states):
+    """The per-state boolean-mask barycentres that _cell_barycentres replaced."""
+    centers = np.empty((num_states, points.shape[1]))
+    for s in range(num_states):
+        members = assignment == s
+        w = weights[members]
+        centers[s] = (w @ points[members]) / w.sum()
+    return centers
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cell_barycentres_match_boolean_mask_version_bitwise(dim):
+    rng = np.random.default_rng(60 + dim)
+    # state 2 has one member; states 0 and 1 are non-contiguous
+    assignments = [np.array([0, 1, 0, 2, 1, 0, 1])]
+    for count, states in ((200, 5), (10_000, 8)):
+        assignment = rng.integers(0, states - 1, count)
+        assignment[rng.integers(count)] = states - 1  # a state with one member
+        assignments.append(assignment)
+    for assignment in assignments:
+        states = int(assignment.max()) + 1
+        assert np.bincount(assignment).min() >= 1
+        scen = random_set(rng, assignment.shape[0], dim)
+        centers = _cell_barycentres(scen.points, scen.weights, assignment, states)
+        expected = masked_barycentres(scen.points, scen.weights, assignment, states)
+        assert np.array_equal(centers, expected)
+
+
+def einsum_seed_centers(points, weights, num_states, rng):
+    """The k-means++ seeding as it was, with an einsum per drawn center."""
+    chosen = [_weighted_draw(rng, weights)]
+    d2 = np.einsum("lk,lk->l", points - points[chosen[0]], points - points[chosen[0]])
+    while len(chosen) < num_states:
+        index = _weighted_draw(rng, weights * d2)
+        chosen.append(index)
+        diff = points - points[index]
+        d2 = np.minimum(d2, np.einsum("lk,lk->l", diff, diff))
+    return points[chosen].astype(float).copy()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_seed_centers_match_einsum_version(dim):
+    rng = np.random.default_rng(70 + dim)
+    for seed in range(20):
+        scen = random_set(rng, 200, dim)
+        centers = _seed_centers(scen.points, scen.weights, 6, np.random.default_rng(seed))
+        expected = einsum_seed_centers(
+            scen.points, scen.weights, 6, np.random.default_rng(seed)
+        )
+        assert np.array_equal(centers, expected)
 
 
 # --- cross-solver properties ----------------------------------------------------
