@@ -11,9 +11,7 @@ surfaces any agent that could deviate profitably at the posted prices.
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import asdict, dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -48,16 +46,7 @@ class VerificationReport:
     confirmed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "balance_residual": self.balance_residual,
-            "budget_residual": self.budget_residual,
-            "gaps": dict(self.gaps),
-            "best_responses": dict(self.best_responses),
-            "achieved": dict(self.achieved),
-            "negative_surplus_agents": list(self.negative_surplus_agents),
-            "tolerance": self.tolerance,
-            "confirmed": self.confirmed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -88,14 +77,6 @@ class ClearingResult:
             "surplus": dict(self.surplus),
             "verification": self.verification.to_dict(),
         }
-
-    def dump_json(self, path: str | Path, *, metadata: dict | None = None) -> None:
-        payload = self.to_dict()
-        if metadata:
-            payload["metadata"] = metadata
-        Path(path).write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
 
 
 def build_lp(

@@ -90,9 +90,12 @@ def cmd_partition(args: argparse.Namespace) -> int:
         solution = quantize.solve_lloyd(
             scen, args.states, restarts=args.restarts, seed=args.seed
         )
-    solution.dump_json(
+    _write_json(
         args.out,
-        metadata={"created_at": _now(), "source": str(args.scenarios)},
+        {
+            **solution.to_dict(),
+            "metadata": {"created_at": _now(), "source": str(args.scenarios)},
+        },
     )
     text = quantize.describe_states(solution)
     Path(args.out).with_suffix(".states.txt").write_text(text, encoding="utf-8")
@@ -143,6 +146,12 @@ def _write_csv(path: Path, header: list[str], rows: list[list[float]]) -> None:
             writer.writerow([format(v, ".12g") for v in row])
 
 
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(
+        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    )
+
+
 def cmd_clear(args: argparse.Namespace) -> int:
     bids, dims = load_bids_json(args.bids)
     out = Path(args.out)
@@ -161,9 +170,7 @@ def cmd_clear(args: argparse.Namespace) -> int:
             ],
             "metadata": created,
         }
-        out.write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        _write_json(out, payload)
         worst = max(
             max(r.verification.gaps.values()) for _, r in results
         )
@@ -174,7 +181,7 @@ def cmd_clear(args: argparse.Namespace) -> int:
         return 0
 
     result = clearing.clear_bids(bids, dims, tol=args.tolerance)
-    result.dump_json(out, metadata=created)
+    _write_json(out, {**result.to_dict(), "metadata": created})
     rows = [
         [float(n), float(t), float(s + 1), float(result.prices.values[n, t, s])]
         for (n, t, s) in dims.coordinates()

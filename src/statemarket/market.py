@@ -66,10 +66,6 @@ class ContractGrid:
             raise ValueError("grid entries must be finite")
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def zeros(cls, dims: MarketDimensions) -> "ContractGrid":
-        return cls(np.zeros(dims.shape))
-
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.values.shape

@@ -9,13 +9,18 @@ Assignment (``nearest_center``) is a running minimum over the centers in
 index order: a point moves to center s only when its squared distance to s
 is strictly smaller (``<``) than the best so far, so a boundary point stays
 with the smallest index. ``classify`` and the solvers all go through it.
+
+A ``StatePartition`` holds its cells: one ``nearest_center`` pass over the
+scenario points, made when the partition is built, gives the stored
+``assignment`` and ``distances``, so the tie rule governs the stored
+assignment too. A ``QuantizationSolution`` reads its assignment, distances
+and objective from its partition and keeps no copy of them.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from pathlib import Path
+import math
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -75,10 +80,16 @@ def nearest_center(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray,
 
 @dataclass(frozen=True)
 class StatePartition:
-    """S pairwise-distinct centers over the scenario space, smallest-index ties."""
+    """S pairwise-distinct centers and the cells they induce on the scenarios.
+
+    ``assignment`` and ``distances`` hold each scenario's state (ties to the
+    smallest index) and its squared distance to that state's center.
+    """
 
     centers: np.ndarray
     scenarios: ScenarioSet
+    assignment: np.ndarray = field(init=False, repr=False, compare=False)
+    distances: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
@@ -94,10 +105,12 @@ class StatePartition:
             d2 = _squared_distances_to(centers[s + 1:].T, centers[s])
             if np.min(d2) <= MIN_CENTER_SEPARATION**2:
                 raise ValueError("centers must be pairwise distinct")
-        owned = np.unique(nearest_center(self.scenarios.points, centers)[0])
-        if owned.size != centers.shape[0]:
-            empty = sorted(set(range(centers.shape[0])) - set(owned.tolist()))
-            raise EmptyState(f"state(s) {empty} own no scenario point")
+        assignment, distances = nearest_center(self.scenarios.points, centers)
+        empty = np.flatnonzero(np.bincount(assignment, minlength=centers.shape[0]) == 0)
+        if empty.size:
+            raise EmptyState(f"state(s) {empty.tolist()} own no scenario point")
+        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "distances", distances)
 
     @property
     def num_states(self) -> int:
@@ -172,35 +185,29 @@ def partition_objective(scenarios: ScenarioSet, partition: StatePartition) -> fl
 
 @dataclass(frozen=True)
 class QuantizationSolution:
-    """A solved partition: centers, point assignment, distances, and objective.
+    """A solved partition with its solver's lower bound and provenance.
 
-    ``lower_bound`` equals the objective for certified-optimal solvers and is
-    None for heuristics. ``provenance`` is one of oracle | dp1d | lloyd |
-    external.
+    The assignment, distances and objective are those of the partition's
+    cells. ``lower_bound`` equals the objective for certified-optimal solvers
+    and is None for heuristics. ``provenance`` is one of oracle | dp1d |
+    lloyd | external.
     """
 
     partition: StatePartition
-    assignment: np.ndarray
-    distances: np.ndarray
-    objective: float
     lower_bound: float | None
     provenance: str
 
-    def __post_init__(self) -> None:
-        assignment = np.asarray(self.assignment, dtype=int)
-        distances = np.asarray(self.distances, dtype=float)
-        object.__setattr__(self, "assignment", assignment)
-        object.__setattr__(self, "distances", distances)
-        scen = self.partition.scenarios
-        if assignment.shape != (scen.num_scenarios,):
-            raise DimensionMismatch("assignment must map every scenario to one state")
-        if assignment.min() < 0 or assignment.max() >= self.partition.num_states:
-            raise ValueError("assignment indices out of range")
-        _, nearest = nearest_center(scen.points, self.partition.centers)
-        if np.max(np.abs(distances - nearest)) > 1e-9:
-            raise ValueError("stored distances disagree with nearest-center distances")
-        if abs(self.objective - float(scen.weights @ distances)) > 1e-9:
-            raise ValueError("objective disagrees with weighted distances")
+    @property
+    def assignment(self) -> np.ndarray:
+        return self.partition.assignment
+
+    @property
+    def distances(self) -> np.ndarray:
+        return self.partition.distances
+
+    @property
+    def objective(self) -> float:
+        return float(self.partition.scenarios.weights @ self.distances)
 
     @property
     def num_states(self) -> int:
@@ -223,19 +230,24 @@ class QuantizationSolution:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "QuantizationSolution":
-        return cls(
+        """Read a solution file, checking its stored cells against the partition.
+
+        The assignment must equal the partition's cells exactly; distances and
+        the objective must match within 1e-9.
+        """
+        solution = cls(
             partition=StatePartition.from_dict(payload),
-            assignment=np.asarray(payload["assignment"], dtype=int),
-            distances=np.asarray(payload["distances"], dtype=float),
-            objective=float(payload["objective"]),
             lower_bound=None if payload.get("lower_bound") is None else float(payload["lower_bound"]),
             provenance=str(payload["provenance"]),
         )
-
-    def dump_json(self, path: str | Path, *, metadata: dict | None = None) -> None:
-        payload = self.to_dict()
-        if metadata:
-            payload["metadata"] = metadata
-        Path(path).write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        if not np.array_equal(np.asarray(payload["assignment"]), solution.assignment):
+            raise ValueError("stored assignment disagrees with the partition's cells")
+        distances = np.asarray(payload["distances"], dtype=float)
+        if distances.shape != solution.distances.shape or not np.allclose(
+            distances, solution.distances, rtol=0.0, atol=1e-9
+        ):
+            raise ValueError("stored distances disagree with nearest-center distances")
+        objective = float(payload["objective"])
+        if not math.isclose(objective, solution.objective, rel_tol=0.0, abs_tol=1e-9):
+            raise ValueError("objective disagrees with weighted distances")
+        return solution

@@ -51,29 +51,18 @@ def _check_states(scenarios: ScenarioSet, num_states: int) -> None:
 def _finalize(
     scenarios: ScenarioSet,
     centers: np.ndarray,
-    assignment: np.ndarray,
     provenance: str,
     *,
     certified: bool,
 ) -> QuantizationSolution:
-    """Order states lexicographically by center and package the solution."""
-    order = np.lexsort(centers.T[::-1])
-    centers = centers[order]
-    relabel = np.empty(order.shape[0], dtype=int)
-    relabel[order] = np.arange(order.shape[0])
-    assignment = relabel[assignment]
-    diff = scenarios.points - centers[assignment]
-    distances = np.einsum("lk,lk->l", diff, diff)
-    objective = float(scenarios.weights @ distances)
-    partition = StatePartition(centers=centers, scenarios=scenarios)
-    return QuantizationSolution(
-        partition=partition,
-        assignment=assignment,
-        distances=distances,
-        objective=objective,
-        lower_bound=objective if certified else None,
-        provenance=provenance,
-    )
+    """Order states lexicographically by center and package the solution.
+
+    The partition assigns the points itself, so its cells follow the
+    smallest-index tie rule in the final state order.
+    """
+    partition = StatePartition(centers[np.lexsort(centers.T[::-1])], scenarios)
+    lower_bound = float(scenarios.weights @ partition.distances) if certified else None
+    return QuantizationSolution(partition, lower_bound, provenance)
 
 
 def _cell_barycentres(points, weights, assignment, num_states):
@@ -182,7 +171,7 @@ def solve_exact(scenarios: ScenarioSet, num_states: int) -> QuantizationSolution
     centers = _cell_barycentres(
         scenarios.points, scenarios.weights, assignment, num_states
     )
-    return _finalize(scenarios, centers, assignment, "oracle", certified=True)
+    return _finalize(scenarios, centers, "oracle", certified=True)
 
 
 # --- exact 1-D solver: contiguous-cluster DP --------------------------------
@@ -235,7 +224,7 @@ def solve_dp_1d(scenarios: ScenarioSet, num_states: int) -> QuantizationSolution
     centers = _cell_barycentres(
         scenarios.points, scenarios.weights, assignment, num_states
     )
-    return _finalize(scenarios, centers, assignment, "dp1d", certified=True)
+    return _finalize(scenarios, centers, "dp1d", certified=True)
 
 
 # --- Lloyd heuristic ---------------------------------------------------------
@@ -310,10 +299,7 @@ def solve_lloyd(
     best = None
     for restart in range(restarts):
         rng = np.random.default_rng([seed, restart])
-        centers, assignment, history = _lloyd_single_run(
-            points, weights, num_states, rng
-        )
+        centers, _, history = _lloyd_single_run(points, weights, num_states, rng)
         if best is None or history[-1] < best[0]:
-            best = (history[-1], centers, assignment)
-    _, centers, assignment = best
-    return _finalize(scenarios, centers, assignment, "lloyd", certified=False)
+            best = (history[-1], centers)
+    return _finalize(scenarios, best[1], "lloyd", certified=False)

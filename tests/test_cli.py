@@ -329,6 +329,17 @@ def test_report_partition_and_result(tmp_path, capsys):
     assert "welfare: 50" in text
 
 
+def test_report_rejects_tampered_partition(tmp_path, capsys):
+    part = tmp_path / "part.json"
+    run(["partition", "--scenarios", SCENARIOS, "--states", 2, "--out", part])
+    payload = json.loads(part.read_text())
+    payload["assignment"][0] = 1 - payload["assignment"][0]
+    part.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run(["report", "--partition", part]) == 1
+    assert "assignment" in capsys.readouterr().err
+
+
 def test_report_payments(capsys):
     assert run(["report", "--payments", fixture_path("example_payments.json")]) == 0
     text = capsys.readouterr().out

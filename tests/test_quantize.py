@@ -181,17 +181,21 @@ def test_distinct_center_validation():
 
 
 def test_solution_invariant_validation():
-    scen = equal_weight_set([[0.0], [4.0]])
+    # The middle point is equidistant from both centers, so the tie rule puts
+    # it in state 0; moving it to state 1 keeps distances and objective.
+    scen = equal_weight_set([[0.0], [2.0], [4.0]])
     partition = StatePartition(np.array([[0.0], [4.0]]), scen)
-    with pytest.raises(ValueError):
-        QuantizationSolution(
-            partition=partition,
-            assignment=np.array([0, 1]),
-            distances=np.array([0.0, 3.0]),  # wrong distance
-            objective=1.5,
-            lower_bound=None,
-            provenance="oracle",
-        )
+    payload = QuantizationSolution(partition, None, "external").to_dict()
+    assert payload["assignment"] == [0, 0, 1]
+    assert QuantizationSolution.from_dict(payload).objective == payload["objective"]
+    tampered = [
+        {**payload, "distances": [0.0, 3.0, 0.0]},
+        {**payload, "assignment": [0, 1, 1]},
+        {**payload, "objective": payload["objective"] + 0.5},
+    ]
+    for bad in tampered:
+        with pytest.raises(ValueError):
+            QuantizationSolution.from_dict(bad)
 
 
 def test_partition_json_round_trip():

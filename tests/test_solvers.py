@@ -6,12 +6,14 @@ import pytest
 from statemarket.cli import fixture_path
 from statemarket.errors import DimensionNotOne, InstanceTooLarge
 from statemarket.quantize import (
+    classify,
     partition_objective,
     size_of_state,
     solve_dp_1d,
     solve_exact,
     solve_lloyd,
 )
+from statemarket.quantize.partition import nearest_center
 from statemarket.quantize.solvers import (
     _cell_barycentres,
     _lloyd_single_run,
@@ -241,6 +243,23 @@ def test_lloyd_on_fixture_matches_pinned_result():
         solution = solve_lloyd(scen, states, restarts=64, seed=0)
         assert "".join(map(str, solution.assignment)) == assignment
         assert solution.objective == pytest.approx(objective, rel=1e-12, abs=0)
+
+
+def test_lloyd_assignment_follows_tie_rule_in_final_state_order():
+    # The point 1 lies halfway between the centers 0 and 2. This run finds the
+    # centers in the order (2, 0), so its own tie rule put the point with 2;
+    # in the final order (0, 2) the tie rule puts it in state 0.
+    points = np.array([[2.0], [3.0], [2.0], [2.0], [2.0], [2.0], [1.0], [0.0]])
+    scen = equal_weight_set(points)
+    solution = solve_lloyd(scen, 2, restarts=1, seed=431)
+    centers = solution.partition.centers
+    assert np.array_equal(centers, [[0.0], [2.0]])
+    assert np.array_equal(solution.assignment, nearest_center(points, centers)[0])
+    assert solution.assignment.tolist() == [
+        classify(solution.partition, point) for point in points
+    ]
+    assert np.array_equal(solution.state_masses(), [0.25, 0.75])
+    assert solution.objective == 0.25
 
 
 def masked_barycentres(points, weights, assignment, num_states):
