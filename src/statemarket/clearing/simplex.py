@@ -13,8 +13,14 @@ and its first non-basic structural or slack column with an entry above 1e-7
 takes the artificial's place (the row's own slack always qualifies in exact
 arithmetic, so a redundant equality row ends with its fixed slack basic).
 
-Designed for desk-scale instances (tens of rows); the basis is refactorized
-every iteration, trading speed for numerical robustness.
+Each phase keeps an explicit basis inverse. It is inverted afresh at the
+phase start and after every REFACTOR_EVERY basis changes; in between, each
+basis change applies one rank-one (eta) update, and a bound flip applies
+none. An "optimal" or "unbounded" verdict reached on an updated inverse is
+checked again on a fresh one, and only a verdict on a fresh inverse is
+returned, so rounding drift cannot end a phase early. The reported values,
+duals and reduced costs come from one fresh solve on the final basis.
+Designed for desk-scale instances (tens of rows).
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ BASIC, AT_LOWER, AT_UPPER, FREE = 0, 1, 2, 3
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
+REFACTOR_EVERY = 50  # basis changes between fresh inversions
 
 
 @dataclass(frozen=True)
@@ -158,6 +165,13 @@ class _Simplex:
         v[self.basis] = x_basic
         return v
 
+    def _refactor(self) -> None:
+        try:
+            self.Binv = np.linalg.inv(self.A[:, self.basis])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(f"singular basis: {exc}") from exc
+        self.updates = 0  # basis changes applied to Binv since this inversion
+
     def run(self, cost: np.ndarray) -> str:
         """Minimize cost over the current basis; returns 'optimal' or 'unbounded'.
 
@@ -166,59 +180,78 @@ class _Simplex:
         tol = PIVOT_TOL * self.scale
         movable = ~(self.upper - self.lower <= 0.0)
         limit = 200 * (self.total + 1)
+        self._refactor()
         for _ in range(limit):
             self.iterations += 1
-            y = self._solve_basis(cost[self.basis], transpose=True)
-            reduced = cost - self.A.T @ y
-            eligible = movable & (
-                ((self.status == AT_LOWER) & (reduced < -tol))
-                | ((self.status == AT_UPPER) & (reduced > tol))
-                | ((self.status == FREE) & (np.abs(reduced) > tol))
-            )
-            if not eligible.any():
-                return "optimal"
-            entering = int(np.argmax(eligible))
-            direction = 1.0 if reduced[entering] < 0 else -1.0
-
-            v = self.values()
-            w = self._solve_basis(self.A[:, entering])
-            span = self.upper[entering] - self.lower[entering]
-            best_delta = span if np.isfinite(span) else np.inf
-            leaving_pos = -1
-            leaving_col = self.total  # sentinel larger than any real index
-            hit_upper = False
-            for pos, col in enumerate(self.basis):
-                rate = -direction * w[pos]
-                if rate > PIVOT_TOL:
-                    if not np.isfinite(self.upper[col]):
-                        continue
-                    ratio = (self.upper[col] - v[col]) / rate
-                    hits_upper = True
-                elif rate < -PIVOT_TOL:
-                    if not np.isfinite(self.lower[col]):
-                        continue
-                    ratio = (self.lower[col] - v[col]) / rate
-                    hits_upper = False
-                else:
-                    continue
-                ratio = max(ratio, 0.0)
-                if ratio < best_delta - PIVOT_TOL or (
-                    ratio < best_delta + PIVOT_TOL and col < leaving_col
-                ):
-                    best_delta = min(best_delta, ratio)
-                    leaving_pos, leaving_col, hit_upper = pos, col, hits_upper
-
-            if not np.isfinite(best_delta):
-                return "unbounded"
-
-            if leaving_pos < 0:
-                # entering runs bound to bound without blocking any basic var
-                self.status[entering] = AT_UPPER if direction > 0 else AT_LOWER
-                continue
-            self.basis[leaving_pos] = entering
-            self.status[entering] = BASIC
-            self.status[leaving_col] = AT_UPPER if hit_upper else AT_LOWER
+            verdict = self._pivot(cost, tol, movable)
+            if verdict is not None and self.updates:
+                self._refactor()
+                verdict = self._pivot(cost, tol, movable)
+            if verdict is not None:
+                return verdict
         raise NumericalFailure(f"simplex exceeded {limit} iterations")
+
+    def _pivot(self, cost: np.ndarray, tol: float, movable: np.ndarray) -> str | None:
+        """One Bland pivot or bound flip; returns a verdict instead when no pivot exists."""
+        y = cost[self.basis] @ self.Binv
+        reduced = cost - self.A.T @ y
+        eligible = movable & (
+            ((self.status == AT_LOWER) & (reduced < -tol))
+            | ((self.status == AT_UPPER) & (reduced > tol))
+            | ((self.status == FREE) & (np.abs(reduced) > tol))
+        )
+        if not eligible.any():
+            return "optimal"
+        entering = int(np.argmax(eligible))
+        direction = 1.0 if reduced[entering] < 0 else -1.0
+
+        v = self._nonbasic_values()
+        v[self.basis] = self.Binv @ (self.b - self.A @ v)
+        w = self.Binv @ self.A[:, entering]
+        span = self.upper[entering] - self.lower[entering]
+        best_delta = span if np.isfinite(span) else np.inf
+        leaving_pos = -1
+        leaving_col = self.total  # sentinel larger than any real index
+        hit_upper = False
+        for pos, col in enumerate(self.basis):
+            rate = -direction * w[pos]
+            if rate > PIVOT_TOL:
+                if not np.isfinite(self.upper[col]):
+                    continue
+                ratio = (self.upper[col] - v[col]) / rate
+                hits_upper = True
+            elif rate < -PIVOT_TOL:
+                if not np.isfinite(self.lower[col]):
+                    continue
+                ratio = (self.lower[col] - v[col]) / rate
+                hits_upper = False
+            else:
+                continue
+            ratio = max(ratio, 0.0)
+            if ratio < best_delta - PIVOT_TOL or (
+                ratio < best_delta + PIVOT_TOL and col < leaving_col
+            ):
+                best_delta = min(best_delta, ratio)
+                leaving_pos, leaving_col, hit_upper = pos, col, hits_upper
+
+        if not np.isfinite(best_delta):
+            return "unbounded"
+
+        if leaving_pos < 0:
+            # entering runs bound to bound without blocking any basic var
+            self.status[entering] = AT_UPPER if direction > 0 else AT_LOWER
+            return None
+        self.basis[leaving_pos] = entering
+        self.status[entering] = BASIC
+        self.status[leaving_col] = AT_UPPER if hit_upper else AT_LOWER
+        # eta update: B_new^-1 = E B^-1, pivoting w onto unit vector leaving_pos
+        row = self.Binv[leaving_pos] / w[leaving_pos]
+        self.Binv -= np.outer(w, row)
+        self.Binv[leaving_pos] = row
+        self.updates += 1
+        if self.updates == REFACTOR_EVERY:
+            self._refactor()
+        return None
 
 
 def solve_lp(lp: LinearProgram) -> LPResult:

@@ -183,14 +183,16 @@ def partition_objective(scenarios: ScenarioSet, partition: StatePartition) -> fl
     return total
 
 
+PROVENANCES = ("oracle", "dp1d", "lloyd", "external")
+
+
 @dataclass(frozen=True)
 class QuantizationSolution:
     """A solved partition with its solver's lower bound and provenance.
 
     The assignment, distances and objective are those of the partition's
     cells. ``lower_bound`` equals the objective for certified-optimal solvers
-    and is None for heuristics. ``provenance`` is one of oracle | dp1d |
-    lloyd | external.
+    and is None for heuristics. ``provenance`` is one of PROVENANCES.
     """
 
     partition: StatePartition
@@ -233,7 +235,8 @@ class QuantizationSolution:
         """Read a solution file, checking its stored cells against the partition.
 
         The assignment must equal the partition's cells exactly; distances and
-        the objective must match within 1e-9.
+        the objective must match within 1e-9. A lower bound must be finite and
+        at most the objective + 1e-9, and the provenance one of PROVENANCES.
         """
         solution = cls(
             partition=StatePartition.from_dict(payload),
@@ -250,4 +253,11 @@ class QuantizationSolution:
         objective = float(payload["objective"])
         if not math.isclose(objective, solution.objective, rel_tol=0.0, abs_tol=1e-9):
             raise ValueError("objective disagrees with weighted distances")
+        bound = solution.lower_bound
+        if bound is not None and not (
+            math.isfinite(bound) and bound <= solution.objective + 1e-9
+        ):
+            raise ValueError(f"lower_bound {bound!r} exceeds the objective or is not finite")
+        if solution.provenance not in PROVENANCES:
+            raise ValueError(f"unknown provenance {solution.provenance!r}")
         return solution

@@ -35,7 +35,9 @@ LLOYD_MAX_ITERATIONS = 1000
 
 
 def _distinct_support(points: np.ndarray) -> int:
-    return np.unique(points, axis=0).shape[0]
+    """Number of distinct rows of a non-empty point array."""
+    ordered = points[np.lexsort(points.T[::-1])]
+    return 1 + int(np.count_nonzero((ordered[1:] != ordered[:-1]).any(axis=1)))
 
 
 def _check_states(scenarios: ScenarioSet, num_states: int) -> None:

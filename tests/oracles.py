@@ -3,7 +3,7 @@
 Deliberately written with different algorithms (and mostly plain Python
 arithmetic) than the package paths they verify: literal set-partition
 enumeration against the subset-DP exact solver, and basic-solution
-enumeration against the simplex.
+enumeration and scipy's HiGHS (a dev-only dependency) against the simplex.
 """
 
 from __future__ import annotations
@@ -140,3 +140,38 @@ def lp_vertex_oracle(lp) -> float:
     if best is None:
         raise ValueError("oracle found no feasible vertex")
     return best
+
+
+# --- LP oracle: scipy's HiGHS -------------------------------------------------
+
+def highs_optimum(lp):
+    """(objective, x) of ``lp`` by HiGHS, or None when it is infeasible."""
+    from scipy.optimize import linprog
+
+    n = lp.num_vars
+    a_eq, b_eq, a_ub, b_ub = [], [], [], []
+    for row in lp.rows:
+        dense = np.zeros(n)
+        np.add.at(dense, list(row.indices), row.coeffs)
+        if row.sense == "=":
+            a_eq.append(dense)
+            b_eq.append(row.rhs)
+        else:
+            flip = 1.0 if row.sense == "<=" else -1.0
+            a_ub.append(flip * dense)
+            b_ub.append(flip * row.rhs)
+    better = 1.0 if lp.sense == "max" else -1.0  # linprog minimizes
+    res = linprog(
+        -better * lp.objective,
+        A_ub=np.array(a_ub) if a_ub else None,
+        b_ub=b_ub or None,
+        A_eq=np.array(a_eq) if a_eq else None,
+        b_eq=b_eq or None,
+        bounds=[(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
+                for lo, hi in zip(lp.lower, lp.upper)],
+        method="highs",
+    )
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return -better * res.fun, res.x

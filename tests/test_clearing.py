@@ -35,6 +35,7 @@ from instances import (
     price_formation_bids,
     random_convex_market,
 )
+from oracles import highs_optimum
 
 
 def row_of(result):
@@ -345,38 +346,6 @@ def test_mixed_risk_market_clears_and_verifies():
 
 
 # --- differential test against scipy's HiGHS ----------------------------------
-
-def highs_optimum(lp):
-    """(objective, x) of ``lp`` by HiGHS, or None when it is infeasible."""
-    from scipy.optimize import linprog
-
-    n = lp.num_vars
-    a_eq, b_eq, a_ub, b_ub = [], [], [], []
-    for row in lp.rows:
-        dense = np.zeros(n)
-        np.add.at(dense, list(row.indices), row.coeffs)
-        if row.sense == "=":
-            a_eq.append(dense)
-            b_eq.append(row.rhs)
-        else:
-            flip = 1.0 if row.sense == "<=" else -1.0
-            a_ub.append(flip * dense)
-            b_ub.append(flip * row.rhs)
-    res = linprog(
-        -lp.objective,
-        A_ub=np.array(a_ub) if a_ub else None,
-        b_ub=b_ub or None,
-        A_eq=np.array(a_eq) if a_eq else None,
-        b_eq=b_eq or None,
-        bounds=[(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
-                for lo, hi in zip(lp.lower, lp.upper)],
-        method="highs",
-    )
-    if res.status == 2:
-        return None
-    assert res.status == 0, res.message
-    return -res.fun, res.x
-
 
 def differential_markets():
     for seed in range(12):

@@ -332,12 +332,41 @@ def test_report_partition_and_result(tmp_path, capsys):
 def test_report_rejects_tampered_partition(tmp_path, capsys):
     part = tmp_path / "part.json"
     run(["partition", "--scenarios", SCENARIOS, "--states", 2, "--out", part])
+    written = json.loads(part.read_text())
+    flipped = list(written["assignment"])
+    flipped[0] = 1 - flipped[0]
+    tampered = [
+        ("assignment", flipped),
+        ("lower_bound", 99.0),  # a bound above the objective is impossible
+        ("lower_bound", float("nan")),
+        ("lower_bound", float("-inf")),
+        ("provenance", "guess"),
+    ]
+    for key, value in tampered:
+        part.write_text(json.dumps({**written, key: value}))
+        capsys.readouterr()
+        assert run(["report", "--partition", part]) == 1, (key, value)
+        assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("solver", ["exact", "lloyd", "dp1d"])
+def test_report_loads_every_partition_the_cli_writes(tmp_path, capsys, solver):
+    with open(SCENARIOS, newline="") as handle:
+        rows = list(csv.reader(handle))[1:]
+    scen = tmp_path / "scen.csv"
+    if solver == "exact":  # the exact 2-D search needs few points
+        lines = ["scenario_id,weight,xi_1,xi_2"]
+        lines += [f"{r[0]},{1 / 12!r},{r[2]},{r[3]}" for r in rows[:12]]
+    else:  # the 1-D DP needs one coordinate; Lloyd takes either
+        lines = ["scenario_id,weight,xi_1"] + [",".join(r[:3]) for r in rows]
+    scen.write_text("\n".join(lines) + "\n")
+    part = tmp_path / "part.json"
+    assert run(["partition", "--scenarios", scen, "--states", 3,
+                "--solver", solver, "--out", part]) == 0
     payload = json.loads(part.read_text())
-    payload["assignment"][0] = 1 - payload["assignment"][0]
-    part.write_text(json.dumps(payload))
+    assert (payload["lower_bound"] is None) == (solver == "lloyd")
     capsys.readouterr()
-    assert run(["report", "--partition", part]) == 1
-    assert "assignment" in capsys.readouterr().err
+    assert run(["report", "--partition", part]) == 0
 
 
 def test_report_payments(capsys):

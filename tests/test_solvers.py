@@ -16,6 +16,7 @@ from statemarket.quantize import (
 from statemarket.quantize.partition import nearest_center
 from statemarket.quantize.solvers import (
     _cell_barycentres,
+    _distinct_support,
     _lloyd_single_run,
     _seed_centers,
     _weighted_draw,
@@ -315,6 +316,22 @@ def test_seed_centers_match_einsum_version(dim):
 
 
 # --- cross-solver properties ----------------------------------------------------
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_distinct_support_matches_unique_rows(dim):
+    rng = np.random.default_rng(90 + dim)
+    signed_zeros = np.array([[0.0], [-0.0]])[rng.integers(0, 2, (40, 1)), 0]
+    cases = [
+        rng.normal(size=(1, dim)),  # L = 1
+        rng.normal(size=(500, dim)),
+        rng.integers(0, 3, (500, dim)).astype(float),  # grid full of duplicates
+        np.repeat(rng.normal(size=(7, dim)), 5, axis=0)[rng.permutation(35)],
+        np.tile(signed_zeros, (1, dim)),  # 0.0 and -0.0 are one coordinate
+        np.hstack([signed_zeros, rng.integers(0, 2, (40, dim - 1)).astype(float)]),
+    ]
+    for points in cases:
+        assert _distinct_support(points) == np.unique(points, axis=0).shape[0]
+
 
 def test_objective_monotone_in_state_count():
     rng = np.random.default_rng(43)
