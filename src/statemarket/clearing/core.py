@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..errors import Infeasible, TooManyBinaries
+from ..errors import Infeasible, NumericalFailure, TooManyBinaries
 from ..market import (
     AgentBid,
     ContractGrid,
@@ -26,7 +26,7 @@ from ..market import (
     payment,
     valuation,
 )
-from .simplex import LinearProgram, LPResult, LPRow, solve_lp
+from .simplex import LinearProgram, LPResult, solve_lp
 
 MAX_BINARIES = 20
 DEFAULT_TOL = 1e-6
@@ -85,43 +85,27 @@ def build_lp(
     agent: int | None = None,
     prices: ContractGrid | None = None,
 ) -> LinearProgram:
-    """LP for one enumeration cell: binaries substituted into row rhs.
+    """LP for one enumeration cell, sliced from the program's arrays.
 
-    With ``agent`` set, the LP is that agent's block alone (its columns in
-    program order, its rows, no balance rows). With ``prices`` set, each
+    Its rhs is the program's less column b of ``binary_matrix`` for each set
+    binary b, in ascending b. With ``agent`` set, the LP is that agent's block
+    alone (its columns and rows, no balance rows). With ``prices`` set, each
     segment column also pays the price of its contract, so the objective is
     valuation minus payment. The constant the LP leaves out is
     ``_cell_constant`` with the same arguments.
     """
-    if agent is None:
-        columns = list(range(len(program.variables)))
-    else:
-        columns = [j for j, v in enumerate(program.variables) if v.agent_index == agent]
-    local = {j: i for i, j in enumerate(columns)}
-    variables = [program.variables[j] for j in columns]
-    objective = np.array([v.objective for v in variables])
+    rows = columns = slice(None)
+    if agent is not None:
+        rows, columns = program.agent_rows[agent], program.agent_columns[agent]
+    objective = program.objective[columns]
     if prices is not None:
-        for (a, coord), (_, deltas) in program.quantities.items():
-            if agent is None or a == agent:
-                for d in deltas:
-                    objective[local[d]] -= prices.values[coord]
-    rows = []
-    for row in program.rows:
-        if agent is not None and row.agent_index != agent:
-            continue
-        rhs = row.rhs
-        for b_index, coeff in row.binary_terms:
-            rhs -= coeff * binary_values[b_index]
-        indices = tuple(local[j] for j, _ in row.terms)
-        coeffs = tuple(c for _, c in row.terms)
-        rows.append(LPRow(indices, coeffs, row.sense, rhs))
-    return LinearProgram(
-        objective=objective,
-        lower=np.array([v.lower for v in variables]),
-        upper=np.array([v.upper for v in variables]),
-        rows=tuple(rows),
-        sense="max",
-    )
+        contract = program.column_contract[columns]
+        objective = objective - np.where(contract >= 0, prices.values.ravel()[contract], 0.0)
+    rhs = program.rhs[rows]
+    for b in np.flatnonzero(binary_values):
+        rhs = rhs - program.binary_matrix[rows, b]
+    return LinearProgram(objective, program.lower[columns], program.upper[columns],
+                         program.matrix[rows, columns], program.senses[rows], rhs, "max")
 
 
 def _cell_constant(
@@ -158,7 +142,8 @@ def _best_cell(
 
     Enumerates every binary, or with ``agent`` set only that agent's own (the
     others stay 0); ties keep the lex-smallest cell. Cells are independent and
-    could be solved in parallel; selection is a deterministic reduction.
+    could be solved in parallel; selection is a deterministic reduction. A
+    numerical failure is raised again naming the cell, the LP and its size.
     """
     own = [b for b, (a, _) in enumerate(program.binaries) if agent is None or a == agent]
     best = None
@@ -166,7 +151,13 @@ def _best_cell(
         cell = [0] * len(program.binaries)
         for b, value in zip(own, values):
             cell[b] = value
-        outcome = solve_lp(build_lp(program, cell, agent, prices))
+        lp = build_lp(program, cell, agent, prices)
+        try:
+            outcome = solve_lp(lp)
+        except NumericalFailure as exc:
+            owner = "welfare" if agent is None else f"agent {program.bids[agent].agent_id!r}"
+            m, n = lp.matrix.shape
+            raise NumericalFailure(f"cell {tuple(cell)}, {owner} LP {m}x{n}: {exc}") from exc
         if outcome.status != "optimal":
             continue
         value = outcome.objective + _cell_constant(program, cell, agent, prices)

@@ -40,53 +40,61 @@ REFACTOR_EVERY = 50  # basis changes between fresh inversions
 
 @dataclass(frozen=True)
 class LPRow:
+    """One row's nonzeros, as ``LinearProgram.rows`` lists them."""
+
     indices: tuple[int, ...]
     coeffs: tuple[float, ...]
     sense: str  # "<=", ">=", "="
     rhs: float
 
-    def __post_init__(self) -> None:
-        if self.sense not in ("<=", ">=", "="):
-            raise ValueError(f"unknown row sense {self.sense!r}")
-        if len(self.indices) != len(self.coeffs):
-            raise ValueError("indices and coeffs must have equal length")
-
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Sparse-row LP: optimize c'x subject to rows and variable bounds."""
+    """Dense LP: optimize c'x subject to ``matrix @ x (senses) rhs``, senses
+    being "<=", ">=" or "=", and ``lower <= x <= upper``. Nothing writes to
+    the arrays, which may be read-only views into a welfare program's."""
 
     objective: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    rows: tuple[LPRow, ...]
+    matrix: np.ndarray
+    senses: np.ndarray
+    rhs: np.ndarray
     sense: str = "max"
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.objective, dtype=float)
-        lo = np.asarray(self.lower, dtype=float)
-        hi = np.asarray(self.upper, dtype=float)
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+        for name in ("objective", "lower", "upper", "matrix", "rhs"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        object.__setattr__(self, "senses", np.asarray(self.senses, dtype=str))
+        c, lo, hi, a, senses, b = (self.objective, self.lower, self.upper, self.matrix,
+                                   self.senses, self.rhs)
         if self.sense not in ("max", "min"):
             raise ValueError(f"unknown objective sense {self.sense!r}")
-        if not (c.shape == lo.shape == hi.shape):
+        if not (c.ndim == 1 and c.shape == lo.shape == hi.shape):
             raise ValueError("objective and bounds must have matching shapes")
+        if not (b.ndim == 1 and senses.shape == b.shape and a.shape == (b.size, c.size)):
+            raise ValueError("matrix, senses and rhs must have shapes (m, n), (m,) and (m,)")
         if not np.all(np.isfinite(c)):
             raise ValueError("objective coefficients must be finite")
-        if np.any(lo > hi):
+        if not np.all(lo <= hi):  # also false for a NaN bound
             raise ValueError("some lower bound exceeds its upper bound")
-        n = c.shape[0]
-        for row in self.rows:
-            if not np.all(np.isfinite(row.coeffs)) or not np.isfinite(row.rhs):
-                raise ValueError("row coefficients must be finite")
-            if any(j < 0 or j >= n for j in row.indices):
-                raise ValueError("row references an unknown variable")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise ValueError("row coefficients must be finite")
+        unknown = senses[(senses != "<=") & (senses != ">=") & (senses != "=")]
+        if unknown.size:
+            raise ValueError(f"unknown row sense {str(unknown[0])!r}")
 
     @property
     def num_vars(self) -> int:
         return self.objective.shape[0]
+
+    @property
+    def rows(self) -> tuple[LPRow, ...]:
+        """Each row's nonzeros; kept for the benchmark harness."""
+        return tuple(
+            LPRow(tuple(np.flatnonzero(a).tolist()), tuple(a[a != 0].tolist()), str(s), float(b))
+            for a, s, b in zip(self.matrix, self.senses, self.rhs)
+        )
 
 
 @dataclass(frozen=True)
@@ -99,17 +107,6 @@ class LPResult:
     iterations: int
 
 
-def _dense_matrix(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
-    m, n = len(lp.rows), lp.num_vars
-    matrix = np.zeros((m, n))
-    rhs = np.empty(m)
-    for i, row in enumerate(lp.rows):
-        for j, coeff in zip(row.indices, row.coeffs):
-            matrix[i, j] += coeff
-        rhs[i] = row.rhs
-    return matrix, rhs
-
-
 class _Simplex:
     """Computational form: minimize c'v, A v = b, lo <= v <= hi.
 
@@ -118,13 +115,13 @@ class _Simplex:
     """
 
     def __init__(self, lp: LinearProgram):
-        struct, b = _dense_matrix(lp)
+        struct = np.ascontiguousarray(lp.matrix)
+        self.b = b = lp.rhs
         m, n = struct.shape
         self.m, self.n_struct = m, n
-        self.b = b
         self.total = n + 2 * m
 
-        senses = np.array([row.sense for row in lp.rows], dtype="U2")
+        senses = lp.senses
         slack_lo = np.where(senses == ">=", -np.inf, 0.0)
         slack_hi = np.where(senses == "<=", np.inf, 0.0)
         self.lower = np.concatenate([lp.lower, slack_lo, np.zeros(m)])
@@ -309,27 +306,31 @@ def solve_lp(lp: LinearProgram) -> LPResult:
 
 
 def _validate_solution(lp, state, x, reduced_user) -> None:
-    """Primal feasibility, reduced-cost signs, complementary slackness."""
+    """Primal feasibility, reduced-cost signs, complementary slackness; the
+    first row or variable at fault is named."""
     tol = FEAS_TOL * state.scale
     if np.any(x < lp.lower - tol) or np.any(x > lp.upper + tol):
         raise NumericalFailure("primal bounds violated at claimed optimum")
     residuals = state.A[:, : state.n_struct] @ x - state.b
-    for i, (row, residual) in enumerate(zip(lp.rows, residuals)):
-        if row.sense == "=" and abs(residual) > tol:
-            raise NumericalFailure(f"equality row {i} violated by {residual:.3e}")
-        if row.sense == "<=" and residual > tol:
-            raise NumericalFailure(f"row {i} violated by {residual:.3e}")
-        if row.sense == ">=" and residual < -tol:
-            raise NumericalFailure(f"row {i} violated by {residual:.3e}")
+    excess = np.where(lp.senses == "<=", residuals, -residuals)  # > 0 where violated
+    excess = np.where(lp.senses == "=", np.abs(residuals), excess)
+    violated = np.flatnonzero(excess > tol)
+    if violated.size:
+        i = violated[0]
+        kind = "equality row" if lp.senses[i] == "=" else "row"
+        raise NumericalFailure(f"{kind} {i} violated by {residuals[i]:.3e}")
     # sign convention in the user's sense: improving directions must be blocked
-    better = 1.0 if lp.sense == "max" else -1.0
-    for j in range(lp.num_vars):
-        r = better * reduced_user[j]
-        slack_lo = x[j] - lp.lower[j]
-        slack_hi = lp.upper[j] - x[j]
-        if slack_lo > tol and slack_hi > tol and abs(r) > tol * 10:
+    r = (1.0 if lp.sense == "max" else -1.0) * reduced_user
+    slack_lo = x - lp.lower
+    slack_hi = lp.upper - x
+    interior = (slack_lo > tol) & (slack_hi > tol) & (np.abs(r) > tol * 10)
+    at_lower = (slack_lo <= tol) & (tol < slack_hi) & (r > tol * 10)
+    at_upper = (slack_hi <= tol) & (tol < slack_lo) & (r < -tol * 10)
+    faulty = np.flatnonzero(interior | at_lower | at_upper)
+    if faulty.size:
+        j = faulty[0]
+        if interior[j]:
             raise NumericalFailure(f"interior variable {j} has nonzero reduced cost")
-        if slack_lo <= tol < slack_hi and r > tol * 10:
+        if at_lower[j]:
             raise NumericalFailure(f"variable {j} at lower bound wants to increase")
-        if slack_hi <= tol < slack_lo and r < -tol * 10:
-            raise NumericalFailure(f"variable {j} at upper bound wants to decrease")
+        raise NumericalFailure(f"variable {j} at upper bound wants to decrease")

@@ -156,8 +156,8 @@ class Decision:
         if self.kind == "binary":
             object.__setattr__(self, "lower", 0.0)
             object.__setattr__(self, "upper", 1.0)
-        elif self.lower > self.upper:
-            raise ValueError(f"decision {self.name!r} has empty range")
+        elif not (self.lower <= self.upper and self.lower < np.inf and self.upper > -np.inf):
+            raise ValueError(f"decision {self.name!r} has empty range [{self.lower}, {self.upper}]")
 
 
 @dataclass(frozen=True)
@@ -215,15 +215,6 @@ class AgentBid:
     @property
     def num_states(self) -> int:
         return self.beliefs.shape[0]
-
-    def decision(self, name: str) -> Decision:
-        for d in self.decisions:
-            if d.name == name:
-                return d
-        raise KeyError(name)
-
-    def sorted_coords(self) -> list[Coord]:
-        return sorted(self.utilities)
 
 
 def _state_utilities(
@@ -301,40 +292,34 @@ def valuation(
 # --- welfare program ---------------------------------------------------------
 
 @dataclass(frozen=True)
-class ProgramVariable:
-    agent_index: int
-    lower: float
-    upper: float
-    objective: float
-
-
-@dataclass(frozen=True)
-class ProgramRow:
-    label: str
-    agent_index: int | None  # None for balance rows
-    terms: tuple[tuple[int, float], ...]
-    sense: str
-    rhs: float
-    binary_terms: tuple[tuple[int, float], ...] = ()
-
-
-@dataclass(frozen=True)
 class WelfareProgram:
-    """The central welfare maximization problem in symbolic form.
+    """The central welfare maximization problem as read-only arrays.
 
-    Every traded quantity is ``lower + sum(delta)`` over its utility segments;
-    ``quantities`` maps (agent, coord) to that lower end and the segment
-    columns, and no column or row stands for the quantity itself. Continuous
-    structure is fully assembled; binary decisions are catalogued and appear
-    in rows/objective through ``binary_terms`` so that fixing them yields a
-    linear program. One balance row exists per traded (n, t, s).
+    Each agent's columns and rows form one block (``agent_columns``,
+    ``agent_rows``); one balance row per traded (n, t, s) follows them. Every
+    traded quantity is ``lower + sum(delta)``: ``quantities`` maps (agent,
+    coord) to that lower end and the segment columns. ``rhs`` has every binary
+    at 0, and setting binary b to 1 subtracts column b of ``binary_matrix``.
+    ``column_contract`` is the flat price-grid index a segment column trades,
+    -1 elsewhere. ``rows`` (labels) and ``variables`` (owning agent of each
+    column) are kept for the benchmark harness.
     """
 
     bids: tuple[AgentBid, ...]
     dims: MarketDimensions
     binaries: tuple[tuple[int, str], ...]
-    variables: tuple[ProgramVariable, ...]
-    rows: tuple[ProgramRow, ...]
+    objective: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    matrix: np.ndarray
+    senses: np.ndarray
+    rhs: np.ndarray
+    binary_matrix: np.ndarray
+    column_contract: np.ndarray
+    agent_columns: tuple[slice, ...]
+    agent_rows: tuple[slice, ...]
+    rows: tuple[str, ...]
+    variables: np.ndarray
     balance_rows: dict[Coord, int]
     quantities: dict[tuple[int, Coord], tuple[float, tuple[int, ...]]]
     decision_index: dict[tuple[int, str], int]
@@ -342,9 +327,28 @@ class WelfareProgram:
     objective_constant: float
     binary_objective: tuple[tuple[int, float], ...]
 
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False  # LPs hold slices of these
+
     @property
     def num_enumeration_cells(self) -> int:
         return 1 << len(self.binaries)
+
+
+def _summed(shape: tuple[int, int], entries: list[tuple[int, int, float]]) -> np.ndarray:
+    """Dense array of (row, column, coeff) entries; repeated positions add up
+    in list order."""
+    out = np.zeros(shape)
+    index = np.array([e[:2] for e in entries], dtype=int).reshape(-1, 2)
+    np.add.at(out, (index[:, 0], index[:, 1]), [e[2] for e in entries])
+    return out
+
+
+def _unzip(table: list[tuple], k: int, dtype=float) -> np.ndarray:
+    """Entry ``k`` of every tuple in ``table``, as an array."""
+    return np.array([entry[k] for entry in table], dtype=dtype)
 
 
 def assemble_welfare(bids: Sequence[AgentBid], dims: MarketDimensions) -> WelfareProgram:
@@ -355,7 +359,8 @@ def assemble_welfare(bids: Sequence[AgentBid], dims: MarketDimensions) -> Welfar
     are non-increasing, so they fill in order automatically under maximization.
     Quantities are substituted as ``lower + sum(delta)`` into the balance and
     linking rows, so the pinned part ``lower`` moves into their right-hand
-    sides.
+    sides. Row terms are collected as (row, column, coeff) triplets and summed
+    into the matrix once, row by row and term by term.
     """
     bids = tuple(bids)
     if not bids:
@@ -388,32 +393,46 @@ def assemble_welfare(bids: Sequence[AgentBid], dims: MarketDimensions) -> Welfar
                 binary_pos[(a, d.name)] = len(binaries)
                 binaries.append((a, d.name))
 
-    variables: list[ProgramVariable] = []
-    rows: list[ProgramRow] = []
+    # columns hold (agent, lower, upper, objective, contract), rows (label, sense, rhs)
+    columns: list[tuple[int, float, float, float, int]] = []
+    rows: list[tuple[str, str, float]] = []
+    entries: list[tuple[int, int, float]] = []  # (row, column, coeff)
+    binary_entries: list[tuple[int, int, float]] = []  # (row, binary, coeff)
+    agent_columns: list[slice] = []
+    agent_rows: list[slice] = []
     quantities: dict[tuple[int, Coord], tuple[float, tuple[int, ...]]] = {}
     decision_index: dict[tuple[int, str], int] = {}
     agent_constants: list[float] = []
     binary_objective: dict[int, float] = {}
 
-    def add_var(agent, lower, upper, objective) -> int:
-        variables.append(ProgramVariable(agent, lower, upper, objective))
-        return len(variables) - 1
+    def add_var(agent, lower, upper, objective, contract=-1) -> int:
+        columns.append((agent, lower, upper, objective, contract))
+        return len(columns) - 1
+
+    def add_row(label, terms, sense, rhs, binary_terms=()) -> int:
+        i = len(rows)
+        rows.append((label, sense, rhs))
+        entries.extend((i, j, c) for j, c in terms)
+        binary_entries.extend((i, b, c) for b, c in binary_terms)
+        return i
 
     for a, bid in enumerate(bids):
+        first_column, first_row = len(columns), len(rows)
         expectation = bid.risk == "expectation"
         # worst-case agents maximize an epigraph variable under per-state rows
         epi = None if expectation else add_var(a, -np.inf, np.inf, 1.0)
         state_offsets = np.zeros(dims.states)  # constants inside each state's utility
         state_terms: list[list[tuple[int, float]]] = [[] for _ in range(dims.states)]
 
-        for coord in bid.sorted_coords():
+        for coord in sorted(bid.utilities):
             piece = bid.utilities[coord]
             state = coord[2]
             state_offsets[state] += piece.value(piece.lower)
+            contract = (coord[0] * dims.periods + coord[1]) * dims.states + state  # flat
             deltas = []
             for width, slope in piece.segments():
                 weight = bid.beliefs[state] * slope if expectation else 0.0
-                deltas.append(add_var(a, 0.0, width, weight))
+                deltas.append(add_var(a, 0.0, width, weight, contract))
                 if not expectation:
                     state_terms[state].append((deltas[-1], slope))
             quantities[(a, coord)] = (piece.lower, tuple(deltas))
@@ -436,23 +455,15 @@ def assemble_welfare(bids: Sequence[AgentBid], dims: MarketDimensions) -> Welfar
             agent_constants.append(float(bid.beliefs @ state_offsets))
         else:
             agent_constants.append(0.0)
+            binary_terms = [
+                (binary_pos[(a, d.name)], -d.utility_coeff)
+                for d in bid.decisions
+                if d.kind == "binary" and d.utility_coeff != 0.0
+            ]
             for s in range(dims.states):
                 terms = [(epi, 1.0)] + [(v, -c) for v, c in state_terms[s]]
-                binary_terms = tuple(
-                    (binary_pos[(a, d.name)], -d.utility_coeff)
-                    for d in bid.decisions
-                    if d.kind == "binary" and d.utility_coeff != 0.0
-                )
-                rows.append(
-                    ProgramRow(
-                        label=f"worstcase:{bid.agent_id}:{s}",
-                        agent_index=a,
-                        terms=tuple(terms),
-                        sense="<=",
-                        rhs=float(state_offsets[s]),
-                        binary_terms=binary_terms,
-                    )
-                )
+                add_row(f"worstcase:{bid.agent_id}:{s}", terms, "<=",
+                        float(state_offsets[s]), binary_terms)
 
         for i, constraint in enumerate(bid.constraints):
             terms = []
@@ -463,20 +474,13 @@ def assemble_welfare(bids: Sequence[AgentBid], dims: MarketDimensions) -> Welfar
                 rhs -= c * lower
             binary_terms = []
             for name, c in constraint.z_terms:
-                if bid.decision(name).kind == "binary":
+                if (a, name) in binary_pos:
                     binary_terms.append((binary_pos[(a, name)], c))
                 else:
                     terms.append((decision_index[(a, name)], c))
-            rows.append(
-                ProgramRow(
-                    label=f"link:{bid.agent_id}:{i}",
-                    agent_index=a,
-                    terms=tuple(terms),
-                    sense=constraint.sense,
-                    rhs=rhs,
-                    binary_terms=tuple(binary_terms),
-                )
-            )
+            add_row(f"link:{bid.agent_id}:{i}", terms, constraint.sense, rhs, binary_terms)
+        agent_columns.append(slice(first_column, len(columns)))
+        agent_rows.append(slice(first_row, len(rows)))
 
     balance_rows: dict[Coord, int] = {}
     for coord in dims.coordinates():
@@ -487,23 +491,26 @@ def assemble_welfare(bids: Sequence[AgentBid], dims: MarketDimensions) -> Welfar
         rhs = 0.0
         for lower, _ in traders:
             rhs -= lower
-        balance_rows[coord] = len(rows)
-        rows.append(
-            ProgramRow(
-                label=f"balance:{coord}",
-                agent_index=None,
-                terms=tuple((d, 1.0) for _, deltas in traders for d in deltas),
-                sense="=",
-                rhs=rhs,
-            )
-        )
+        terms = [(d, 1.0) for _, deltas in traders for d in deltas]
+        balance_rows[coord] = add_row(f"balance:{coord}", terms, "=", rhs)
 
+    m, n = len(rows), len(columns)
     return WelfareProgram(
         bids=bids,
         dims=dims,
         binaries=tuple(binaries),
-        variables=tuple(variables),
-        rows=tuple(rows),
+        objective=_unzip(columns, 3),
+        lower=_unzip(columns, 1),
+        upper=_unzip(columns, 2),
+        matrix=_summed((m, n), entries),
+        senses=_unzip(rows, 1, "U2"),
+        rhs=_unzip(rows, 2),
+        binary_matrix=_summed((m, len(binaries)), binary_entries),
+        column_contract=_unzip(columns, 4, int),
+        agent_columns=tuple(agent_columns),
+        agent_rows=tuple(agent_rows),
+        rows=tuple(row[0] for row in rows),
+        variables=_unzip(columns, 0, int),
         balance_rows=balance_rows,
         quantities=quantities,
         decision_index=decision_index,

@@ -87,11 +87,8 @@ def lp_vertex_oracle(lp) -> float:
     """
     n = lp.num_vars
     planes = []  # (coeff vector, rhs, kind) with kind in {"eq", "ineq"}
-    for row in lp.rows:
-        a = np.zeros(n)
-        for j, c in zip(row.indices, row.coeffs):
-            a[j] += c
-        planes.append((a, row.rhs, "eq" if row.sense == "=" else "ineq"))
+    for a, rhs, sense in zip(lp.matrix, lp.rhs, lp.senses):
+        planes.append((a, rhs, "eq" if sense == "=" else "ineq"))
     for j in range(n):
         unit = np.zeros(n)
         unit[j] = 1.0
@@ -109,13 +106,13 @@ def lp_vertex_oracle(lp) -> float:
     def feasible(x) -> bool:
         if np.any(x < lp.lower - 1e-7) or np.any(x > lp.upper + 1e-7):
             return False
-        for row in lp.rows:
-            activity = sum(c * x[j] for j, c in zip(row.indices, row.coeffs))
-            if row.sense == "=" and abs(activity - row.rhs) > 1e-7:
+        for a, rhs, sense in zip(lp.matrix.tolist(), lp.rhs.tolist(), lp.senses):
+            activity = sum(c * xj for c, xj in zip(a, x.tolist()))
+            if sense == "=" and abs(activity - rhs) > 1e-7:
                 return False
-            if row.sense == "<=" and activity > row.rhs + 1e-7:
+            if sense == "<=" and activity > rhs + 1e-7:
                 return False
-            if row.sense == ">=" and activity < row.rhs - 1e-7:
+            if sense == ">=" and activity < rhs - 1e-7:
                 return False
         return True
 
@@ -148,18 +145,15 @@ def highs_optimum(lp):
     """(objective, x) of ``lp`` by HiGHS, or None when it is infeasible."""
     from scipy.optimize import linprog
 
-    n = lp.num_vars
     a_eq, b_eq, a_ub, b_ub = [], [], [], []
-    for row in lp.rows:
-        dense = np.zeros(n)
-        np.add.at(dense, list(row.indices), row.coeffs)
-        if row.sense == "=":
+    for dense, rhs, sense in zip(lp.matrix, lp.rhs, lp.senses):
+        if sense == "=":
             a_eq.append(dense)
-            b_eq.append(row.rhs)
+            b_eq.append(rhs)
         else:
-            flip = 1.0 if row.sense == "<=" else -1.0
+            flip = 1.0 if sense == "<=" else -1.0
             a_ub.append(flip * dense)
-            b_ub.append(flip * row.rhs)
+            b_ub.append(flip * rhs)
     better = 1.0 if lp.sense == "max" else -1.0  # linprog minimizes
     res = linprog(
         -better * lp.objective,

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from statemarket.errors import EmptyMarket, Infeasible, TooManyBinaries
+from statemarket.errors import EmptyMarket, Infeasible, NumericalFailure, TooManyBinaries
 from statemarket.market import (
     AgentBid,
     ContractGrid,
@@ -17,6 +17,7 @@ from statemarket.market import (
     payment,
     valuation,
 )
+from statemarket.clearing import core
 from statemarket.clearing import (
     best_response_value,
     build_lp,
@@ -384,7 +385,7 @@ def test_welfare_and_best_responses_match_highs(market):
             solved = highs_optimum(build_lp(program, cell, agent=a, prices=result.prices))
             if solved is None:
                 continue
-            columns = [j for j, v in enumerate(program.variables) if v.agent_index == a]
+            columns = np.flatnonzero(program.variables == a).tolist()
             x = dict(zip(columns, solved[1]))
             grid = np.zeros(dims.shape)
             for coord in bid.utilities:
@@ -401,3 +402,39 @@ def test_welfare_and_best_responses_match_highs(market):
         ours = best_response_value(program, a, result.prices)
         assert type(ours) is float
         assert ours == pytest.approx(best, abs=1e-6 * scale), bid.agent_id
+
+
+def fail_on_call(monkeypatch, failing):
+    """Make ``core.solve_lp`` raise on its ``failing``-th call (1-based)."""
+    calls = []
+    solve = core.solve_lp
+
+    def flaky(lp):
+        calls.append(lp)
+        if len(calls) == failing:
+            raise NumericalFailure("singular basis: test")
+        return solve(lp)
+
+    monkeypatch.setattr(core, "solve_lp", flaky)
+    return calls
+
+
+def test_numerical_failure_names_the_welfare_cell(monkeypatch):
+    program = assemble_welfare(*commitment_bids("expectation"))
+    calls = fail_on_call(monkeypatch, 2)  # cells (0,), then (1,)
+    with pytest.raises(NumericalFailure) as caught:
+        clear(program)
+    m, n = calls[-1].matrix.shape
+    assert str(caught.value) == f"cell (1,), welfare LP {m}x{n}: singular basis: test"
+
+
+def test_numerical_failure_names_the_agent_cell(monkeypatch):
+    program = assemble_welfare(*commitment_bids("worst_case"))
+    prices = clear(program).prices
+    calls = fail_on_call(monkeypatch, 2)
+    with pytest.raises(NumericalFailure) as caught:
+        best_response_value(program, 0, prices)
+    m, n = calls[-1].matrix.shape
+    assert str(caught.value) == (
+        f"cell (1,), agent 'thermal_plant' LP {m}x{n}: singular basis: test"
+    )

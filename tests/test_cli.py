@@ -224,6 +224,29 @@ def test_clear_empty_bids_exit_code(tmp_path, capsys):
     assert run(["clear", "--bids", empty, "--out", tmp_path / "r.json"]) == 1
 
 
+def test_clear_rejects_a_nan_decision_bound(tmp_path, capsys):
+    # json.loads reads NaN; the decision would otherwise be unbounded below
+    payload = json.loads(PRICE_BIDS.read_text())
+    generator = next(a for a in payload["agents"] if a["id"] == "advance_generator")
+    generator["decisions"][0]["lower"] = float("nan")
+    bids = tmp_path / "nan.json"
+    bids.write_text(json.dumps(payload))
+    assert run(["clear", "--bids", bids, "--out", tmp_path / "r.json"]) == 1
+    assert "'output' has empty range [nan, 0.0]" in capsys.readouterr().err
+
+
+def test_solver_failure_names_the_cell_and_exits_2(tmp_path, capsys, monkeypatch):
+    from statemarket.clearing import core
+    from statemarket.errors import NumericalFailure
+
+    def failing(lp):
+        raise NumericalFailure("singular basis: test")
+
+    monkeypatch.setattr(core, "solve_lp", failing)
+    assert run(["clear", "--bids", COMMIT_BIDS, "--out", tmp_path / "r.json"]) == 2
+    assert "cell (0,), welfare LP 6x4: singular basis: test" in capsys.readouterr().err
+
+
 def test_missing_input_path_exit_code(tmp_path, capsys):
     assert run(["clear", "--bids", tmp_path / "nope.json", "--out", tmp_path / "r.json"]) == 1
 

@@ -155,7 +155,7 @@ def test_assemble_price_formation_structure():
     assert len(program.balance_rows) == 2  # one per state
     assert program.binaries == ()
     assert program.num_enumeration_cells == 1
-    labels = [row.label for row in program.rows]
+    labels = program.rows
     assert sum(1 for l in labels if l.startswith("balance")) == 2
     assert sum(1 for l in labels if l.startswith("link")) == 2
     # one segment column per (agent, state) plus the generator's decision;
@@ -170,12 +170,12 @@ def test_quantities_substitute_lower_ends_into_rows():
     program = assemble_welfare(bids, dims)
     wind_lower, wind_deltas = program.quantities[(0, (0, 0, 0))]
     assert wind_lower == -10.0 and len(wind_deltas) == 1
-    balance = program.rows[program.balance_rows[(0, 0, 0)]]
+    balance = program.balance_rows[(0, 0, 0)]
     # wind [-10, 0], load [0, 11], generator [-5, 0]
-    assert balance.rhs == 15.0
-    assert len(balance.terms) == 3 and all(c == 1.0 for _, c in balance.terms)
-    link = next(r for r in program.rows if r.label == "link:advance_generator:0")
-    assert link.rhs == 5.0  # 0 - 1.0 * (-5)
+    assert program.rhs[balance] == 15.0
+    assert program.matrix[balance][program.matrix[balance] != 0].tolist() == [1.0] * 3
+    link = program.rows.index("link:advance_generator:0")
+    assert program.rhs[link] == 5.0  # 0 - 1.0 * (-5)
 
 
 def test_pinned_quantities_keep_an_empty_balance_row():
@@ -183,8 +183,8 @@ def test_pinned_quantities_keep_an_empty_balance_row():
     bid = AgentBid("rigid", np.array([1.0]), utilities={(0, 0, 0): pinned})
     program = assemble_welfare([bid], MarketDimensions(1, 1, 1))
     assert program.quantities[(0, (0, 0, 0))] == (3.0, ())
-    row = program.rows[program.balance_rows[(0, 0, 0)]]
-    assert row.terms == () and row.rhs == -3.0
+    assert program.matrix.shape == (1, 0)
+    assert program.rhs[program.balance_rows[(0, 0, 0)]] == -3.0
 
 
 def test_assemble_counts_binaries_and_cells():
@@ -229,8 +229,27 @@ def test_assemble_rejects_out_of_range_coordinates():
 def test_every_variable_belongs_to_exactly_one_agent_block():
     bids, dims = price_formation_bids(0.4)
     program = assemble_welfare(bids, dims)
-    for row in program.rows:
-        if row.agent_index is None:
-            continue  # balance row
-        owners = {program.variables[j].agent_index for j, _ in row.terms}
-        assert owners == {row.agent_index}
+    outside = np.ones(program.matrix.shape, dtype=bool)
+    for a, bid in enumerate(bids):
+        rows, columns = program.agent_rows[a], program.agent_columns[a]
+        assert np.all(program.variables[columns] == a)
+        assert all(label.split(":")[1] == bid.agent_id for label in program.rows[rows])
+        outside[rows, columns] = False
+    # every non-balance row is in some agent's block, and its terms stay there
+    agent_rows = max(r.stop for r in program.agent_rows)
+    assert min(program.balance_rows.values()) == agent_rows
+    assert not np.any(program.matrix[:agent_rows][outside[:agent_rows]])
+
+
+@pytest.mark.parametrize(
+    "lower, upper",
+    [(float("nan"), 0.0), (-5.0, float("nan")), (np.inf, np.inf), (-np.inf, -np.inf), (1.0, 0.0)],
+)
+def test_decision_rejects_empty_or_nan_range(lower, upper):
+    with pytest.raises(ValueError, match="empty range"):
+        Decision("output", "continuous", lower, upper)
+
+
+def test_decision_accepts_a_free_range():
+    free = Decision("output", "continuous", -np.inf, np.inf)
+    assert (free.lower, free.upper) == (-np.inf, np.inf)

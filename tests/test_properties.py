@@ -101,7 +101,7 @@ def markets(draw):
 def test_welfare_is_the_sum_of_valuations_at_the_allocation(market):
     bids, dims = market
     program = assemble_welfare(bids, dims)
-    assert not any(row.label.startswith("pwl") for row in program.rows)
+    assert not any(label.startswith("pwl") for label in program.rows)
     result = clear(program)
     scale = max(1.0, abs(result.welfare))
     values = {}

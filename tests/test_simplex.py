@@ -4,7 +4,7 @@ refactor-every-pivot loop, HiGHS), degeneracy, status detection."""
 import numpy as np
 import pytest
 
-from statemarket.clearing import LinearProgram, LPRow, solve_lp
+from statemarket.clearing import LinearProgram, solve_lp
 from statemarket.clearing import simplex
 from statemarket.clearing.simplex import (
     AT_LOWER,
@@ -33,7 +33,9 @@ def test_single_bound_dual():
         objective=np.array([1.0]),
         lower=np.array([-np.inf]),
         upper=np.array([np.inf]),
-        rows=(LPRow((0,), (1.0,), "<=", 1.0),),
+        matrix=np.array([[1.0]]),
+        senses=np.array(["<="]),
+        rhs=np.array([1.0]),
         sense="max",
     )
     result = solve_lp(lp)
@@ -63,20 +65,22 @@ def test_matches_vertex_enumeration_oracle_on_random_lps():
         m = int(rng.integers(1, 4))
         lower = rng.uniform(-5, 0, n)
         upper = lower + rng.uniform(0.5, 6, n)
-        rows = []
-        for _ in range(m):
-            idx = tuple(range(n))
-            coeffs = tuple(rng.uniform(-2, 2, n).tolist())
-            sense = ("<=", ">=", "=")[int(rng.integers(0, 3))]
+        matrix = np.zeros((m, n))
+        senses, rhs = [], []
+        for i in range(m):
+            matrix[i] += rng.uniform(-2, 2, n)
+            senses.append(("<=", ">=", "=")[int(rng.integers(0, 3))])
             midpoint = sum(
-                c * (lo + hi) / 2 for c, lo, hi in zip(coeffs, lower, upper)
+                c * (lo + hi) / 2 for c, lo, hi in zip(matrix[i].tolist(), lower, upper)
             )
-            rows.append(LPRow(idx, coeffs, sense, midpoint + float(rng.uniform(-1, 1))))
+            rhs.append(midpoint + float(rng.uniform(-1, 1)))
         lp = LinearProgram(
             objective=rng.uniform(-3, 3, n),
             lower=lower,
             upper=upper,
-            rows=tuple(rows),
+            matrix=matrix,
+            senses=np.array(senses),
+            rhs=np.array(rhs),
             sense="max" if rng.random() < 0.5 else "min",
         )
         result = solve_lp(lp)
@@ -91,7 +95,9 @@ def test_infeasible_detected():
         objective=np.array([1.0]),
         lower=np.array([0.0]),
         upper=np.array([1.0]),
-        rows=(LPRow((0,), (1.0,), ">=", 2.0),),
+        matrix=np.array([[1.0]]),
+        senses=np.array([">="]),
+        rhs=np.array([2.0]),
         sense="max",
     )
     assert solve_lp(lp).status == "infeasible"
@@ -102,7 +108,9 @@ def test_unbounded_detected():
         objective=np.array([1.0, 0.0]),
         lower=np.array([0.0, 0.0]),
         upper=np.array([np.inf, 5.0]),
-        rows=(LPRow((0, 1), (-1.0, 1.0), "<=", 3.0),),
+        matrix=np.array([[-1.0, 1.0]]),
+        senses=np.array(["<="]),
+        rhs=np.array([3.0]),
         sense="max",
     )
     assert solve_lp(lp).status == "unbounded"
@@ -114,12 +122,9 @@ def test_degenerate_lp_terminates():
         objective=np.array([1.0, 1.0]),
         lower=np.zeros(2),
         upper=np.full(2, np.inf),
-        rows=(
-            LPRow((0, 1), (1.0, 1.0), "<=", 2.0),
-            LPRow((0, 1), (2.0, 2.0), "<=", 4.0),
-            LPRow((0, 1), (1.0, 2.0), "<=", 3.0),
-            LPRow((0, 1), (2.0, 1.0), "<=", 3.0),
-        ),
+        matrix=np.array([[1.0, 1.0], [2.0, 2.0], [1.0, 2.0], [2.0, 1.0]]),
+        senses=np.array(["<="] * 4),
+        rhs=np.array([2.0, 4.0, 3.0, 3.0]),
         sense="max",
     )
     result = solve_lp(lp)
@@ -133,7 +138,9 @@ def test_equality_rows_and_free_variables():
         objective=np.array([1.0, 0.0]),
         lower=np.array([-np.inf, -np.inf]),
         upper=np.array([np.inf, 4.0]),
-        rows=(LPRow((0, 1), (1.0, -1.0), "=", 0.0),),
+        matrix=np.array([[1.0, -1.0]]),
+        senses=np.array(["="]),
+        rhs=np.array([0.0]),
         sense="max",
     )
     result = solve_lp(lp)
@@ -141,17 +148,20 @@ def test_equality_rows_and_free_variables():
     assert result.x[0] == pytest.approx(4.0)
 
 
+def empty_lp(senses):
+    """LP without variables, one row ``0 (sense) 1`` per listed sense."""
+    m = len(senses)
+    return LinearProgram(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros((m, 0)),
+                         np.array(senses, dtype="U2"), np.ones(m), sense="max")
+
+
 @pytest.mark.parametrize(
     "rows, status",
-    [
-        ((), "optimal"),
-        ((LPRow((), (), "<=", 1.0),), "optimal"),
-        ((LPRow((), (), ">=", 1.0),), "infeasible"),
-    ],
+    [([], "optimal"), (["<="], "optimal"), ([">="], "infeasible")],
 )
 def test_lp_without_variables(rows, status):
     # an agent whose only contract is pinned contributes such an LP
-    lp = LinearProgram(np.zeros(0), np.zeros(0), np.zeros(0), rows, sense="max")
+    lp = empty_lp(rows)
     result = solve_lp(lp)
     assert result.status == status
     if status == "optimal":
@@ -161,12 +171,13 @@ def test_lp_without_variables(rows, status):
 def test_duplicated_equality_row_drives_out_its_artificial():
     # the repeated row leaves one artificial basic at zero after phase 1; it
     # must leave the basis before phase 2 without moving the optimum
-    row = LPRow((0, 1), (1.0, 1.0), "=", 1.0)
     lp = LinearProgram(
         objective=np.array([1.0, 2.0]),
         lower=np.zeros(2),
         upper=np.full(2, np.inf),
-        rows=(row, row),
+        matrix=np.ones((2, 2)),
+        senses=np.array(["=", "="]),
+        rhs=np.ones(2),
         sense="max",
     )
     result = solve_lp(lp)
@@ -181,10 +192,9 @@ def test_reduced_cost_signs_at_optimum():
         n = 4
         lower = np.zeros(n)
         upper = rng.uniform(1, 5, n)
-        rows = (
-            LPRow(tuple(range(n)), tuple(rng.uniform(0.1, 1, n).tolist()), "<=", 4.0),
-        )
-        lp = LinearProgram(rng.uniform(-2, 3, n), lower, upper, rows, sense="max")
+        matrix = rng.uniform(0.1, 1, (1, n))
+        lp = LinearProgram(rng.uniform(-2, 3, n), lower, upper, matrix,
+                           np.array(["<="]), np.array([4.0]), sense="max")
         result = solve_lp(lp)
         assert result.status == "optimal"
         for j in range(n):
@@ -202,7 +212,9 @@ def test_bound_flip_path():
         objective=np.array([1.0, 0.1]),
         lower=np.zeros(2),
         upper=np.array([2.0, 20.0]),
-        rows=(LPRow((0, 1), (1.0, 1.0), "<=", 10.0),),
+        matrix=np.array([[1.0, 1.0]]),
+        senses=np.array(["<="]),
+        rhs=np.array([10.0]),
         sense="max",
     )
     result = solve_lp(lp)
@@ -218,10 +230,9 @@ def test_deterministic_solutions():
         objective=rng.uniform(-2, 2, n),
         lower=np.zeros(n),
         upper=rng.uniform(1, 4, n),
-        rows=(
-            LPRow(tuple(range(n)), tuple(rng.uniform(-1, 1, n).tolist()), "=", 1.0),
-            LPRow(tuple(range(n)), tuple(rng.uniform(-1, 1, n).tolist()), "<=", 2.0),
-        ),
+        matrix=rng.uniform(-1, 1, (2, n)),
+        senses=np.array(["=", "<="]),
+        rhs=np.array([1.0, 2.0]),
         sense="max",
     )
     a = solve_lp(lp)
@@ -325,17 +336,22 @@ def random_lp(rng, max_vars=8, max_rows=6):
     upper = lower + rng.uniform(0.5, 6, n).round(1)
     lower = np.where((kind == 2) | (kind == 3), -np.inf, lower)
     upper = np.where((kind == 1) | (kind == 3), np.inf, np.where(kind == 4, lower, upper))
-    rows = []
+    rows, senses, rhs = [], [], []
     for _ in range(int(rng.integers(0, max_rows + 1))):
         idx = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
-        coeffs = rng.uniform(-2, 2, idx.size).round(1)
-        sense = ("<=", ">=", "=")[int(rng.integers(0, 3))]
-        rows.append(LPRow(tuple(idx.tolist()), tuple(coeffs.tolist()), sense,
-                          round(float(rng.uniform(-4, 4)), 1)))
+        row = np.zeros(n)
+        row[idx] += rng.uniform(-2, 2, idx.size).round(1)
+        rows.append(row)
+        senses.append(("<=", ">=", "=")[int(rng.integers(0, 3))])
+        rhs.append(round(float(rng.uniform(-4, 4)), 1))
         if rng.random() < 0.2:
-            rows.append(rows[-1])
+            rows.append(row)
+            senses.append(senses[-1])
+            rhs.append(rhs[-1])
     sense = "max" if rng.random() < 0.5 else "min"
-    return LinearProgram(rng.uniform(-3, 3, n).round(1), lower, upper, tuple(rows), sense)
+    return LinearProgram(rng.uniform(-3, 3, n).round(1), lower, upper,
+                         np.array(rows).reshape(-1, n), np.array(senses, dtype="U2"),
+                         np.array(rhs), sense)
 
 
 def long_lp(seed, rows=20, columns=40):
@@ -344,13 +360,10 @@ def long_lp(seed, rows=20, columns=40):
     rng = np.random.default_rng(seed)
     matrix = rng.uniform(0, 1, (rows, columns)) * (rng.random((rows, columns)) < 0.6)
     senses = ["<="] * (rows - rows // 3) + [">="] * (rows // 3)
-    lp_rows = tuple(
-        LPRow(tuple(range(columns)), tuple(matrix[i].tolist()), senses[i],
-              float(rng.uniform(1, 10)))
-        for i in range(rows)
-    )
+    rhs = rng.uniform(1, 10, rows)
     objective = rng.uniform(0, 3, columns)
-    return LinearProgram(objective, np.zeros(columns), np.full(columns, np.inf), lp_rows)
+    return LinearProgram(objective, np.zeros(columns), np.full(columns, np.inf),
+                         matrix, np.array(senses), rhs)
 
 
 def test_updated_inverse_matches_refactoring_loop_on_random_lps():
@@ -361,28 +374,22 @@ def test_updated_inverse_matches_refactoring_loop_on_random_lps():
     assert min(statuses.values()) >= 30, statuses
 
 
-@pytest.mark.parametrize(
-    "rows",
-    [(), (LPRow((), (), "<=", 1.0),), (LPRow((), (), ">=", 1.0),)],
-)
+@pytest.mark.parametrize("rows", [[], ["<="], [">="]])
 def test_updated_inverse_matches_refactoring_loop_without_variables(rows):
-    assert_matches_refactoring_loop(
-        LinearProgram(np.zeros(0), np.zeros(0), np.zeros(0), rows, sense="max")
-    )
+    assert_matches_refactoring_loop(empty_lp(rows))
 
 
 def test_updated_inverse_matches_refactoring_loop_without_rows():
     rng = np.random.default_rng(84)
     for _ in range(20):
         lp = random_lp(rng, max_rows=0)
-        assert lp.rows == ()
+        assert lp.matrix.shape == (0, lp.num_vars)
         assert_matches_refactoring_loop(lp)
 
 
 def test_updated_inverse_matches_refactoring_loop_on_duplicated_rows():
-    row = LPRow((0, 1), (1.0, 1.0), "=", 1.0)
     lp = LinearProgram(np.array([1.0, 2.0]), np.zeros(2), np.full(2, np.inf),
-                       (row, row, row), sense="max")
+                       np.ones((3, 2)), np.array(["="] * 3), np.ones(3), sense="max")
     assert assert_matches_refactoring_loop(lp).status == "optimal"
 
 
@@ -401,7 +408,9 @@ def test_updated_inverse_matches_refactoring_loop_on_bound_flips(monkeypatch):
         objective=np.array([1.0, 0.1]),
         lower=np.zeros(2),
         upper=np.array([2.0, 20.0]),
-        rows=(LPRow((0, 1), (1.0, 1.0), "<=", 10.0),),
+        matrix=np.array([[1.0, 1.0]]),
+        senses=np.array(["<="]),
+        rhs=np.array([10.0]),
         sense="max",
     )
     assert assert_matches_refactoring_loop(lp).status == "optimal"
@@ -470,7 +479,8 @@ def test_status_and_objective_match_highs():
         # boxed columns, so each LP is optimal or infeasible for both solvers
         lower = np.where(np.isfinite(lp.lower), lp.lower, -10.0)
         upper = np.where(np.isfinite(lp.upper), lp.upper, 10.0)
-        lps.append(LinearProgram(lp.objective, lower, upper, lp.rows, lp.sense))
+        lps.append(LinearProgram(lp.objective, lower, upper, lp.matrix, lp.senses, lp.rhs,
+                                 lp.sense))
     for lp in lps:
         result = solve_lp(lp)
         reference = highs_optimum(lp)
@@ -478,3 +488,27 @@ def test_status_and_objective_match_highs():
         if reference is not None:
             scale = max(1.0, abs(reference[0]))
             assert result.objective == pytest.approx(reference[0], abs=1e-7 * scale)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"lower": np.array([np.nan, 0.0])}, "lower bound exceeds"),
+        ({"upper": np.array([1.0, np.nan])}, "lower bound exceeds"),
+        ({"upper": np.array([-1.0, 1.0])}, "lower bound exceeds"),
+        ({"objective": np.array([np.inf, 0.0])}, "objective coefficients"),
+        ({"matrix": np.array([[np.nan, 1.0]])}, "row coefficients"),
+        ({"rhs": np.array([np.inf])}, "row coefficients"),
+        ({"senses": np.array(["<"])}, "unknown row sense '<'"),
+        ({"matrix": np.ones((1, 3))}, "shapes"),
+        ({"senses": np.array(["<=", "<="])}, "shapes"),
+        ({"lower": np.zeros(3)}, "matching shapes"),
+        ({"sense": "maximize"}, "objective sense"),
+    ],
+)
+def test_lp_rejects_malformed_input(change, message):
+    fields = dict(objective=np.ones(2), lower=np.zeros(2), upper=np.ones(2),
+                  matrix=np.ones((1, 2)), senses=np.array(["<="]), rhs=np.ones(1))
+    fields.update(change)
+    with pytest.raises(ValueError, match=message):
+        LinearProgram(**fields)
