@@ -163,10 +163,7 @@ class _Simplex:
         return v
 
     def _refactor(self) -> None:
-        try:
-            self.Binv = np.linalg.inv(self.A[:, self.basis])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(f"singular basis: {exc}") from exc
+        self.Binv = self._solve_basis(np.eye(self.m))
         self.updates = 0  # basis changes applied to Binv since this inversion
 
     def run(self, cost: np.ndarray) -> str:

@@ -257,6 +257,13 @@ def _parse_location(text: str) -> tuple[float, float]:
         raise ValidationError(f"--location must be 'lat,lon', got {text!r}") from None
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < np.inf:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors are validation errors (exit 1), not argparse's exit 2,
     which this CLI reserves for solver failures."""
@@ -293,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     clear_cmd = sub.add_parser("clear", help="clear a bid file to allocation and prices")
     clear_cmd.add_argument("--bids", type=Path, required=True)
     clear_cmd.add_argument("--sweep-pi", action="store_true")
-    clear_cmd.add_argument("--tolerance", type=float, default=1e-6)
+    clear_cmd.add_argument("--tolerance", type=_tolerance, default=1e-6)
     clear_cmd.add_argument("--out", type=Path, required=True)
 
     report = sub.add_parser("report", help="summarize produced JSON artifacts")

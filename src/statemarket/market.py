@@ -158,6 +158,10 @@ class Decision:
             object.__setattr__(self, "upper", 1.0)
         elif not (self.lower <= self.upper and self.lower < np.inf and self.upper > -np.inf):
             raise ValueError(f"decision {self.name!r} has empty range [{self.lower}, {self.upper}]")
+        if not np.isfinite(self.utility_coeff):
+            raise ValueError(
+                f"decision {self.name!r} has non-finite utility_coeff {self.utility_coeff}"
+            )
 
 
 @dataclass(frozen=True)
@@ -197,15 +201,22 @@ class AgentBid:
         object.__setattr__(self, "constraints", tuple(self.constraints))
         if self.risk not in ("expectation", "worst_case"):
             raise ValueError(f"unknown risk functional {self.risk!r}")
-        if np.any(beliefs < 0.0) or abs(float(beliefs.sum()) - 1.0) > 1e-12:
+        # written so that NaN fails: every comparison with NaN is false
+        if not (np.all(beliefs >= 0.0) and abs(float(beliefs.sum()) - 1.0) <= 1e-12):
             raise ValueError(
-                f"agent {self.agent_id!r}: beliefs must be non-negative and sum to 1"
+                f"agent {self.agent_id!r}: beliefs must be finite, non-negative and sum to 1"
             )
         names = [d.name for d in self.decisions]
         if len(set(names)) != len(names):
             raise ValueError(f"agent {self.agent_id!r}: duplicate decision names")
         known = set(names)
-        for constraint in self.constraints:
+        for index, constraint in enumerate(self.constraints):
+            coeffs = [c for _, c in (*constraint.x_terms, *constraint.z_terms)]
+            if not np.all(np.isfinite([constraint.rhs, *coeffs])):
+                raise ValueError(
+                    f"agent {self.agent_id!r}: constraint {index} "
+                    "has a non-finite rhs or coefficient"
+                )
             for name, _ in constraint.z_terms:
                 if name not in known:
                     raise ValueError(

@@ -24,6 +24,7 @@ explicit ``^2`` marker; no cross products occur in this model family.
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -58,8 +59,8 @@ def export_miqp(
         m_value = auto_big_m(scenarios)
     else:
         m_value = float(big_m)
-        if m_value <= 0.0:
-            raise NonPositiveM(f"big-M must be positive, got {m_value}")
+        if not 0.0 < m_value < math.inf:
+            raise NonPositiveM(f"big-M must be positive and finite, got {m_value}")
 
     points = scenarios.points
     weights = scenarios.weights

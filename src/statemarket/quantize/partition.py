@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import DimensionMismatch, EmptyState, EmptySubset
+from ..errors import DimensionMismatch, EmptyState, EmptySubset, NonFiniteCoordinate
 from ..scenarios import ScenarioSet, barycentre
 
 # Centers closer than this are considered coincident and rejected.
@@ -150,6 +150,8 @@ def classify(partition: StatePartition, xi: Sequence[float]) -> int:
         raise DimensionMismatch(
             f"point has dimension {point.shape[0]}, partition has {partition.dimension}"
         )
+    if not np.all(np.isfinite(point)):
+        raise NonFiniteCoordinate(f"cannot classify a non-finite point {point.tolist()}")
     return int(nearest_center(point[None, :], partition.centers)[0][0])
 
 

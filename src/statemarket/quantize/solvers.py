@@ -3,7 +3,7 @@
 Three routes, all minimizing the probability-weighted squared distance of
 scenario points to their nearest center:
 
-* ``solve_exact`` — globally optimal at desk scale via dynamic programming
+* ``solve_exact`` — globally optimal at desk scale via a memoized recursion
   over point subsets; examines every set partition into exactly S blocks,
   with each block's center placed at its barycentre (optimal for squared
   Euclidean cost).
@@ -17,6 +17,8 @@ center coordinates, so equal optima produce identical partitions.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -99,62 +101,56 @@ def _subset_costs(points: np.ndarray, weights: np.ndarray) -> list[float]:
 def _optimal_blocks(points: np.ndarray, weights: np.ndarray, num_states: int) -> list[int]:
     """Minimum-cost partition of all points into exactly ``num_states`` blocks.
 
-    f[s][mask] is the best cost of splitting ``mask`` into s non-empty blocks;
-    the block containing the lowest set bit is enumerated explicitly, which
-    visits every set partition exactly once. Returns the blocks as bitmasks.
+    ``best(s, mask)`` is the least cost of ``mask`` in s non-empty blocks and
+    the block holding its lowest point, found over the submasks of the other
+    points in descending ``(sub - 1) & rest`` order; every set partition is
+    visited once. Only subproblems reachable from ``(num_states, full)`` are
+    solved, a candidate counts only if its remainder is finite, and the first
+    strict minimum wins. Returns the blocks as bitmasks from the full set down.
     """
-    length = points.shape[0]
-    full = (1 << length) - 1
     cost = _subset_costs(points, weights)
-    if num_states == 1:
-        return [full]
-    popcount = [bin(m).count("1") for m in range(full + 1)]
     inf = float("inf")
-    f_prev = cost[:]
-    choices: list[list[int]] = []
-    for s in range(2, num_states + 1):
-        f_cur = [inf] * (full + 1)
-        choice = [0] * (full + 1)
-        for mask in range(1, full + 1):
-            if popcount[mask] < s:
-                continue
-            low = mask & (-mask)
-            rest = mask ^ low
-            best = inf
-            best_block = 0
-            sub = rest
-            while True:
-                block = sub | low
-                remainder_cost = f_prev[mask ^ block]
-                if remainder_cost < inf:
-                    cand = remainder_cost + cost[block]
-                    if cand < best:
-                        best = cand
-                        best_block = block
-                if sub == 0:
-                    break
-                sub = (sub - 1) & rest
-            f_cur[mask] = best
-            choice[mask] = best_block
-        choices.append(choice)
-        f_prev = f_cur
 
-    blocks = []
-    mask = full
-    for level in range(num_states - 2, -1, -1):
-        block = choices[level][mask]
-        blocks.append(block)
-        mask ^= block
-    blocks.append(mask)
+    @functools.cache
+    def best(s: int, mask: int) -> tuple[float, int]:
+        if s == 1:
+            return cost[mask], mask
+        if mask.bit_count() < s:
+            return inf, 0
+        low = mask & (-mask)
+        rest = mask ^ low
+        value, choice = inf, 0
+        sub = rest
+        while True:
+            block = sub | low
+            remainder_cost = best(s - 1, mask ^ block)[0]
+            if remainder_cost < inf:
+                cand = remainder_cost + cost[block]
+                if cand < value:
+                    value, choice = cand, block
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+        return value, choice
+
+    blocks, mask = [], (1 << points.shape[0]) - 1
+    try:
+        for s in range(num_states, 0, -1):
+            blocks.append(best(s, mask)[1])
+            mask ^= blocks[-1]
+    finally:
+        del best  # empty the self-referencing cell, so the memo is freed now, not by the GC
     return blocks
 
 
 def solve_exact(scenarios: ScenarioSet, num_states: int) -> QuantizationSolution:
-    """Globally optimal partition by exhaustive-equivalent subset DP.
+    """Globally optimal partition by a memoized recursion over point subsets.
 
-    Guaranteed optimal for L <= ``EXACT_LIMIT``; one-dimensional measures of
-    any size delegate to the 1-D DP, which is also exact. The reported lower
-    bound equals the objective.
+    Guaranteed optimal for L <= ``EXACT_LIMIT``: ``_optimal_blocks`` solves the
+    subproblems reachable from (S, all points), splitting off the block that
+    holds the lowest point, and keeps the first strict minimum on ties.
+    One-dimensional measures of any size delegate to the 1-D DP, which is
+    also exact. The reported lower bound equals the objective.
     """
     _check_states(scenarios, num_states)
     length = scenarios.num_scenarios

@@ -4,6 +4,8 @@ Deliberately written with different algorithms (and mostly plain Python
 arithmetic) than the package paths they verify: literal set-partition
 enumeration against the subset-DP exact solver, and basic-solution
 enumeration and scipy's HiGHS (a dev-only dependency) against the simplex.
+The bottom-up subset DP is kept as the tie-rule reference for the memoized
+recursion that replaced it.
 """
 
 from __future__ import annotations
@@ -74,6 +76,57 @@ def weighted_mean(points, weights, subset) -> list[float]:
     dim = len(points[0])
     mass = sum(weights[l] for l in subset)
     return [sum(weights[l] * points[l][j] for l in subset) / mass for j in range(dim)]
+
+
+# --- bottom-up subset DP: tie-rule reference ----------------------------------
+
+def optimal_blocks_bottom_up(cost, length, num_states):
+    """Blocks (bitmasks) of a minimum-cost partition into ``num_states`` blocks.
+
+    ``cost[mask]`` is the block cost of every subset (``inf`` for the empty
+    one). Fills f_s over all 2^L masks for s = 2..S, splitting off the block
+    that holds the lowest point with its rest's submasks in descending
+    ``(sub - 1) & rest`` order; the first strict minimum wins, and the blocks
+    are read back through per-level choice tables from (S, full set) down.
+    """
+    full = (1 << length) - 1
+    if num_states == 1:
+        return [full]
+    popcount = [bin(m).count("1") for m in range(full + 1)]
+    inf = float("inf")
+    f_prev = list(cost)
+    choices = []
+    for s in range(2, num_states + 1):
+        f_cur = [inf] * (full + 1)
+        choice = [0] * (full + 1)
+        for mask in range(1, full + 1):
+            if popcount[mask] < s:
+                continue
+            low = mask & (-mask)
+            rest = mask ^ low
+            best, best_block = inf, 0
+            sub = rest
+            while True:
+                block = sub | low
+                remainder_cost = f_prev[mask ^ block]
+                if remainder_cost < inf:
+                    cand = remainder_cost + cost[block]
+                    if cand < best:
+                        best, best_block = cand, block
+                if sub == 0:
+                    break
+                sub = (sub - 1) & rest
+            f_cur[mask] = best
+            choice[mask] = best_block
+        choices.append(choice)
+        f_prev = f_cur
+    blocks = []
+    mask = full
+    for level in range(num_states - 2, -1, -1):
+        blocks.append(choices[level][mask])
+        mask ^= blocks[-1]
+    blocks.append(mask)
+    return blocks
 
 
 # --- LP oracle: enumerate basic solutions -------------------------------------

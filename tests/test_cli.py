@@ -235,6 +235,69 @@ def test_clear_rejects_a_nan_decision_bound(tmp_path, capsys):
     assert "'output' has empty range [nan, 0.0]" in capsys.readouterr().err
 
 
+def _agent(payload, agent_id):
+    return next(a for a in payload["agents"] if a["id"] == agent_id)
+
+
+def _set_nan_utility_coeff(payload):
+    _agent(payload, "thermal_plant")["decisions"][0]["utility_coeff"] = float("nan")
+
+
+def _set_nan_continuous_utility_coeff(payload):
+    _agent(payload, "advance_generator")["decisions"][0]["utility_coeff"] = float("nan")
+
+
+def _set_nan_beliefs(payload):
+    _agent(payload, "thermal_plant")["beliefs"] = [float("nan"), float("nan")]
+
+
+def _set_nan_linking_rhs(payload):
+    _agent(payload, "advance_generator")["constraints"][1]["rhs"] = float("nan")
+
+
+def _set_nan_linking_x_coeff(payload):
+    _agent(payload, "advance_generator")["constraints"][1]["x"][0]["coeff"] = float("nan")
+
+
+@pytest.mark.parametrize(
+    "fixture, edit, message",
+    [
+        (COMMIT_BIDS, _set_nan_utility_coeff, "decision 'on' has non-finite utility_coeff nan"),
+        (PRICE_BIDS, _set_nan_continuous_utility_coeff,
+         "decision 'output' has non-finite utility_coeff nan"),
+        (COMMIT_BIDS, _set_nan_beliefs,
+         "agent 'thermal_plant': beliefs must be finite, non-negative and sum to 1"),
+        (PRICE_BIDS, _set_nan_linking_rhs,
+         "agent 'advance_generator': constraint 1 has a non-finite rhs or coefficient"),
+        (PRICE_BIDS, _set_nan_linking_x_coeff,
+         "agent 'advance_generator': constraint 1 has a non-finite rhs or coefficient"),
+    ],
+    ids=["binary_utility_coeff", "continuous_utility_coeff", "beliefs", "linking_rhs",
+         "linking_x_coeff"],
+)
+def test_clear_rejects_non_finite_bid_numbers_where_they_enter(
+    tmp_path, capsys, fixture, edit, message
+):
+    payload = json.loads(fixture.read_text())
+    edit(payload)
+    bids = tmp_path / "nan.json"
+    bids.write_text(json.dumps(payload))
+    assert run(["clear", "--bids", bids, "--out", tmp_path / "r.json"]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1"])
+def test_clear_rejects_a_tolerance_that_is_not_finite_and_non_negative(
+    tmp_path, capsys, tolerance
+):
+    out = tmp_path / "r.json"
+    assert run(["clear", "--bids", PRICE_BIDS, f"--tolerance={tolerance}", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert f"--tolerance: must be finite and >= 0, got '{tolerance}'" in err
+
+
 def test_solver_failure_names_the_cell_and_exits_2(tmp_path, capsys, monkeypatch):
     from statemarket.clearing import core
     from statemarket.errors import NumericalFailure

@@ -58,6 +58,13 @@ def test_explicit_nonpositive_m_rejected():
         export_miqp(scen, 1, big_m=-3.0)
 
 
+@pytest.mark.parametrize("big_m", [float("nan"), float("inf")])
+def test_explicit_non_finite_m_rejected(big_m):
+    scen = equal_weight_set([[0.0], [1.0]])
+    with pytest.raises(NonPositiveM):
+        export_miqp(scen, 2, big_m=big_m)
+
+
 def test_round_trip_matches_solver_objective():
     rng = np.random.default_rng(50)
     for _ in range(20):

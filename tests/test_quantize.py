@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from statemarket.errors import EmptyState, EmptySubset, SExceedsSupport
+from statemarket.errors import EmptyState, EmptySubset, NonFiniteCoordinate, SExceedsSupport
 from statemarket.quantize import (
     QuantizationSolution,
     StatePartition,
@@ -82,6 +82,14 @@ def test_classify_tie_goes_to_smallest_index():
     scen = ScenarioSet(np.array([[0.0], [2.0]]), np.array([0.5, 0.5]))
     partition = StatePartition(np.array([[0.0], [2.0]]), scen)
     assert classify(partition, [1.0]) == 0
+
+
+@pytest.mark.parametrize("xi", [[float("nan"), float("nan")], [9.0, float("nan")]])
+def test_classify_rejects_a_non_finite_point(xi):
+    scen = equal_weight_set([[0.0, 0.0], [10.0, 0.0]])
+    partition = StatePartition(scen.points.copy(), scen)
+    with pytest.raises(NonFiniteCoordinate):
+        classify(partition, xi)
 
 
 def test_classify_zero_distance():

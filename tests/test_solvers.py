@@ -18,12 +18,14 @@ from statemarket.quantize.solvers import (
     _cell_barycentres,
     _distinct_support,
     _lloyd_single_run,
+    _optimal_blocks,
     _seed_centers,
+    _subset_costs,
     _weighted_draw,
 )
 from statemarket.scenarios import ScenarioSet, barycentre, load_scenarios_csv
 
-from oracles import best_partition_bruteforce, blocks_cost
+from oracles import best_partition_bruteforce, blocks_cost, optimal_blocks_bottom_up
 
 
 def equal_weight_set(points) -> ScenarioSet:
@@ -104,6 +106,28 @@ def test_exact_matches_bruteforce_on_random_instances():
             scen.points.tolist(), scen.weights.tolist(), blocks
         ) == pytest.approx(best, abs=1e-9)
         assert_centroidal(solution)
+
+
+@pytest.mark.parametrize("kind", ["grid", "uniform"])
+def test_optimal_blocks_keep_the_bottom_up_tie_rule(kind):
+    # integer grids hold many equal-cost partitions, so only the tie rule
+    # decides which blocks come back; compare list for list
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        count = int(rng.integers(1, 11))
+        dim = int(rng.integers(1, 4))
+        if kind == "grid":
+            points = rng.integers(0, 3, (count, dim)).astype(float)
+            weights = np.full(count, 1.0 / count)
+        else:
+            points = rng.uniform(0.0, 1.0, (count, dim))
+            raw = rng.random(count) + 0.1
+            weights = raw / raw.sum()
+        cost = _subset_costs(points, weights)
+        for states in range(1, min(count, 5) + 1):
+            assert _optimal_blocks(points, weights, states) == optimal_blocks_bottom_up(
+                cost, count, states
+            ), (points.tolist(), states)
 
 
 def test_exact_instance_too_large():
