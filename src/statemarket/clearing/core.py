@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..errors import Infeasible, NumericalFailure, TooManyBinaries
+from ..errors import Infeasible, NumericalFailure, TooManyBinaries, Unbounded
 from ..market import (
     AgentBid,
     ContractGrid,
@@ -143,7 +143,8 @@ def _best_cell(
     Enumerates every binary, or with ``agent`` set only that agent's own (the
     others stay 0); ties keep the lex-smallest cell. Cells are independent and
     could be solved in parallel; selection is a deterministic reduction. A
-    numerical failure is raised again naming the cell, the LP and its size.
+    numerical failure, or an unbounded LP, is raised naming the cell, the LP
+    and its size.
     """
     own = [b for b, (a, _) in enumerate(program.binaries) if agent is None or a == agent]
     best = None
@@ -154,10 +155,12 @@ def _best_cell(
         lp = build_lp(program, cell, agent, prices)
         try:
             outcome = solve_lp(lp)
-        except NumericalFailure as exc:
+            if outcome.status == "unbounded":
+                raise Unbounded("the objective is unbounded")
+        except (NumericalFailure, Unbounded) as exc:
             owner = "welfare" if agent is None else f"agent {program.bids[agent].agent_id!r}"
             m, n = lp.matrix.shape
-            raise NumericalFailure(f"cell {tuple(cell)}, {owner} LP {m}x{n}: {exc}") from exc
+            raise type(exc)(f"cell {tuple(cell)}, {owner} LP {m}x{n}: {exc}") from exc
         if outcome.status != "optimal":
             continue
         value = outcome.objective + _cell_constant(program, cell, agent, prices)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import clearing, quantize, scenarios
-from .errors import SolverFailure, ValidationError, VerificationFailure
+from .errors import SolverFailure, ValidationError, VerificationFailure, reading
 from .market import ContractGrid, load_bids_json, payment
 
 ENDPOINT_ENV = "STATEMARKET_ENDPOINT"
@@ -208,19 +208,15 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.result is None and args.partition is None and args.payments is None:
         raise ValidationError("report needs --result, --partition, or --payments")
     if args.partition is not None:
-        payload = json.loads(Path(args.partition).read_text(encoding="utf-8"))
-        try:
+        with reading(args.partition, "partition solution"):
+            payload = json.loads(Path(args.partition).read_text(encoding="utf-8"))
             solution = quantize.QuantizationSolution.from_dict(payload)
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(
-                f"{args.partition} is not a partition solution file ({exc!r})"
-            ) from None
         print(quantize.describe_states(solution), end="")
     if args.result is not None:
-        payload = json.loads(Path(args.result).read_text(encoding="utf-8"))
-        results = [e["result"] for e in payload["sweep"]] if "sweep" in payload else [payload]
-        for entry in results:
-            try:
+        with reading(args.result, "clearing result"):
+            payload = json.loads(Path(args.result).read_text(encoding="utf-8"))
+            results = [e["result"] for e in payload["sweep"]] if "sweep" in payload else [payload]
+            for entry in results:
                 verification = entry["verification"]
                 print(f"welfare: {entry['welfare']:.9g}")
                 print(f"prices: {entry['prices']}")
@@ -234,18 +230,15 @@ def cmd_report(args: argparse.Namespace) -> int:
                         f"  {agent}: surplus {surplus:.6g}, "
                         f"gap {verification['gaps'][agent]:.3g}"
                     )
-            except (KeyError, TypeError) as exc:
-                raise ValidationError(
-                    f"{args.result} is not a clearing result file ({exc!r})"
-                ) from None
     if args.payments is not None:
-        payload = json.loads(Path(args.payments).read_text(encoding="utf-8"))
-        prices = ContractGrid(np.asarray(payload["prices"], dtype=float))
-        for agent, position in sorted(payload["positions"].items()):
-            grid = ContractGrid(np.asarray(position, dtype=float))
-            paid = payment(prices, grid)
-            direction = "pays" if paid >= 0 else "receives"
-            print(f"  {agent}: {direction} {abs(paid):.6g}")
+        with reading(args.payments, "payments"):
+            payload = json.loads(Path(args.payments).read_text(encoding="utf-8"))
+            prices = ContractGrid(np.asarray(payload["prices"], dtype=float))
+            for agent, position in sorted(payload["positions"].items()):
+                grid = ContractGrid(np.asarray(position, dtype=float))
+                paid = payment(prices, grid)
+                direction = "pays" if paid >= 0 else "receives"
+                print(f"  {agent}: {direction} {abs(paid):.6g}")
     return 0
 
 

@@ -4,6 +4,9 @@ Three bases map onto the CLI exit codes: validation problems (bad input,
 unmet preconditions), solver failures, and verification failures.
 """
 
+import contextlib
+import json
+
 
 class StateMarketError(Exception):
     pass
@@ -19,6 +22,16 @@ class SolverFailure(StateMarketError):
 
 class VerificationFailure(StateMarketError):
     """A produced result failed its checks beyond tolerance; CLI exit code 3."""
+
+
+@contextlib.contextmanager
+def reading(path, kind: str):
+    """Parse a file: bad JSON, a missing key or index, or a value of the wrong
+    type becomes a ValidationError naming the file; other errors pass."""
+    try:
+        yield
+    except (json.JSONDecodeError, KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise ValidationError(f"{path} is not a valid {kind} file ({exc!r})") from None
 
 
 # --- scenario ingestion ---
@@ -106,4 +119,8 @@ class Infeasible(SolverFailure):
 
 
 class NumericalFailure(SolverFailure):
+    pass
+
+
+class Unbounded(SolverFailure):
     pass

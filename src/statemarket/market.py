@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyMarket, InconsistentDimensions
+from .errors import DimensionMismatch, EmptyMarket, InconsistentDimensions, reading
 
 Coord = tuple[int, int, int]  # (node, period, state)
 
@@ -398,12 +398,6 @@ def assemble_welfare(bids: Sequence[AgentBid], dims: MarketDimensions) -> Welfar
 
     binaries: list[tuple[int, str]] = []
     binary_pos: dict[tuple[int, str], int] = {}
-    for a, bid in enumerate(bids):
-        for d in bid.decisions:
-            if d.kind == "binary":
-                binary_pos[(a, d.name)] = len(binaries)
-                binaries.append((a, d.name))
-
     # columns hold (agent, lower, upper, objective, contract), rows (label, sense, rhs)
     columns: list[tuple[int, float, float, float, int]] = []
     rows: list[tuple[str, str, float]] = []
@@ -414,7 +408,7 @@ def assemble_welfare(bids: Sequence[AgentBid], dims: MarketDimensions) -> Welfar
     quantities: dict[tuple[int, Coord], tuple[float, tuple[int, ...]]] = {}
     decision_index: dict[tuple[int, str], int] = {}
     agent_constants: list[float] = []
-    binary_objective: dict[int, float] = {}
+    binary_objective: list[tuple[int, float]] = []
 
     def add_var(agent, lower, upper, objective, contract=-1) -> int:
         columns.append((agent, lower, upper, objective, contract))
@@ -450,10 +444,11 @@ def assemble_welfare(bids: Sequence[AgentBid], dims: MarketDimensions) -> Welfar
 
         for d in bid.decisions:
             if d.kind == "binary":
-                b = binary_pos[(a, d.name)]
+                binary_pos[(a, d.name)] = len(binaries)
                 if expectation:
                     # beliefs sum to 1, so the per-state coefficient collapses
-                    binary_objective[b] = binary_objective.get(b, 0.0) + d.utility_coeff
+                    binary_objective.append((len(binaries), d.utility_coeff))
+                binaries.append((a, d.name))
                 continue
             weight = d.utility_coeff if expectation else 0.0
             z_var = add_var(a, d.lower, d.upper, weight)
@@ -527,7 +522,7 @@ def assemble_welfare(bids: Sequence[AgentBid], dims: MarketDimensions) -> Welfar
         decision_index=decision_index,
         agent_constants=tuple(agent_constants),
         objective_constant=float(sum(agent_constants)),
-        binary_objective=tuple(sorted(binary_objective.items())),
+        binary_objective=tuple(binary_objective),
     )
 
 
@@ -553,11 +548,8 @@ def _constraint_from_json(entry: dict) -> LinkingConstraint:
 
 def load_bids_json(path: str | Path) -> tuple[list[AgentBid], MarketDimensions]:
     """Read a bid file (schema documented in the README)."""
-    try:
+    with reading(path, "bid"):
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path} is not valid JSON: {exc}") from None
-    try:
         dims_entry = payload.get("dimensions", {})
         labels = payload.get("state_labels")
         dims = MarketDimensions(
@@ -592,8 +584,6 @@ def load_bids_json(path: str | Path) -> tuple[list[AgentBid], MarketDimensions]:
                     constraints=constraints,
                 )
             )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed bid file ({exc!r})") from None
     if not bids:
         raise EmptyMarket(f"{path} declares no agents")
     return bids, dims

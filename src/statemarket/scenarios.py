@@ -29,6 +29,7 @@ from .errors import (
     NonFiniteCoordinate,
     NonPositiveWeight,
     WeightSumMismatch,
+    reading,
 )
 
 # Weight sums further than this from 1 are rejected; closer sums are renormalized.
@@ -277,12 +278,13 @@ def fetch_ensemble(
         key = _request_key(endpoint, params)
         cache_file = cache_dir / f"{key}.json"
         if cache_file.exists():
-            record = json.loads(cache_file.read_text(encoding="utf-8"))
-            body = record["body"]
-            digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-            if digest != record.get("body_sha256"):
-                raise MalformedResponse(f"cache entry {cache_file} failed hash check")
-            stamp = record.get("fetched_at", "")
+            with reading(cache_file, "cache entry"):
+                record = json.loads(cache_file.read_text(encoding="utf-8"))
+                body = record["body"]
+                digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+                if digest != record.get("body_sha256"):
+                    raise MalformedResponse(f"cache entry {cache_file} failed hash check")
+                stamp = record.get("fetched_at", "")
         else:
             body = get(endpoint, params)
             stamp = dt.datetime.now(dt.timezone.utc).isoformat()

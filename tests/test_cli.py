@@ -10,6 +10,7 @@ import pytest
 import requests
 
 from statemarket.cli import fixture_path, main
+from statemarket.scenarios import fetch_ensemble
 
 
 def run(args):
@@ -334,6 +335,33 @@ def test_infeasible_market_exit_code(tmp_path, capsys):
     assert run(["clear", "--bids", bids, "--out", tmp_path / "r.json"]) == 2
 
 
+def test_unbounded_market_exit_code(tmp_path, capsys):
+    # nothing links the counterparty-free decision, whose utility has no bound
+    unbounded = {
+        "dimensions": {"states": 1},
+        "agents": [
+            {
+                "id": "a",
+                "beliefs": [1.0],
+                "decisions": [{"name": "level", "upper": float("inf"), "utility_coeff": 1.0}],
+                "utilities": [{"node": 0, "period": 0, "state": 0,
+                               "points": [[-1.0, 1.0], [0.0, 0.0]]}],
+            },
+            {
+                "id": "b",
+                "beliefs": [1.0],
+                "utilities": [{"node": 0, "period": 0, "state": 0,
+                               "points": [[0.0, 0.0], [1.0, 1.0]]}],
+            },
+        ],
+    }
+    bids = tmp_path / "unbounded.json"
+    bids.write_text(json.dumps(unbounded).replace("Infinity", "1e400"))
+    assert run(["clear", "--bids", bids, "--out", tmp_path / "r.json"]) == 2
+    err = capsys.readouterr().err
+    assert "cell (), welfare LP 1x3: the objective is unbounded" in err
+
+
 def test_nonconvex_verification_failure_exit_code(tmp_path, capsys):
     # min-run block larger than the only buyer's demand: no equilibrium exists,
     # the clearing reports a positive best-response gap, exit code 3
@@ -469,12 +497,52 @@ def test_report_rejects_wrong_file_kind(tmp_path, capsys):
     assert run(["report", "--result", part]) == 1
 
 
-def test_clear_malformed_bids_exit_code(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"agents": [{"id": "x"}]}')  # no dimensions/beliefs
-    assert run(["clear", "--bids", bad, "--out", tmp_path / "r.json"]) == 1
-    bad.write_text("{not json")
-    assert run(["clear", "--bids", bad, "--out", tmp_path / "r.json"]) == 1
+def _bids_with_a_one_number_point():
+    payload = json.loads(PRICE_BIDS.read_text())
+    payload["agents"][0]["utilities"][0]["points"] = [[0, 0], [1]]
+    return json.dumps(payload)
+
+
+ENDPOINT = "https://ensembles.invalid/api"
+TARGET_TIME = "2026-02-18T23:00:00"
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        ("clear", '{"agents": [{"id": "x"}]}'),
+        ("clear", "{not json"),
+        ("clear", '[{"id": "x"}]'),
+        ("clear", _bids_with_a_one_number_point()),
+        ("result", '{"sweep": [{"x": 1}]}'),
+        ("payments", '{"prices": [[[1.0]]]}'),
+        ("payments", "[[[[1.0]]]]"),
+        ("ingest", '{"body_sha256": "0"}'),
+    ],
+    ids=["bids_without_dimensions", "bids_not_json", "bids_top_level_array",
+         "utility_point_with_one_number", "sweep_entry_without_result",
+         "payments_without_positions", "payments_top_level_array",
+         "cache_entry_without_body"],
+)
+def test_malformed_input_file_exits_1_naming_it(tmp_path, capsys, command, content):
+    out = tmp_path / "out"
+    if command == "ingest":  # replay a cache entry that the edit below spoils
+        fetch_ensemble(ENDPOINT, [(52.0, 2.0)], TARGET_TIME, cache_dir=tmp_path,
+                       transport=lambda url, params: "[1.0, 2.0]")
+        path = next(tmp_path.glob("*.json"))
+        args = ["ingest", "--endpoint", ENDPOINT, "--location", "52.0,2.0",
+                "--target-time", TARGET_TIME, "--cache-dir", tmp_path, "--out", out]
+    else:
+        path = tmp_path / "input.json"
+        args = {
+            "clear": ["clear", "--bids", path, "--out", out],
+            "result": ["report", "--result", path],
+            "payments": ["report", "--payments", path],
+        }[command]
+    path.write_text(content)
+    assert run(args) == 1
+    assert f"error: {path} is not a valid " in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Scenario ingestion: CSV round-trips, validation, ensemble fetch + cache."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from statemarket.errors import (
     NetworkError,
     NonFiniteCoordinate,
     NonPositiveWeight,
+    ValidationError,
     WeightSumMismatch,
 )
 from statemarket.scenarios import (
@@ -251,6 +253,22 @@ def test_fetch_corrupted_cache_detected(tmp_path):
             cache_dir=tmp_path,
             transport=fake_transport(members),
         )
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda record: record.pop("body"),
+    lambda record: record.update(body=1.5),
+], ids=["no_body", "numeric_body"])
+def test_fetch_malformed_cache_entry_names_it(tmp_path, spoil):
+    members = {(52.0, 2.0): [4.2, 5.5]}
+    args = ("https://ensembles.invalid/api", [(52.0, 2.0)], "2026-02-18T23:00:00")
+    fetch_ensemble(*args, cache_dir=tmp_path, transport=fake_transport(members))
+    entry = next(tmp_path.glob("*.json"))
+    record = json.loads(entry.read_text())
+    spoil(record)
+    entry.write_text(json.dumps(record))
+    with pytest.raises(ValidationError, match=re.escape(f"{entry} is not a valid cache entry file")):
+        fetch_ensemble(*args, cache_dir=tmp_path, transport=fake_transport(members))
 
 
 def test_fetch_malformed_response(tmp_path):

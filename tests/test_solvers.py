@@ -273,18 +273,32 @@ def test_lloyd_on_fixture_matches_pinned_result():
 def test_lloyd_assignment_follows_tie_rule_in_final_state_order():
     # The point 1 lies halfway between the centers 0 and 2. This run finds the
     # centers in the order (2, 0), so its own tie rule put the point with 2;
-    # in the final order (0, 2) the tie rule puts it in state 0.
+    # in the final order (0, 2) the tie rule puts it in state 0, and one more
+    # Lloyd step in that order moves both centers to their cells' barycentres.
     points = np.array([[2.0], [3.0], [2.0], [2.0], [2.0], [2.0], [1.0], [0.0]])
     scen = equal_weight_set(points)
     solution = solve_lloyd(scen, 2, restarts=1, seed=431)
     centers = solution.partition.centers
-    assert np.array_equal(centers, [[0.0], [2.0]])
+    assert np.array_equal(centers, [[0.5], [13.0 / 6.0]])
     assert np.array_equal(solution.assignment, nearest_center(points, centers)[0])
     assert solution.assignment.tolist() == [
         classify(solution.partition, point) for point in points
     ]
     assert np.array_equal(solution.state_masses(), [0.25, 0.75])
-    assert solution.objective == 0.25
+    assert solution.objective == pytest.approx(1.0 / 6.0, rel=1e-12, abs=0)
+    assert_centroidal(solution, tol=1e-12)
+
+
+def test_lloyd_centers_are_their_cells_barycentres_on_tie_data():
+    # Integer grids put many points exactly halfway between two centers.
+    rng = np.random.default_rng(7)
+    for trial in range(300):
+        count, dim = int(rng.integers(4, 13)), int(rng.integers(1, 3))
+        scen = equal_weight_set(rng.integers(0, 4, (count, dim)))
+        support = len({tuple(p) for p in scen.points})
+        states = int(rng.integers(1, min(4, support) + 1))
+        solution = solve_lloyd(scen, states, restarts=int(rng.integers(1, 4)), seed=trial)
+        assert_centroidal(solution, tol=1e-12)
 
 
 def masked_barycentres(points, weights, assignment, num_states):
