@@ -1,4 +1,5 @@
-"""Market clearing: LP substrate, enumeration over commitments, verification."""
+"""Market clearing: LP substrate, branch and bound over commitments (ties to
+the lex-smallest cell, as enumeration would pick), verification."""
 
 from .simplex import LinearProgram, LPResult, LPRow, solve_lp
 from .core import (

@@ -1,16 +1,22 @@
 """Welfare maximization, equilibrium prices, and property verification.
 
-Binary commitments are cleared by exhaustive enumeration (hard cap, no
-branch and bound): each assignment yields an LP whose balance-row duals are
-the candidate contract prices. The welfare-maximal cell wins, ties going to
-the lexicographically smallest binary vector. For purely convex programs the
+Binary commitments (at most MAX_BINARIES) are cleared by an exact
+depth-first branch and bound (Land & Doig 1960). Each assignment of the
+binaries, a cell, yields an LP whose balance-row duals are the candidate
+contract prices. The search branches on the binaries in index order, 0
+before 1, so it meets cells in lexicographic order; before branching on two
+or more free binaries it solves the LP relaxation with those binaries in
+[0, 1], and drops the subtree when that LP is infeasible or its bound lies
+below the best cell found so far by more than PRUNE_MARGIN relative. A cell
+wins only with a strictly greater welfare, so ties go to the
+lexicographically smallest binary vector, and the winner and its LP are
+those that enumerating every cell would give. For purely convex programs the
 outcome is a Walrasian equilibrium; with binaries the verification report
 surfaces any agent that could deviate profitably at the posted prices.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import asdict, dataclass, replace
 from typing import Mapping, Sequence
 
@@ -30,6 +36,7 @@ from .simplex import LinearProgram, LPResult, solve_lp
 
 MAX_BINARIES = 20
 DEFAULT_TOL = 1e-6
+PRUNE_MARGIN = 1e-9  # a bound prunes only below incumbent - margin * max(1, |incumbent|)
 
 
 @dataclass(frozen=True)
@@ -85,7 +92,7 @@ def build_lp(
     agent: int | None = None,
     prices: ContractGrid | None = None,
 ) -> LinearProgram:
-    """LP for one enumeration cell, sliced from the program's arrays.
+    """LP for one commitment cell, sliced from the program's arrays.
 
     Its rhs is the program's less column b of ``binary_matrix`` for each set
     binary b, in ascending b. With ``agent`` set, the LP is that agent's block
@@ -133,6 +140,32 @@ def _cell_constant(
     return constant
 
 
+def _relaxation(
+    program: WelfareProgram,
+    cell: Sequence[int],
+    free: Sequence[int],
+    agent: int | None,
+    prices: ContractGrid | None,
+) -> LinearProgram:
+    """``build_lp`` of ``cell`` (its ``free`` binaries at 0) with one [0, 1]
+    column appended per free binary, in ascending order: column b of
+    ``binary_matrix`` and b's summed ``binary_objective`` coefficient. Its
+    optimum plus ``_cell_constant`` bounds every cell below the node."""
+    lp = build_lp(program, cell, agent, prices)
+    rows = slice(None) if agent is None else program.agent_rows[agent]
+    gain = np.zeros(len(program.binaries))
+    for b, c in program.binary_objective:
+        gain[b] += c
+    k = len(free)
+    return LinearProgram(
+        np.concatenate([lp.objective, gain[free]]),
+        np.concatenate([lp.lower, np.zeros(k)]),
+        np.concatenate([lp.upper, np.ones(k)]),
+        np.hstack([lp.matrix, program.binary_matrix[rows][:, free]]),
+        lp.senses, lp.rhs, "max",
+    )
+
+
 def _best_cell(
     program: WelfareProgram,
     agent: int | None = None,
@@ -140,32 +173,63 @@ def _best_cell(
 ) -> tuple[float, tuple[int, ...], LPResult]:
     """Best (value, binary cell, LP solution) of ``build_lp`` plus its constant.
 
-    Enumerates every binary, or with ``agent`` set only that agent's own (the
-    others stay 0); ties keep the lex-smallest cell. Cells are independent and
-    could be solved in parallel; selection is a deterministic reduction. A
-    numerical failure, or an unbounded LP, is raised naming the cell, the LP
-    and its size.
+    Searches every binary, or with ``agent`` set only that agent's own (the
+    others stay 0), by depth-first branch and bound: branching in index
+    order, 0 before 1, so cells are met in lexicographic order, and a cell
+    replaces the incumbent only when its value is strictly greater, so ties
+    keep the lex-smallest cell. A node with two or more free binaries first
+    solves its LP relaxation (``_relaxation``). An infeasible relaxation
+    prunes the subtree, and so does an optimal one whose bound lies below the
+    incumbent by more than PRUNE_MARGIN relative; an unbounded one, or a
+    numerical failure, prunes nothing. A pruned cell could not have displaced
+    the incumbent, so the result is the one enumerating every cell gives. A
+    numerical failure, or an unbounded LP, in a cell is raised naming the
+    cell, the LP and its size.
     """
     own = [b for b, (a, _) in enumerate(program.binaries) if agent is None or a == agent]
+    owner = "welfare" if agent is None else f"agent {program.bids[agent].agent_id!r}"
+    cell = [0] * len(program.binaries)
     best = None
-    for values in itertools.product((0, 1), repeat=len(own)):
-        cell = [0] * len(program.binaries)
-        for b, value in zip(own, values):
-            cell[b] = value
+
+    def solve_cell() -> None:
+        nonlocal best
         lp = build_lp(program, cell, agent, prices)
         try:
             outcome = solve_lp(lp)
             if outcome.status == "unbounded":
                 raise Unbounded("the objective is unbounded")
         except (NumericalFailure, Unbounded) as exc:
-            owner = "welfare" if agent is None else f"agent {program.bids[agent].agent_id!r}"
             m, n = lp.matrix.shape
             raise type(exc)(f"cell {tuple(cell)}, {owner} LP {m}x{n}: {exc}") from exc
         if outcome.status != "optimal":
-            continue
+            return
         value = outcome.objective + _cell_constant(program, cell, agent, prices)
         if best is None or value > best[0]:
             best = (value, tuple(cell), outcome)
+
+    def pruned(free: list[int]) -> bool:
+        try:
+            outcome = solve_lp(_relaxation(program, cell, free, agent, prices))
+        except NumericalFailure:
+            return False
+        if outcome.status == "infeasible":
+            return True
+        if outcome.status != "optimal" or best is None:
+            return False
+        bound = outcome.objective + _cell_constant(program, cell, agent, prices)
+        return bound < best[0] - PRUNE_MARGIN * max(1.0, abs(best[0]))
+
+    def search(depth: int) -> None:
+        free = own[depth:]
+        if not free:
+            solve_cell()
+        elif len(free) < 2 or not pruned(free):
+            for value in (0, 1):
+                cell[free[0]] = value
+                search(depth + 1)
+            cell[free[0]] = 0
+
+    search(0)
     if best is None:
         if agent is None:
             raise Infeasible("no binary assignment admits a feasible allocation")
@@ -230,7 +294,7 @@ def best_response_value(
 ) -> float:
     """max valuation - payment for one agent at fixed prices.
 
-    Enumerates the agent's own binaries; each cell is a small LP over the
+    Searches the agent's own binaries; each cell is a small LP over the
     agent's block only (no balance rows).
     """
     return float(_best_cell(program, agent, prices)[0])

@@ -44,7 +44,7 @@ def _now() -> str:
 
 def _infer_dimension(path: Path) -> int:
     with open(path, newline="") as handle:
-        header = next(csv.reader(handle))
+        header = next(csv.reader(handle), [])  # an empty file fails in the loader
     return max(len(header) - 2, 1)
 
 
@@ -204,6 +204,14 @@ def cmd_clear(args: argparse.Namespace) -> int:
     return 0
 
 
+def _number(value) -> float:
+    """A number read from a JSON file; any other value is a TypeError, which
+    ``reading`` reports as a malformed file."""
+    if not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     if args.result is None and args.partition is None and args.payments is None:
         raise ValidationError("report needs --result, --partition, or --payments")
@@ -218,17 +226,17 @@ def cmd_report(args: argparse.Namespace) -> int:
             results = [e["result"] for e in payload["sweep"]] if "sweep" in payload else [payload]
             for entry in results:
                 verification = entry["verification"]
-                print(f"welfare: {entry['welfare']:.9g}")
+                print(f"welfare: {_number(entry['welfare']):.9g}")
                 print(f"prices: {entry['prices']}")
                 print(
-                    f"balance residual {verification['balance_residual']:.3g}, "
-                    f"budget residual {verification['budget_residual']:.3g}, "
+                    f"balance residual {_number(verification['balance_residual']):.3g}, "
+                    f"budget residual {_number(verification['budget_residual']):.3g}, "
                     f"confirmed: {verification['confirmed']}"
                 )
                 for agent, surplus in sorted(entry["surplus"].items()):
                     print(
-                        f"  {agent}: surplus {surplus:.6g}, "
-                        f"gap {verification['gaps'][agent]:.3g}"
+                        f"  {agent}: surplus {_number(surplus):.6g}, "
+                        f"gap {_number(verification['gaps'][agent]):.3g}"
                     )
     if args.payments is not None:
         with reading(args.payments, "payments"):

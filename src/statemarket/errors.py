@@ -26,11 +26,13 @@ class VerificationFailure(StateMarketError):
 
 @contextlib.contextmanager
 def reading(path, kind: str):
-    """Parse a file: bad JSON, a missing key or index, or a value of the wrong
-    type becomes a ValidationError naming the file; other errors pass."""
+    """Parse a file: bytes that are not UTF-8, bad JSON, a missing key or
+    index, or a value of the wrong type becomes a ValidationError naming the
+    file; other errors pass."""
     try:
         yield
-    except (json.JSONDecodeError, KeyError, IndexError, TypeError, AttributeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, IndexError, TypeError,
+            AttributeError) as exc:
         raise ValidationError(f"{path} is not a valid {kind} file ({exc!r})") from None
 
 

@@ -1,7 +1,9 @@
-"""Shared test instances: golden markets from the worked examples and a
-seeded generator of random convex markets."""
+"""Shared test instances: golden markets from the worked examples and
+seeded generators of random convex and commitment markets."""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -199,3 +201,75 @@ def random_convex_market(seed: int):
         else:
             bids.append(_committer(rng, f"committer_{extra + 1}", states, periods))
     return bids, dims
+
+
+def _thermal_unit(rng, agent_id, states, risk, boost=False) -> AgentBid:
+    """Binary unit: off, or online between a minimum and a maximum output at
+    a fixed cost (injections are negative). With ``boost``, a second binary
+    that needs ``on`` adds capacity at a fixed cost of its own."""
+    lo = float(rng.uniform(6.0, 11.0))
+    hi = lo + float(rng.uniform(4.0, 10.0))
+    extra = float(rng.uniform(3.0, 8.0)) if boost else 0.0
+    marginal = float(rng.uniform(20.0, 60.0))
+    decisions = [Decision("on", "binary", utility_coeff=-float(rng.uniform(50.0, 300.0)))]
+    if boost:
+        boost_cost = float(rng.uniform(20.0, 150.0))
+        decisions.append(Decision("boost", "binary", utility_coeff=-boost_cost))
+    utilities, constraints = {}, []
+    for s in range(states):
+        coord = (0, 0, s)
+        top = hi + extra
+        utilities[coord] = PiecewiseUtility([-top, 0.0], [-marginal * top, 0.0])
+        constraints.append(LinkingConstraint(((coord, 1.0),), (("on", lo),), "<=", 0.0))
+        z_terms = (("on", hi), ("boost", extra)) if boost else (("on", hi),)
+        constraints.append(LinkingConstraint(((coord, 1.0),), z_terms, ">=", 0.0))
+    if boost:
+        constraints.append(LinkingConstraint((), (("boost", 1.0), ("on", -1.0)), "<=", 0.0))
+    return AgentBid(agent_id, _beliefs(rng, states), risk, utilities,
+                    tuple(decisions), tuple(constraints))
+
+
+def random_commitment_market(seed: int):
+    """Seeded commitment market: 2-8 binary thermal units, about a third of
+    them exact twins of the unit before (so cells tie exactly), the last one
+    with a second "boost" binary, against 1-3 consumers and maybe a producer;
+    1 node, 1 period, 1-3 states. Every unit off is feasible."""
+    rng = np.random.default_rng(seed)
+    states = int(rng.integers(1, 4))
+    units = int(rng.integers(2, 9))
+    bids = []
+    for u in range(units):
+        if 0 < u < units - 1 and rng.random() < 0.35:
+            bids.append(replace(bids[-1], agent_id=f"unit_{u}"))
+        else:
+            bids.append(_thermal_unit(rng, f"unit_{u}", states, _risk(rng), boost=u == units - 1))
+    for c in range(int(rng.integers(1, 4))):
+        bids.append(_consumer(rng, f"consumer_{c}", states, 1))
+    if rng.random() < 0.5:
+        bids.append(_producer(rng, "producer", states, 1))
+    return bids, MarketDimensions(1, 1, states)
+
+
+def infeasible_commitment_market(seed: int):
+    """``random_commitment_market`` whose boosted unit must have on + boost
+    >= 3: no cell is feasible, for the welfare and for that unit alone."""
+    bids, dims = random_commitment_market(seed)
+    rule = LinkingConstraint((), (("on", 1.0), ("boost", 1.0)), ">=", 3.0)
+    i = _boosted(bids)
+    bids[i] = replace(bids[i], constraints=bids[i].constraints + (rule,))
+    return bids, dims
+
+
+def unbounded_commitment_market(seed: int):
+    """``random_commitment_market`` whose boosted unit also values an
+    unbounded continuous decision: every feasible cell is unbounded, for the
+    welfare and for that unit alone."""
+    bids, dims = random_commitment_market(seed)
+    spill = Decision("spill", "continuous", 0.0, np.inf, utility_coeff=1.0)
+    i = _boosted(bids)
+    bids[i] = replace(bids[i], decisions=bids[i].decisions + (spill,))
+    return bids, dims
+
+
+def _boosted(bids) -> int:
+    return next(i for i, bid in enumerate(bids) if len(bid.decisions) == 2)

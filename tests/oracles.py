@@ -5,7 +5,8 @@ arithmetic) than the package paths they verify: literal set-partition
 enumeration against the subset-DP exact solver, and basic-solution
 enumeration and scipy's HiGHS (a dev-only dependency) against the simplex.
 The bottom-up subset DP is kept as the tie-rule reference for the memoized
-recursion that replaced it.
+recursion that replaced it, and cell enumeration as the reference for the
+branch and bound over commitments.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ import itertools
 import math
 
 import numpy as np
+
+from statemarket.clearing import core
+from statemarket.errors import Infeasible, NumericalFailure, Unbounded
 
 
 # --- set-partition enumeration ------------------------------------------------
@@ -222,3 +226,36 @@ def highs_optimum(lp):
         return None
     assert res.status == 0, res.message
     return -better * res.fun, res.x
+
+
+# --- commitment cells: enumerate every one -------------------------------------
+
+def best_cell_by_enumeration(program, agent=None, prices=None):
+    """``clearing.core._best_cell`` by solving every cell of the searched
+    binaries in lexicographic order; a strictly greater value replaces the
+    best, so ties keep the lex-smallest cell."""
+    own = [b for b, (a, _) in enumerate(program.binaries) if agent is None or a == agent]
+    best = None
+    for values in itertools.product((0, 1), repeat=len(own)):
+        cell = [0] * len(program.binaries)
+        for b, value in zip(own, values):
+            cell[b] = value
+        lp = core.build_lp(program, cell, agent, prices)
+        try:
+            outcome = core.solve_lp(lp)
+            if outcome.status == "unbounded":
+                raise Unbounded("the objective is unbounded")
+        except (NumericalFailure, Unbounded) as exc:
+            owner = "welfare" if agent is None else f"agent {program.bids[agent].agent_id!r}"
+            m, n = lp.matrix.shape
+            raise type(exc)(f"cell {tuple(cell)}, {owner} LP {m}x{n}: {exc}") from exc
+        if outcome.status != "optimal":
+            continue
+        value = outcome.objective + core._cell_constant(program, cell, agent, prices)
+        if best is None or value > best[0]:
+            best = (value, tuple(cell), outcome)
+    if best is None:
+        if agent is None:
+            raise Infeasible("no binary assignment admits a feasible allocation")
+        raise Infeasible(f"agent {program.bids[agent].agent_id!r} has no feasible position")
+    return best

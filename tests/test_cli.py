@@ -518,11 +518,13 @@ TARGET_TIME = "2026-02-18T23:00:00"
         ("payments", '{"prices": [[[1.0]]]}'),
         ("payments", "[[[[1.0]]]]"),
         ("ingest", '{"body_sha256": "0"}'),
+        ("clear", b'{"agents": "\xff"}'),
+        ("result", '{"welfare": "x", "prices": 1, "verification": {}}'),
     ],
     ids=["bids_without_dimensions", "bids_not_json", "bids_top_level_array",
          "utility_point_with_one_number", "sweep_entry_without_result",
          "payments_without_positions", "payments_top_level_array",
-         "cache_entry_without_body"],
+         "cache_entry_without_body", "bids_not_utf8", "result_welfare_not_a_number"],
 )
 def test_malformed_input_file_exits_1_naming_it(tmp_path, capsys, command, content):
     out = tmp_path / "out"
@@ -539,9 +541,22 @@ def test_malformed_input_file_exits_1_naming_it(tmp_path, capsys, command, conte
             "result": ["report", "--result", path],
             "payments": ["report", "--payments", path],
         }[command]
-    path.write_text(content)
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
     assert run(args) == 1
     assert f"error: {path} is not a valid " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "partition"])
+def test_empty_scenario_file_exits_1_naming_it(tmp_path, capsys, command):
+    path = tmp_path / "empty.csv"
+    path.write_bytes(b"")
+    out = tmp_path / "out"
+    assert run([command, "--scenarios", path, "--out", out]) == 1
+    assert f"error: {path} is empty" in capsys.readouterr().err
     assert not out.exists()
 
 

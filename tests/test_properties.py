@@ -1,16 +1,20 @@
 """Property tests of the welfare program over random markets.
 
 Markets mix expectation and worst-case agents, single-breakpoint (pinned)
-quantities, linking constraints with non-zero lower ends, and an optional
-binary commitment, so every substitution of ``lower + sum(delta)`` into a
-row is exercised.
+quantities, linking constraints with non-zero lower ends, and up to three
+binary commitments over two agents, so every substitution of
+``lower + sum(delta)`` into a row is exercised, and the branch and bound over
+commitments meets both the welfare and an agent's own search.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from statemarket.clearing import clear
+from statemarket.clearing import clear, core
+from statemarket.clearing.core import _best_cell
 from statemarket.market import (
     AgentBid,
     Decision,
@@ -21,6 +25,8 @@ from statemarket.market import (
     payment,
     valuation,
 )
+
+from oracles import best_cell_by_enumeration
 
 
 @st.composite
@@ -83,16 +89,28 @@ def markets(draw):
         bids.append(
             AgentBid("committer", draw(beliefs(states)), draw(risk), utilities, decisions, constraints)
         )
-    # a binary unit: may only produce when on, and pays a fixed cost for it
+    # up to two binary units, three binaries in all: each binary brings a
+    # block of capacity the unit may only produce from when it is on, and a
+    # fixed cost
+    blocks = ()
     if draw(st.booleans()):
-        cap = float(draw(st.integers(2, 8)))
+        blocks = draw(st.sampled_from([(1, 0), (2, 0), (1, 1), (2, 1), (1, 2)]))
+    for u, count in enumerate(blocks):
+        if not count:
+            continue
+        caps = [float(draw(st.integers(2, 8))) for _ in range(count)]
         cost = draw(st.floats(5.0, 60.0))
-        utilities = {c: PiecewiseUtility([-cap, 0.0], [-cost * cap, 0.0]) for c in coords}
-        constraints = tuple(LinkingConstraint(((c, 1.0),), (("on", cap),), ">=", 0.0) for c in coords)
-        decisions = (Decision("on", "binary", utility_coeff=-draw(st.floats(0.0, 50.0))),)
-        bids.append(
-            AgentBid("unit", draw(beliefs(states)), draw(risk), utilities, decisions, constraints)
+        names = [f"on_{i}" for i in range(count)]
+        top = sum(caps)
+        utilities = {c: PiecewiseUtility([-top, 0.0], [-cost * top, 0.0]) for c in coords}
+        constraints = tuple(
+            LinkingConstraint(((c, 1.0),), tuple(zip(names, caps)), ">=", 0.0) for c in coords
         )
+        decisions = tuple(
+            Decision(name, "binary", utility_coeff=-draw(st.floats(0.0, 50.0))) for name in names
+        )
+        bids.append(AgentBid(f"unit_{u}", draw(beliefs(states)), draw(risk), utilities,
+                             decisions, constraints))
     return bids, dims
 
 
@@ -102,7 +120,14 @@ def test_welfare_is_the_sum_of_valuations_at_the_allocation(market):
     bids, dims = market
     program = assemble_welfare(bids, dims)
     assert not any(label.startswith("pwl") for label in program.rows)
-    result = clear(program)
+    searches = []
+
+    def recorded(*args):  # clear's own calls, with what they returned
+        searches.append((args, _best_cell(*args)))
+        return searches[-1][1]
+
+    with mock.patch.object(core, "_best_cell", recorded):
+        result = clear(program)
     scale = max(1.0, abs(result.welfare))
     values = {}
     for bid in bids:
@@ -115,3 +140,13 @@ def test_welfare_is_the_sum_of_valuations_at_the_allocation(market):
         )
     assert result.welfare == pytest.approx(sum(values.values()), abs=1e-7 * scale)
     assert result.verification.balance_residual <= 1e-9 * scale
+    # each search over two or more binaries picked enumeration's cell, bit for bit
+    for args, found in searches:
+        agent = args[1] if len(args) > 1 else None
+        if sum(agent is None or a == agent for a, _ in program.binaries) < 2:
+            continue  # one or no binary: the search solves enumeration's LPs
+        expected = best_cell_by_enumeration(*args)
+        assert found[:2] == expected[:2]
+        assert np.array_equal(found[2].x, expected[2].x)
+        assert np.array_equal(found[2].duals, expected[2].duals)
+
