@@ -3,6 +3,7 @@ the lex-smallest cell, as enumeration would pick), verification."""
 
 from .simplex import LinearProgram, LPResult, LPRow, solve_lp
 from .core import (
+    DEFAULT_TOL,
     ClearingResult,
     VerificationReport,
     best_response_value,
@@ -15,6 +16,7 @@ from .core import (
 )
 
 __all__ = [
+    "DEFAULT_TOL",
     "LinearProgram",
     "LPRow",
     "LPResult",

@@ -5,14 +5,15 @@ depth-first branch and bound (Land & Doig 1960). Each assignment of the
 binaries, a cell, yields an LP whose balance-row duals are the candidate
 contract prices. The search branches on the binaries in index order, 0
 before 1, so it meets cells in lexicographic order; before branching on two
-or more free binaries it solves the LP relaxation with those binaries in
-[0, 1], and drops the subtree when that LP is infeasible or its bound lies
-below the best cell found so far by more than PRUNE_MARGIN relative. A cell
-wins only with a strictly greater welfare, so ties go to the
-lexicographically smallest binary vector, and the winner and its LP are
-those that enumerating every cell would give. For purely convex programs the
-outcome is a Walrasian equilibrium; with binaries the verification report
-surfaces any agent that could deviate profitably at the posted prices.
+or more free binaries it solves the relaxation ``build_lp(..., free)``, the
+same LP with those binaries as [0, 1] columns, and drops the subtree when it
+is infeasible or its bound lies below the best cell found so far by more
+than PRUNE_MARGIN relative. A cell wins only with a strictly greater
+welfare, so ties go to the lexicographically smallest binary vector, and the
+winner and its LP are those that enumerating every cell would give. For
+purely convex programs the outcome is a Walrasian equilibrium; with binaries
+the verification report surfaces any agent that could deviate profitably at
+the posted prices.
 """
 
 from __future__ import annotations
@@ -91,6 +92,7 @@ def build_lp(
     binary_values: Sequence[int],
     agent: int | None = None,
     prices: ContractGrid | None = None,
+    free: Sequence[int] = (),
 ) -> LinearProgram:
     """LP for one commitment cell, sliced from the program's arrays.
 
@@ -98,8 +100,11 @@ def build_lp(
     binary b, in ascending b. With ``agent`` set, the LP is that agent's block
     alone (its columns and rows, no balance rows). With ``prices`` set, each
     segment column also pays the price of its contract, so the objective is
-    valuation minus payment. The constant the LP leaves out is
-    ``_cell_constant`` with the same arguments.
+    valuation minus payment. Each binary in ``free`` (0 in ``binary_values``)
+    appends a [0, 1] column, in the given order: its column of
+    ``binary_matrix`` and summed ``binary_objective`` coefficient, unpriced.
+    The constant the LP leaves out is ``_cell_constant`` without ``free``; with
+    ``free``, optimum plus constant bounds every cell that fixes those binaries.
     """
     rows = columns = slice(None)
     if agent is not None:
@@ -111,8 +116,18 @@ def build_lp(
     rhs = program.rhs[rows]
     for b in np.flatnonzero(binary_values):
         rhs = rhs - program.binary_matrix[rows, b]
-    return LinearProgram(objective, program.lower[columns], program.upper[columns],
-                         program.matrix[rows, columns], program.senses[rows], rhs, "max")
+    lower, upper = program.lower[columns], program.upper[columns]
+    matrix = program.matrix[rows, columns]
+    if len(free):
+        free, k = list(free), len(free)
+        gain = np.zeros(len(program.binaries))
+        for b, c in program.binary_objective:
+            gain[b] += c
+        objective = np.concatenate([objective, gain[free]])
+        lower = np.concatenate([lower, np.zeros(k)])
+        upper = np.concatenate([upper, np.ones(k)])
+        matrix = np.hstack([matrix, program.binary_matrix[rows][:, free]])
+    return LinearProgram(objective, lower, upper, matrix, program.senses[rows], rhs, "max")
 
 
 def _cell_constant(
@@ -121,49 +136,17 @@ def _cell_constant(
     agent: int | None = None,
     prices: ContractGrid | None = None,
 ) -> float:
-    """Objective constant of ``build_lp`` with the same arguments: utility at
-    the pinned lower ends and of the fixed binaries, less the payment on the
-    pinned lower ends when ``prices`` is set."""
-    if agent is None:
-        extra = sum(c * binary_values[b] for b, c in program.binary_objective)
-        constant = program.objective_constant + extra
-    else:
-        constant = program.agent_constants[agent] + sum(
-            c * binary_values[b]
-            for b, c in program.binary_objective
-            if program.binaries[b][0] == agent
-        )
+    """Objective constant of ``build_lp`` with the same arguments: the base
+    utility of every agent, or only ``agent``, plus its set binaries' terms,
+    less the payment on its pinned lower ends when ``prices`` is set."""
+    base = program.objective_constant if agent is None else program.agent_constants[agent]
+    constant = base + sum(c * binary_values[b] for b, c in program.binary_objective
+                          if agent is None or program.binaries[b][0] == agent)
     if prices is not None:
         for (a, coord), (lower, _) in program.quantities.items():
             if agent is None or a == agent:
                 constant -= float(prices.values[coord]) * lower
     return constant
-
-
-def _relaxation(
-    program: WelfareProgram,
-    cell: Sequence[int],
-    free: Sequence[int],
-    agent: int | None,
-    prices: ContractGrid | None,
-) -> LinearProgram:
-    """``build_lp`` of ``cell`` (its ``free`` binaries at 0) with one [0, 1]
-    column appended per free binary, in ascending order: column b of
-    ``binary_matrix`` and b's summed ``binary_objective`` coefficient. Its
-    optimum plus ``_cell_constant`` bounds every cell below the node."""
-    lp = build_lp(program, cell, agent, prices)
-    rows = slice(None) if agent is None else program.agent_rows[agent]
-    gain = np.zeros(len(program.binaries))
-    for b, c in program.binary_objective:
-        gain[b] += c
-    k = len(free)
-    return LinearProgram(
-        np.concatenate([lp.objective, gain[free]]),
-        np.concatenate([lp.lower, np.zeros(k)]),
-        np.concatenate([lp.upper, np.ones(k)]),
-        np.hstack([lp.matrix, program.binary_matrix[rows][:, free]]),
-        lp.senses, lp.rhs, "max",
-    )
 
 
 def _best_cell(
@@ -178,13 +161,13 @@ def _best_cell(
     order, 0 before 1, so cells are met in lexicographic order, and a cell
     replaces the incumbent only when its value is strictly greater, so ties
     keep the lex-smallest cell. A node with two or more free binaries first
-    solves its LP relaxation (``_relaxation``). An infeasible relaxation
-    prunes the subtree, and so does an optimal one whose bound lies below the
-    incumbent by more than PRUNE_MARGIN relative; an unbounded one, or a
-    numerical failure, prunes nothing. A pruned cell could not have displaced
-    the incumbent, so the result is the one enumerating every cell gives. A
-    numerical failure, or an unbounded LP, in a cell is raised naming the
-    cell, the LP and its size.
+    solves its LP relaxation, ``build_lp`` with those binaries ``free``, plus
+    ``_cell_constant``. An infeasible relaxation prunes the subtree, and so
+    does an optimal one whose bound lies below the incumbent by more than
+    PRUNE_MARGIN relative; an unbounded one, or a numerical failure, prunes
+    nothing. A pruned cell could not have displaced the incumbent, so the
+    result is the one enumerating every cell gives. A numerical failure, or
+    an unbounded LP, in a cell is raised naming the cell, the LP and its size.
     """
     own = [b for b, (a, _) in enumerate(program.binaries) if agent is None or a == agent]
     owner = "welfare" if agent is None else f"agent {program.bids[agent].agent_id!r}"
@@ -209,7 +192,7 @@ def _best_cell(
 
     def pruned(free: list[int]) -> bool:
         try:
-            outcome = solve_lp(_relaxation(program, cell, free, agent, prices))
+            outcome = solve_lp(build_lp(program, cell, agent, prices, free))
         except NumericalFailure:
             return False
         if outcome.status == "infeasible":
@@ -245,10 +228,8 @@ def clear(program: WelfareProgram, tol: float = DEFAULT_TOL) -> ClearingResult:
     populated by re-solving each agent's best response at the posted prices.
     """
     if len(program.binaries) > MAX_BINARIES:
-        raise TooManyBinaries(
-            f"{len(program.binaries)} binary decisions exceed the enumeration cap "
-            f"of {MAX_BINARIES}"
-        )
+        raise TooManyBinaries(f"{len(program.binaries)} binary decisions exceed the "
+                              f"branch and bound's cap of {MAX_BINARIES}")
     welfare, cell, outcome = _best_cell(program)
     dims = program.dims
 

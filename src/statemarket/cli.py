@@ -42,16 +42,6 @@ def _now() -> str:
     return dt.datetime.now(dt.timezone.utc).isoformat()
 
 
-def _infer_dimension(path: Path) -> int:
-    with open(path, newline="") as handle:
-        header = next(csv.reader(handle), [])  # an empty file fails in the loader
-    return max(len(header) - 2, 1)
-
-
-def _load_scenarios(args: argparse.Namespace) -> scenarios.ScenarioSet:
-    return scenarios.load_scenarios_csv(args.scenarios, _infer_dimension(args.scenarios))
-
-
 def cmd_ingest(args: argparse.Namespace) -> int:
     endpoint = args.endpoint or os.environ.get(ENDPOINT_ENV)
     if endpoint:
@@ -65,7 +55,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             cache_dir=args.cache_dir,
         )
     elif args.scenarios:
-        scen = _load_scenarios(args)
+        scen = scenarios.load_scenarios_csv(args.scenarios)
     else:
         raise ValidationError("ingest needs --scenarios or an endpoint")
     scenarios.write_scenarios_csv(scen, args.out)
@@ -81,7 +71,7 @@ _SOLVERS = ("exact", "lloyd", "dp1d")
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
-    scen = _load_scenarios(args)
+    scen = scenarios.load_scenarios_csv(args.scenarios)
     if args.solver == "exact":
         solution = quantize.solve_exact(scen, args.states)
     elif args.solver == "dp1d":
@@ -301,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     clear_cmd = sub.add_parser("clear", help="clear a bid file to allocation and prices")
     clear_cmd.add_argument("--bids", type=Path, required=True)
     clear_cmd.add_argument("--sweep-pi", action="store_true")
-    clear_cmd.add_argument("--tolerance", type=_tolerance, default=1e-6)
+    clear_cmd.add_argument("--tolerance", type=_tolerance, default=clearing.DEFAULT_TOL)
     clear_cmd.add_argument("--out", type=Path, required=True)
 
     report = sub.add_parser("report", help="summarize produced JSON artifacts")

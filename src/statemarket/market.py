@@ -17,7 +17,13 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyMarket, InconsistentDimensions, reading
+from .errors import (
+    DimensionMismatch,
+    EmptyMarket,
+    InconsistentDimensions,
+    ValidationError,
+    reading,
+)
 
 Coord = tuple[int, int, int]  # (node, period, state)
 
@@ -560,7 +566,12 @@ def load_bids_json(path: str | Path) -> tuple[list[AgentBid], MarketDimensions]:
         )
         bids = []
         for agent in payload.get("agents", []):
-            utilities = dict(_utility_from_json(u) for u in agent.get("utilities", []))
+            utilities = {}
+            for coord, piece in map(_utility_from_json, agent.get("utilities", [])):
+                if coord in utilities:
+                    raise ValidationError(f"{path}: agent {agent['id']!r} lists contract "
+                                          f"(node, period, state) {coord} twice")
+                utilities[coord] = piece
             decisions = tuple(
                 Decision(
                     name=str(d["name"]),

@@ -28,12 +28,16 @@ from .errors import (
     NetworkError,
     NonFiniteCoordinate,
     NonPositiveWeight,
+    ValidationError,
     WeightSumMismatch,
     reading,
 )
 
 # Weight sums further than this from 1 are rejected; closer sums are renormalized.
 WEIGHT_SUM_TOLERANCE = 1e-6
+# The forecast quantity and model every ensemble request asks for.
+VARIABLE = "wind_speed"
+MODEL = "icon_seamless"
 
 
 @dataclass(frozen=True)
@@ -118,6 +122,8 @@ def _validate_header(header: list[str], k: int) -> None:
         if name not in header:
             raise MissingColumn(f"missing required column {name!r}")
     coord_cols = [h for h in header if h not in ("scenario_id", "weight")]
+    if not coord_cols:
+        raise DimensionMismatch("header has no coordinate column")
     if len(coord_cols) != k:
         raise DimensionMismatch(
             f"header has {len(coord_cols)} coordinate columns, expected k={k}"
@@ -129,8 +135,9 @@ def _validate_header(header: list[str], k: int) -> None:
         raise DimensionMismatch(f"unexpected header order {header}, expected {expected}")
 
 
-def load_scenarios_csv(path: str | Path, k: int) -> ScenarioSet:
-    """Read a scenario CSV (header ``scenario_id,weight,xi_1,...,xi_k``).
+def load_scenarios_csv(path: str | Path, k: int | None = None) -> ScenarioSet:
+    """Read a scenario CSV (header ``scenario_id,weight,xi_1,...,xi_k``); ``k``
+    defaults to the header's number of columns after the first two.
 
     Weights may deviate from sum 1 by at most ``WEIGHT_SUM_TOLERANCE`` and are
     renormalized; larger deviations raise WeightSumMismatch.
@@ -142,7 +149,9 @@ def load_scenarios_csv(path: str | Path, k: int) -> ScenarioSet:
             header = next(reader)
         except StopIteration:
             raise MissingColumn(f"{path} is empty") from None
-        _validate_header([h.strip() for h in header], k)
+        header = [h.strip() for h in header]
+        k = len(header) - 2 if k is None else k
+        _validate_header(header, k)
         weights: list[float] = []
         rows: list[list[float]] = []
         for line_no, row in enumerate(reader, start=2):
@@ -240,12 +249,11 @@ def fetch_ensemble(
     locations: Sequence[tuple[float, float]],
     target_time: dt.datetime | str,
     *,
-    variable: str = "wind_speed",
-    model: str = "icon_seamless",
     cache_dir: str | Path = "cache",
     transport: Callable[[str, dict], str] | None = None,
 ) -> ScenarioSet:
-    """Fetch one ensemble forecast per location and assemble a ScenarioSet.
+    """Fetch one ensemble forecast of ``VARIABLE`` from ``MODEL`` per
+    (latitude, longitude) location and assemble a ScenarioSet.
 
     Every response body is cached under ``cache_dir/<sha256-of-request>.json``
     together with the request parameters and a content hash; subsequent calls
@@ -257,6 +265,10 @@ def fetch_ensemble(
     """
     if not locations:
         raise DimensionMismatch("at least one location is required")
+    for lat, lon in locations:
+        if not (-90.0 <= float(lat) <= 90.0 and -180.0 <= float(lon) <= 180.0):  # NaN fails
+            raise ValidationError(f"location ({lat}, {lon}) needs a finite latitude in "
+                                  "[-90, 90] and a finite longitude in [-180, 180]")
     if isinstance(target_time, dt.datetime):
         target_iso = target_time.isoformat()
     else:
@@ -271,8 +283,8 @@ def fetch_ensemble(
         params = {
             "latitude": float(lat),
             "longitude": float(lon),
-            "variable": variable,
-            "model": model,
+            "variable": VARIABLE,
+            "model": MODEL,
             "time": target_iso,
         }
         key = _request_key(endpoint, params)
@@ -310,8 +322,8 @@ def fetch_ensemble(
     weights = np.full(count, 1.0 / count)
     metadata = {
         "endpoint": endpoint,
-        "variable": variable,
-        "model": model,
+        "variable": VARIABLE,
+        "model": MODEL,
         "target_time": target_iso,
         "locations": [[float(a), float(b)] for a, b in locations],
         "cache_keys": cache_keys,

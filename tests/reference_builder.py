@@ -1,4 +1,5 @@
-"""Row-wise reference for ``build_lp``: the welfare LP built one row at a time.
+"""Row-wise reference for ``build_lp``: the welfare LP, or a branch-and-bound
+relaxation of it, built one row at a time.
 
 Each row is a list of (column, coeff) terms plus (binary, coeff) terms, and
 an LP is made dense by adding its terms into a zero matrix in row-then-term
@@ -101,18 +102,28 @@ def reference_rows(bids, dims):
     return columns, rows
 
 
-def reference_lp(bids, dims, binary_values, agent=None, prices=None):
-    """(objective, lower, upper, matrix, senses, rhs) of one cell's LP."""
+def reference_lp(bids, dims, binary_values, agent=None, prices=None, free=()):
+    """(objective, lower, upper, matrix, senses, rhs) of one cell's LP.
+
+    Each binary in ``free`` appends a [0, 1] column, in the given order, whose
+    entries are the rows' binary terms added in row-then-term order. Its
+    objective is the decision's ``utility_coeff`` for an expectation agent and
+    0 for a worst-case one, whose binary utility sits in its epigraph rows.
+    """
     columns, rows = reference_rows(bids, dims)
     kept = [j for j, col in enumerate(columns) if agent is None or col.agent == agent]
     local = {j: i for i, j in enumerate(kept)}
-    objective = np.array([columns[j].objective for j in kept], dtype=float)
+    local_binary = {b: len(kept) + i for i, b in enumerate(free)}
+    binary_gain = [d.utility_coeff if bid.risk == "expectation" else 0.0
+                   for bid in bids for d in bid.decisions if d.kind == "binary"]
+    objective = np.array([columns[j].objective for j in kept] + [binary_gain[b] for b in free],
+                         dtype=float)
     if prices is not None:
         for i, j in enumerate(kept):
             if columns[j].contract is not None:
                 objective[i] -= prices.values[columns[j].contract]
     rows = [row for row in rows if agent is None or row.agent == agent]
-    matrix = np.zeros((len(rows), len(kept)))
+    matrix = np.zeros((len(rows), len(kept) + len(free)))
     rhs = np.empty(len(rows))
     for i, row in enumerate(rows):
         for j, coeff in row.terms:
@@ -120,10 +131,12 @@ def reference_lp(bids, dims, binary_values, agent=None, prices=None):
         rhs[i] = row.rhs
         for b, coeff in row.binary_terms:
             rhs[i] -= coeff * binary_values[b]
+            if b in local_binary:
+                matrix[i, local_binary[b]] += coeff
     return (
         objective,
-        np.array([columns[j].lower for j in kept], dtype=float),
-        np.array([columns[j].upper for j in kept], dtype=float),
+        np.array([columns[j].lower for j in kept] + [0.0] * len(free), dtype=float),
+        np.array([columns[j].upper for j in kept] + [1.0] * len(free), dtype=float),
         matrix,
         np.array([row.sense for row in rows], dtype="U2"),
         rhs,

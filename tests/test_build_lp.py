@@ -1,5 +1,5 @@
-"""Cell and agent LPs sliced from the program's arrays, against the row-wise
-reference builder, and the row view the benchmark harness reads."""
+"""Cell, agent and relaxation LPs sliced from the program's arrays, against
+the row-wise reference builder, and the row view the benchmark harness reads."""
 
 import itertools
 
@@ -18,7 +18,12 @@ from statemarket.market import (
     load_bids_json,
 )
 
-from instances import commitment_bids, price_formation_bids, random_convex_market
+from instances import (
+    commitment_bids,
+    price_formation_bids,
+    random_commitment_market,
+    random_convex_market,
+)
 from reference_builder import reference_lp
 
 FIXTURES = ("price_formation", "commitment_expectation", "commitment_worst_case")
@@ -35,14 +40,22 @@ def markets():
         yield random_convex_market(seed)
 
 
+def nodes(program, agent=None):
+    """(cell, free) of every branch-and-bound node: the first d searched
+    binaries (all, or with ``agent`` only its own) set either way, the rest
+    free and 0 in the cell. With d = all of them the node is a cell."""
+    own = [b for b, (a, _) in enumerate(program.binaries) if agent is None or a == agent]
+    for depth in range(len(own) + 1):
+        for values in itertools.product((0, 1), repeat=depth):
+            cell = [0] * len(program.binaries)
+            for b, value in zip(own, values):
+                cell[b] = value
+            yield cell, own[depth:]
+
+
 def cells(program, agent=None):
     """Every binary vector, or with ``agent`` only its own binaries set."""
-    own = [b for b, (a, _) in enumerate(program.binaries) if agent is None or a == agent]
-    for values in itertools.product((0, 1), repeat=len(own)):
-        cell = [0] * len(program.binaries)
-        for b, value in zip(own, values):
-            cell[b] = value
-        yield cell
+    return (cell for cell, free in nodes(program, agent) if not free)
 
 
 def lp_arrays(lp):
@@ -71,6 +84,23 @@ def test_every_cell_and_priced_lp_matches_the_row_wise_builder(market):
             assert_same_bits(
                 build_lp(program, cell, a, prices), reference_lp(bids, dims, cell, a, prices)
             )
+
+
+@pytest.mark.parametrize(
+    "market", list(markets()) + [random_commitment_market(seed) for seed in range(6)]
+)
+def test_every_relaxation_matches_the_row_wise_builder(market):
+    # the nodes the welfare search meets, and each agent's at the posted prices
+    bids, dims = market
+    program = assemble_welfare(bids, dims)
+    prices = clear(program).prices
+    for cell, free in nodes(program):
+        assert_same_bits(build_lp(program, cell, free=free),
+                         reference_lp(bids, dims, cell, free=free))
+    for a in range(len(bids)):
+        for cell, free in nodes(program, a):
+            assert_same_bits(build_lp(program, cell, a, prices, free),
+                             reference_lp(bids, dims, cell, a, prices, free))
 
 
 def test_link_row_with_binaries_listed_in_descending_order():

@@ -122,6 +122,19 @@ def test_ingest_live_fetch_two_locations(tmp_path, capsys, ensemble_server):
     assert out.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("location", ["nan,2", "95,400"])
+def test_ingest_rejects_a_location_off_the_globe(tmp_path, capsys, location):
+    out = tmp_path / "s.csv"
+    args = ["ingest", "--endpoint", "https://ensembles.invalid/api", "--location", location,
+            "--target-time", "2026-02-18T23:00:00", "--cache-dir", tmp_path / "cache",
+            "--out", out]
+    assert run(args) == 1
+    lat, lon = (float(v) for v in location.split(","))
+    assert f"error: location ({lat}, {lon}) needs a finite latitude" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "cache").exists()
+
+
 def test_ingest_bad_endpoint_exit_code(tmp_path, capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise requests.ConnectionError("name or service not known")
@@ -285,6 +298,19 @@ def test_clear_rejects_non_finite_bid_numbers_where_they_enter(
     bids.write_text(json.dumps(payload))
     assert run(["clear", "--bids", bids, "--out", tmp_path / "r.json"]) == 1
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_clear_rejects_a_contract_listed_twice(tmp_path, capsys):
+    payload = json.loads(PRICE_BIDS.read_text())
+    utilities = _agent(payload, "wind_farm")["utilities"]
+    utilities.append(dict(utilities[0], points=[[-5.0, -500.0], [0.0, 0.0]]))
+    bids = tmp_path / "twice.json"
+    bids.write_text(json.dumps(payload))
+    assert run(["clear", "--bids", bids, "--out", tmp_path / "r.json"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {bids}: agent 'wind_farm' lists contract" in err
+    assert "(0, 0, 0) twice" in err
     assert not (tmp_path / "r.json").exists()
 
 

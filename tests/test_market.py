@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from statemarket.errors import DimensionMismatch, EmptyMarket, InconsistentDimensions
+from statemarket.errors import (
+    DimensionMismatch,
+    EmptyMarket,
+    InconsistentDimensions,
+    ValidationError,
+)
 from statemarket.market import (
     AgentBid,
     ContractGrid,
@@ -11,6 +16,7 @@ from statemarket.market import (
     MarketDimensions,
     PiecewiseUtility,
     assemble_welfare,
+    load_bids_json,
     payment,
     valuation,
 )
@@ -253,3 +259,24 @@ def test_decision_rejects_empty_or_nan_range(lower, upper):
 def test_decision_accepts_a_free_range():
     free = Decision("output", "continuous", -np.inf, np.inf)
     assert (free.lower, free.upper) == (-np.inf, np.inf)
+
+
+# a generator lists contract (0, 0, 0) twice: 10 EUR/MWh over [-10, 0], then
+# 100 EUR/MWh over [-5, 0]; keeping only the last curve would price it at 100
+DUPLICATE_CONTRACT_BIDS = """{"dimensions": {"states": 1}, "agents": [
+  {"id": "generator", "beliefs": [1.0], "utilities": [
+    {"node": 0, "period": 0, "state": 0, "points": [[-10, -100], [0, 0]]},
+    {"node": 0, "period": 0, "state": 0, "points": [[-5, -500], [0, 0]]}]},
+  {"id": "load", "beliefs": [1.0], "utilities": [
+    {"node": 0, "period": 0, "state": 0, "points": [[0, 0], [10, 500]]}]}]}"""
+
+
+def test_load_bids_rejects_a_contract_listed_twice(tmp_path):
+    path = tmp_path / "bids.json"
+    path.write_text(DUPLICATE_CONTRACT_BIDS)
+    with pytest.raises(ValidationError) as error:
+        load_bids_json(path)
+    message = str(error.value)
+    assert str(path) in message
+    assert "agent 'generator'" in message
+    assert "(0, 0, 0) twice" in message

@@ -21,6 +21,7 @@ from statemarket.errors import (
 )
 from statemarket.scenarios import (
     ScenarioSet,
+    _request_key,
     barycentre,
     fetch_ensemble,
     load_scenarios_csv,
@@ -95,6 +96,23 @@ def test_load_validation_errors(tmp_path, header, rows, error):
     write_csv(path, header, rows)
     with pytest.raises(error):
         load_scenarios_csv(path, 1)
+
+
+def test_load_takes_the_dimension_from_the_header(tmp_path):
+    path = tmp_path / "s.csv"
+    write_csv(path, ["scenario_id", "weight", "xi_1", "xi_2", "xi_3"],
+              [[1, 0.25, 1.0, 2.0, 3.0], [2, 0.75, 4.0, 5.0, 6.0]])
+    scen = load_scenarios_csv(path)
+    assert scen.dimension == 3
+    assert scen.points.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+    assert np.array_equal(scen.points, load_scenarios_csv(path, 3).points)
+
+
+def test_load_rejects_a_header_without_coordinates(tmp_path):
+    path = tmp_path / "s.csv"
+    write_csv(path, ["scenario_id", "weight"], [[1, 1.0]])
+    with pytest.raises(DimensionMismatch, match="no coordinate column"):
+        load_scenarios_csv(path)
 
 
 def test_csv_round_trip_bit_identical(tmp_path):
@@ -329,3 +347,32 @@ def test_interrupted_cache_write_leaves_no_entry(tmp_path, monkeypatch):
     )
     assert len(transport.calls) == 1
     assert scen.num_scenarios == 3
+
+
+def test_fetch_request_parameters_and_cache_key_are_pinned(tmp_path):
+    transport = fake_transport({(52.0, 2.0): [4.2, 5.5]})
+    endpoint = "https://example.org/ensemble"
+    scen = fetch_ensemble(endpoint, [(52.0, 2.0)], "2026-02-18T23:00:00",
+                          cache_dir=tmp_path, transport=transport)
+    params = {"latitude": 52.0, "longitude": 2.0, "variable": "wind_speed",
+              "model": "icon_seamless", "time": "2026-02-18T23:00:00"}
+    key = "11e29dc8d829b747e5e1ead7b64b1ea5218c1224daefbd6e6bcee47d6f2ed32d"
+    assert transport.calls == [(endpoint, params)]
+    assert _request_key(endpoint, params) == key
+    assert scen.metadata["cache_keys"] == [key]
+    assert (tmp_path / f"{key}.json").exists()
+    assert (scen.metadata["variable"], scen.metadata["model"]) == ("wind_speed", "icon_seamless")
+
+
+@pytest.mark.parametrize(
+    "location",
+    [(float("nan"), 2.0), (52.0, float("inf")), (95.0, 400.0), (-90.5, 0.0), (0.0, -180.5)],
+)
+def test_fetch_rejects_a_bad_location_before_any_request(tmp_path, location):
+    def transport(url, params):
+        raise AssertionError("the transport must not be called")
+
+    with pytest.raises(ValidationError, match=re.escape(f"location {location}")):
+        fetch_ensemble("https://ensembles.invalid/api", [(52.0, 2.0), location],
+                       "2026-02-18T23:00:00", cache_dir=tmp_path, transport=transport)
+    assert list(tmp_path.iterdir()) == []
