@@ -31,20 +31,14 @@ def fixture_path(name: str) -> Path:
     return Path(str(resources.files("statemarket") / "fixtures" / name))
 
 
-def _check_inputs_exist(args: argparse.Namespace) -> None:
-    for attr in ("scenarios", "bids", "result", "partition", "payments"):
-        path = getattr(args, attr, None)
-        if path is not None and not Path(path).exists():
-            raise ValidationError(f"--{attr}: {path} does not exist")
-
-
 def _now() -> str:
     return dt.datetime.now(dt.timezone.utc).isoformat()
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    endpoint = args.endpoint or os.environ.get(ENDPOINT_ENV)
-    if endpoint:
+    if args.scenarios:
+        scen = scenarios.load_scenarios_csv(args.scenarios)
+    elif endpoint := args.endpoint or os.environ.get(ENDPOINT_ENV):
         locations = tuple(_parse_location(v) for v in args.location)
         if not locations:
             raise ValidationError("ingest from an endpoint needs at least one --location")
@@ -54,8 +48,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             args.target_time or _now(),
             cache_dir=args.cache_dir,
         )
-    elif args.scenarios:
-        scen = scenarios.load_scenarios_csv(args.scenarios)
     else:
         raise ValidationError("ingest needs --scenarios or an endpoint")
     scenarios.write_scenarios_csv(scen, args.out)
@@ -206,13 +198,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.result is None and args.partition is None and args.payments is None:
         raise ValidationError("report needs --result, --partition, or --payments")
     if args.partition is not None:
-        with reading(args.partition, "partition solution"):
-            payload = json.loads(Path(args.partition).read_text(encoding="utf-8"))
+        with reading(args.partition, "partition solution") as payload:
             solution = quantize.QuantizationSolution.from_dict(payload)
         print(quantize.describe_states(solution), end="")
     if args.result is not None:
-        with reading(args.result, "clearing result"):
-            payload = json.loads(Path(args.result).read_text(encoding="utf-8"))
+        with reading(args.result, "clearing result") as payload:
             results = [e["result"] for e in payload["sweep"]] if "sweep" in payload else [payload]
             for entry in results:
                 verification = entry["verification"]
@@ -229,8 +219,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                         f"gap {_number(verification['gaps'][agent]):.3g}"
                     )
     if args.payments is not None:
-        with reading(args.payments, "payments"):
-            payload = json.loads(Path(args.payments).read_text(encoding="utf-8"))
+        with reading(args.payments, "payments") as payload:
             prices = ContractGrid(np.asarray(payload["prices"], dtype=float))
             for agent, position in sorted(payload["positions"].items()):
                 grid = ContractGrid(np.asarray(position, dtype=float))
@@ -272,8 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ingest = sub.add_parser("ingest", help="fetch or load scenarios, write CSV + cache")
-    ingest.add_argument("--scenarios", type=Path, help="input scenario CSV")
-    ingest.add_argument("--endpoint", help=f"ensemble endpoint (or ${ENDPOINT_ENV})")
+    source = ingest.add_mutually_exclusive_group()
+    source.add_argument("--scenarios", type=Path, help="input scenario CSV")
+    source.add_argument("--endpoint", help=f"ensemble endpoint (or ${ENDPOINT_ENV})")
     ingest.add_argument("--location", action="append", default=[], metavar="LAT,LON")
     ingest.add_argument("--target-time", help="ISO-8601 realization time")
     ingest.add_argument("--cache-dir", type=Path, default=Path("cache"))
@@ -312,7 +302,6 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _check_inputs_exist(args)
         return _COMMANDS[args.command](args)
     except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

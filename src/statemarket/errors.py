@@ -6,6 +6,7 @@ unmet preconditions), solver failures, and verification failures.
 
 import contextlib
 import json
+from pathlib import Path
 
 
 class StateMarketError(Exception):
@@ -26,11 +27,14 @@ class VerificationFailure(StateMarketError):
 
 @contextlib.contextmanager
 def reading(path, kind: str):
-    """Parse a file: bytes that are not UTF-8, bad JSON, a missing key or
-    index, or a value of the wrong type becomes a ValidationError naming the
-    file; other errors pass."""
+    """Read the UTF-8 JSON input file ``path`` and yield its payload.
+
+    A file that is not UTF-8 or not JSON, and a missing key or index or a
+    value of the wrong type met while the ``with`` body converts the payload,
+    become a ValidationError naming the file. A missing or unreadable file
+    raises OSError; other errors pass."""
     try:
-        yield
+        yield json.loads(Path(path).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, IndexError, TypeError,
             AttributeError) as exc:
         raise ValidationError(f"{path} is not a valid {kind} file ({exc!r})") from None

@@ -10,7 +10,6 @@ advance-commitment decisions through linear constraints.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -554,8 +553,7 @@ def _constraint_from_json(entry: dict) -> LinkingConstraint:
 
 def load_bids_json(path: str | Path) -> tuple[list[AgentBid], MarketDimensions]:
     """Read a bid file (schema documented in the README)."""
-    with reading(path, "bid"):
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    with reading(path, "bid") as payload:
         dims_entry = payload.get("dimensions", {})
         labels = payload.get("state_labels")
         dims = MarketDimensions(

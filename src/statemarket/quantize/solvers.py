@@ -154,11 +154,11 @@ def solve_exact(scenarios: ScenarioSet, num_states: int) -> QuantizationSolution
     is also exact, in O(S L^2) time. The reported lower bound equals the
     objective.
     """
-    _check_states(scenarios, num_states)
     length = scenarios.num_scenarios
+    if length > EXACT_LIMIT and scenarios.dimension == 1:
+        return solve_dp_1d(scenarios, num_states)  # checks the state count itself
+    _check_states(scenarios, num_states)
     if length > EXACT_LIMIT:
-        if scenarios.dimension == 1:
-            return solve_dp_1d(scenarios, num_states)
         raise InstanceTooLarge(
             f"L={length} exceeds the exact-solver limit {EXACT_LIMIT} for k>=2"
         )

@@ -116,68 +116,71 @@ def barycentre(scenarios: ScenarioSet, subset: Sequence[int]) -> np.ndarray:
     return (w @ scenarios.points[idx]) / w.sum()
 
 
-def _validate_header(header: list[str], k: int) -> None:
+def _validate_header(path: Path, header: list[str], k: int) -> None:
     expected = ["scenario_id", "weight"] + [f"xi_{j + 1}" for j in range(k)]
     for name in ("scenario_id", "weight"):
         if name not in header:
-            raise MissingColumn(f"missing required column {name!r}")
+            raise MissingColumn(f"{path}: missing required column {name!r}")
     coord_cols = [h for h in header if h not in ("scenario_id", "weight")]
     if not coord_cols:
-        raise DimensionMismatch("header has no coordinate column")
+        raise DimensionMismatch(f"{path}: header has no coordinate column")
     if len(coord_cols) != k:
         raise DimensionMismatch(
-            f"header has {len(coord_cols)} coordinate columns, expected k={k}"
+            f"{path}: header has {len(coord_cols)} coordinate columns, expected k={k}"
         )
     if header != expected:
         missing = [c for c in expected if c not in header]
         if missing:
-            raise MissingColumn(f"missing required column(s) {missing}")
-        raise DimensionMismatch(f"unexpected header order {header}, expected {expected}")
+            raise MissingColumn(f"{path}: missing required column(s) {missing}")
+        raise DimensionMismatch(f"{path}: unexpected header order {header}, expected {expected}")
 
 
 def load_scenarios_csv(path: str | Path, k: int | None = None) -> ScenarioSet:
-    """Read a scenario CSV (header ``scenario_id,weight,xi_1,...,xi_k``); ``k``
-    defaults to the header's number of columns after the first two.
+    """Read a UTF-8 scenario CSV (header ``scenario_id,weight,xi_1,...,xi_k``);
+    ``k`` defaults to the header's number of columns after the first two.
 
     Weights may deviate from sum 1 by at most ``WEIGHT_SUM_TOLERANCE`` and are
     renormalized; larger deviations raise WeightSumMismatch.
     """
     path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumn(f"{path} is empty") from None
-        header = [h.strip() for h in header]
-        k = len(header) - 2 if k is None else k
-        _validate_header(header, k)
-        weights: list[float] = []
-        rows: list[list[float]] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != k + 2:
-                raise DimensionMismatch(
-                    f"{path}:{line_no}: expected {k + 2} fields, got {len(row)}"
-                )
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
             try:
-                w = float(row[1])
-                coords = [float(v) for v in row[2:]]
-            except ValueError as exc:
-                raise NonFiniteCoordinate(f"{path}:{line_no}: {exc}") from None
-            if not np.isfinite(w) or w <= 0.0:
-                raise NonPositiveWeight(f"{path}:{line_no}: weight {row[1]} is not positive")
-            if not all(np.isfinite(c) for c in coords):
-                raise NonFiniteCoordinate(f"{path}:{line_no}: non-finite coordinate")
-            weights.append(w)
-            rows.append(coords)
+                header = next(reader)
+            except StopIteration:
+                raise MissingColumn(f"{path} is empty") from None
+            header = [h.strip() for h in header]
+            k = len(header) - 2 if k is None else k
+            _validate_header(path, header, k)
+            weights: list[float] = []
+            rows: list[list[float]] = []
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != k + 2:
+                    raise DimensionMismatch(
+                        f"{path}:{line_no}: expected {k + 2} fields, got {len(row)}"
+                    )
+                try:
+                    w = float(row[1])
+                    coords = [float(v) for v in row[2:]]
+                except ValueError as exc:
+                    raise NonFiniteCoordinate(f"{path}:{line_no}: {exc}") from None
+                if not np.isfinite(w) or w <= 0.0:
+                    raise NonPositiveWeight(f"{path}:{line_no}: weight {row[1]} is not positive")
+                if not all(np.isfinite(c) for c in coords):
+                    raise NonFiniteCoordinate(f"{path}:{line_no}: non-finite coordinate")
+                weights.append(w)
+                rows.append(coords)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not a valid scenario CSV file ({exc!r})") from None
     if not rows:
         raise WeightSumMismatch(f"{path} contains no scenario rows")
     total = float(np.sum(weights))
     if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
         raise WeightSumMismatch(
-            f"weights sum to {total:.17g}, outside 1 +/- {WEIGHT_SUM_TOLERANCE}"
+            f"{path}: weights sum to {total:.17g}, outside 1 +/- {WEIGHT_SUM_TOLERANCE}"
         )
     w = np.asarray(weights, dtype=float) / total
     return ScenarioSet(np.asarray(rows, dtype=float), w, metadata={"source": str(path)})
@@ -290,8 +293,7 @@ def fetch_ensemble(
         key = _request_key(endpoint, params)
         cache_file = cache_dir / f"{key}.json"
         if cache_file.exists():
-            with reading(cache_file, "cache entry"):
-                record = json.loads(cache_file.read_text(encoding="utf-8"))
+            with reading(cache_file, "cache entry") as record:
                 body = record["body"]
                 digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
                 if digest != record.get("body_sha256"):

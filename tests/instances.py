@@ -203,6 +203,29 @@ def random_convex_market(seed: int):
     return bids, dims
 
 
+def reserving_market(seed: int, risk: str):
+    """``random_convex_market`` plus a producer with the given risk attitude
+    that reserves injection capacity ahead of time at a cost per MWh: a
+    continuous decision ``reserve`` in [-cap, 0] with a positive
+    ``utility_coeff``, which no injection may exceed."""
+    bids, dims = random_convex_market(seed)
+    rng = np.random.default_rng([seed, 1])
+    cap = float(rng.integers(5, 15))
+    cost = float(rng.uniform(5.0, 50.0))
+    utilities, constraints = {}, []
+    for t in range(dims.periods):
+        for s in range(dims.states):
+            utilities[(0, t, s)] = PiecewiseUtility([-cap, 0.0], [-cost * cap, 0.0])
+            constraints.append(
+                LinkingConstraint((((0, t, s), 1.0),), (("reserve", -1.0),), ">=", 0.0)
+            )
+    reserve = Decision("reserve", "continuous", -cap, 0.0,
+                       utility_coeff=float(rng.uniform(1.0, 20.0)))
+    bids.append(AgentBid("reserver", _beliefs(rng, dims.states), risk, utilities,
+                         (reserve,), tuple(constraints)))
+    return bids, dims
+
+
 def _thermal_unit(rng, agent_id, states, risk, boost=False) -> AgentBid:
     """Binary unit: off, or online between a minimum and a maximum output at
     a fixed cost (injections are negative). With ``boost``, a second binary

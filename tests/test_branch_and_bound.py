@@ -10,7 +10,7 @@ import pytest
 
 from statemarket.clearing import clear, core
 from statemarket.clearing.core import _best_cell
-from statemarket.errors import Infeasible, Unbounded
+from statemarket.errors import Infeasible, NumericalFailure, Unbounded
 from statemarket.market import ContractGrid, assemble_welfare
 
 from instances import (
@@ -103,6 +103,32 @@ def test_search_solves_fewer_lps_than_cells(monkeypatch):
     calls = lps_solved(monkeypatch)
     _best_cell(program)
     assert len(calls) < 2 ** len(program.binaries)
+
+
+def test_a_relaxation_that_fails_numerically_prunes_nothing(monkeypatch):
+    program = assemble_welfare(*random_commitment_market(6))
+    expected = best_cell_by_enumeration(program)
+    relaxations, leaves = [], []
+    build, solve = core.build_lp, core.solve_lp
+
+    def build_and_record(program, cell, agent=None, prices=None, free=()):
+        lp = build(program, cell, agent, prices, free)
+        if len(free):
+            relaxations.append(lp)
+        return lp
+
+    def fail_on_relaxations(lp):
+        if any(lp is relaxed for relaxed in relaxations):
+            raise NumericalFailure("singular basis: test")
+        leaves.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(core, "build_lp", build_and_record)
+    monkeypatch.setattr(core, "solve_lp", fail_on_relaxations)
+    found = _best_cell(program)
+    assert relaxations
+    assert len(leaves) == 2 ** len(program.binaries)
+    assert_same(found, expected)
 
 
 @pytest.mark.parametrize(

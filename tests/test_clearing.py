@@ -35,6 +35,7 @@ from instances import (
     commitment_bids,
     price_formation_bids,
     random_convex_market,
+    reserving_market,
 )
 from oracles import highs_optimum
 
@@ -185,16 +186,19 @@ def test_welfare_equivalence_rejects_tampered_welfare_or_balance():
 
 
 def test_random_convex_markets_satisfy_auction_facts():
-    for seed in range(25):
-        bids, dims = random_convex_market(seed)
+    markets = {f"seed={seed}": random_convex_market(seed) for seed in range(25)}
+    markets.update({f"reserving seed={seed} {risk}": reserving_market(seed, risk)
+                    for seed in range(4) for risk in ("expectation", "worst_case")})
+    for name, (bids, dims) in markets.items():
         program = assemble_welfare(bids, dims)
         result = clear(program)
         report = result.verification
-        assert report.balance_residual <= 1e-7, f"seed={seed}"
-        assert report.budget_residual <= 1e-6, f"seed={seed}"
-        assert max(report.gaps.values()) <= 1e-6, f"seed={seed}"
-        assert min(result.surplus.values()) >= -1e-6, f"seed={seed}"
-        assert welfare_equivalence_check(program, result), f"seed={seed}"
+        assert report.balance_residual <= 1e-7, name
+        assert report.budget_residual <= 1e-6, name
+        assert max(report.gaps.values()) <= 1e-6, name
+        assert min(result.surplus.values()) >= -1e-6, name
+        assert report.confirmed, name
+        assert welfare_equivalence_check(program, result), name
 
 
 def test_too_many_binaries_rejected():
@@ -353,6 +357,9 @@ def differential_markets():
         yield random_convex_market(seed)
     for risk in ("expectation", "worst_case"):
         yield commitment_bids(risk)
+    for risk in ("expectation", "worst_case"):
+        for seed in (2, 3):  # both seeds reserve a nonzero amount
+            yield reserving_market(seed, risk)
 
 
 @pytest.mark.parametrize("market", list(differential_markets()))

@@ -10,6 +10,7 @@ import pytest
 import requests
 
 from statemarket.cli import fixture_path, main
+from statemarket.market import assemble_welfare, load_bids_json
 from statemarket.scenarios import fetch_ensemble
 
 
@@ -26,6 +27,8 @@ def strip_metadata(path):
 SCENARIOS = fixture_path("scenarios_northsea_39x2.csv")
 PRICE_BIDS = fixture_path("bids_price_formation.json")
 COMMIT_BIDS = fixture_path("bids_commitment_expectation.json")
+ENDPOINT = "https://ensembles.invalid/api"
+TARGET_TIME = "2026-02-18T23:00:00"
 
 
 def test_ingest_from_csv_reports_and_roundtrips(tmp_path, capsys):
@@ -35,6 +38,28 @@ def test_ingest_from_csv_reports_and_roundtrips(tmp_path, capsys):
     assert "L=39 k=2" in captured
     assert "variance" in captured
     assert out.read_bytes() == SCENARIOS.read_bytes()
+
+
+def test_ingest_scenarios_ignore_the_endpoint_variable(tmp_path, monkeypatch):
+    without, with_variable = tmp_path / "a.csv", tmp_path / "b.csv"
+    monkeypatch.delenv("STATEMARKET_ENDPOINT", raising=False)
+    assert run(["ingest", "--scenarios", SCENARIOS, "--out", without]) == 0
+    monkeypatch.setenv("STATEMARKET_ENDPOINT", "http://127.0.0.1:9/x")
+    assert run(["ingest", "--scenarios", SCENARIOS, "--out", with_variable]) == 0
+    assert with_variable.read_bytes() == without.read_bytes()
+
+
+def test_ingest_rejects_scenarios_and_endpoint_together(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("network used")
+
+    monkeypatch.setattr("statemarket.scenarios.requests.get", refuse)
+    out = tmp_path / "s.csv"
+    assert run(["ingest", "--scenarios", SCENARIOS, "--endpoint", ENDPOINT,
+                "--location", "52.0,2.0", "--cache-dir", tmp_path / "cache", "--out", out]) == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "cache").exists()
 
 
 def test_ingest_fixture_replay_is_deterministic(tmp_path):
@@ -338,7 +363,32 @@ def test_solver_failure_names_the_cell_and_exits_2(tmp_path, capsys, monkeypatch
 
 
 def test_missing_input_path_exit_code(tmp_path, capsys):
-    assert run(["clear", "--bids", tmp_path / "nope.json", "--out", tmp_path / "r.json"]) == 1
+    missing = tmp_path / "nope.json"
+    assert run(["clear", "--bids", missing, "--out", tmp_path / "r.json"]) == 1
+    assert f"No such file or directory: '{missing}'" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_clear_prices_a_contract_nobody_trades_at_0(tmp_path, capsys):
+    # 1 node x 2 periods x 2 states, but both agents trade only (0, 0, 0)
+    bids = tmp_path / "bids.json"
+    bids.write_text(json.dumps({
+        "dimensions": {"nodes": 1, "periods": 2, "states": 2},
+        "agents": [
+            {"id": "producer", "beliefs": [0.5, 0.5], "utilities": [
+                {"node": 0, "period": 0, "state": 0, "points": [[-10, -600], [0, 0]]}]},
+            {"id": "consumer", "beliefs": [0.5, 0.5], "utilities": [
+                {"node": 0, "period": 0, "state": 0, "points": [[0, 0], [5, 500]]}]},
+        ],
+    }))
+    assert list(assemble_welfare(*load_bids_json(bids)).balance_rows) == [(0, 0, 0)]
+    out = tmp_path / "r.json"
+    assert run(["clear", "--bids", bids, "--out", out]) == 0
+    assert "prices: [30.0, 0.0, 0.0, 0.0]" in capsys.readouterr().out
+    assert out.with_suffix(".prices.csv").read_text() == (
+        "node,period,state,price\n0,0,1,30\n0,0,2,0\n0,1,1,0\n0,1,2,0\n"
+    )
+    assert json.loads(out.read_text())["verification"]["confirmed"] is True
 
 
 def test_infeasible_market_exit_code(tmp_path, capsys):
@@ -529,10 +579,6 @@ def _bids_with_a_one_number_point():
     return json.dumps(payload)
 
 
-ENDPOINT = "https://ensembles.invalid/api"
-TARGET_TIME = "2026-02-18T23:00:00"
-
-
 @pytest.mark.parametrize(
     "command, content",
     [
@@ -573,6 +619,18 @@ def test_malformed_input_file_exits_1_naming_it(tmp_path, capsys, command, conte
         path.write_text(content)
     assert run(args) == 1
     assert f"error: {path} is not a valid " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "partition"])
+def test_scenario_file_not_utf8_exits_1_naming_it(tmp_path, capsys, command):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"scenario_id,weight,xi_1\n1,1.0,\xff\n")
+    out = tmp_path / "out"
+    assert run([command, "--scenarios", path, "--out", out]) == 1
+    assert f"error: {path} is not a valid scenario CSV file (UnicodeDecodeError(" in (
+        capsys.readouterr().err
+    )
     assert not out.exists()
 
 

@@ -66,7 +66,7 @@ def test_load_weight_sum_mismatch(tmp_path):
         ["scenario_id", "weight", "xi_1"],
         [[1, 0.45, 0.0], [2, 0.45, 1.0]],
     )
-    with pytest.raises(WeightSumMismatch):
+    with pytest.raises(WeightSumMismatch, match=re.escape(f"{path}: weights sum to 0.9")):
         load_scenarios_csv(path, 1)
 
 
@@ -94,7 +94,7 @@ def test_load_renormalizes_small_drift(tmp_path):
 def test_load_validation_errors(tmp_path, header, rows, error):
     path = tmp_path / "s.csv"
     write_csv(path, header, rows)
-    with pytest.raises(error):
+    with pytest.raises(error, match=f"^{re.escape(str(path))}"):  # names the file
         load_scenarios_csv(path, 1)
 
 

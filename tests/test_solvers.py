@@ -13,8 +13,10 @@ from statemarket.quantize import (
     solve_exact,
     solve_lloyd,
 )
+from statemarket.quantize import solvers
 from statemarket.quantize.partition import nearest_center
 from statemarket.quantize.solvers import (
+    _assign_with_repair,
     _cell_barycentres,
     _distinct_support,
     _lloyd_single_run,
@@ -137,12 +139,17 @@ def test_exact_instance_too_large():
         solve_exact(scen, 3)
 
 
-def test_exact_delegates_to_dp_for_large_1d():
+def test_exact_delegates_to_dp_for_large_1d(monkeypatch):
     rng = np.random.default_rng(7)
     scen = random_set(rng, 40, 1)
+    counted = []
+    count_support = solvers._distinct_support
+    monkeypatch.setattr(solvers, "_distinct_support",
+                        lambda points: counted.append(1) or count_support(points))
     solution = solve_exact(scen, 3)
     assert solution.provenance == "dp1d"
     assert solution.lower_bound == solution.objective
+    assert len(counted) == 1  # the state count is checked once
 
 
 # --- solve_dp_1d ---------------------------------------------------------------
@@ -244,6 +251,21 @@ def test_lloyd_objective_monotone_within_run():
         gen = np.random.default_rng([3, restart])
         _, _, history = _lloyd_single_run(scen.points, scen.weights, 4, gen)
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
+
+
+def test_assignment_repair_moves_an_idle_center_onto_the_worst_served_point():
+    points = np.array([[0.0, 0.0], [1.0, 0.0], [4.0, 0.0], [4.0, 1.0], [9.0, 3.0]])
+    weights = np.array([0.1, 0.2, 0.3, 0.2, 0.2])
+    centers = np.array([[0.5, 0.0], [50.0, 50.0], [4.0, 0.5]])  # the second owns nothing
+    before, d2_before = nearest_center(points, centers)
+    assert 1 not in before
+    worst = int(np.argmax(d2_before))
+    assignment, d2, repaired = _assign_with_repair(points, centers, 3)
+    assert np.array_equal(repaired[1], points[worst])
+    assert np.array_equal(np.delete(repaired, 1, axis=0), np.delete(centers, 1, axis=0))
+    assert (np.bincount(assignment, minlength=3) > 0).all()
+    assert weights @ d2 <= weights @ d2_before
+    assert centers[1].tolist() == [50.0, 50.0]  # the caller's centers are not modified
 
 
 def test_lloyd_converged_solution_is_centroidal():
