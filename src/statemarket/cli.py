@@ -37,16 +37,26 @@ def _now() -> str:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     if args.scenarios:
+        endpoint_only = {
+            "--location": args.location,
+            "--target-time": args.target_time,
+            "--cache-dir": args.cache_dir,
+        }
+        if given := [flag for flag, value in endpoint_only.items() if value is not None]:
+            raise ValidationError(
+                f"ingest --scenarios does not take {', '.join(given)}, "
+                "which only apply to ingest from an endpoint"
+            )
         scen = scenarios.load_scenarios_csv(args.scenarios)
     elif endpoint := args.endpoint or os.environ.get(ENDPOINT_ENV):
-        locations = tuple(_parse_location(v) for v in args.location)
+        locations = tuple(_parse_location(v) for v in args.location or ())
         if not locations:
             raise ValidationError("ingest from an endpoint needs at least one --location")
         scen = scenarios.fetch_ensemble(
             endpoint,
             locations,
             args.target_time or _now(),
-            cache_dir=args.cache_dir,
+            cache_dir=args.cache_dir or Path("cache"),
         )
     else:
         raise ValidationError("ingest needs --scenarios or an endpoint")
@@ -264,9 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     source = ingest.add_mutually_exclusive_group()
     source.add_argument("--scenarios", type=Path, help="input scenario CSV")
     source.add_argument("--endpoint", help=f"ensemble endpoint (or ${ENDPOINT_ENV})")
-    ingest.add_argument("--location", action="append", default=[], metavar="LAT,LON")
+    # the three endpoint-only flags; cmd_ingest refuses them beside --scenarios
+    ingest.add_argument("--location", action="append", metavar="LAT,LON")
     ingest.add_argument("--target-time", help="ISO-8601 realization time")
-    ingest.add_argument("--cache-dir", type=Path, default=Path("cache"))
+    ingest.add_argument("--cache-dir", type=Path, help="response cache (default: cache)")
     ingest.add_argument("--out", type=Path, required=True)
 
     partition = sub.add_parser("partition", help="compute a minimal-size state partition")

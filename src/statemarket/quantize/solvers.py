@@ -3,10 +3,10 @@
 Three routes, all minimizing the probability-weighted squared distance of
 scenario points to their nearest center:
 
-* ``solve_exact`` — globally optimal at desk scale via a memoized recursion
-  over point subsets; examines every set partition into exactly S blocks,
-  with each block's center placed at its barycentre (optimal for squared
-  Euclidean cost).
+* ``solve_exact`` — globally optimal at desk scale via a bottom-up DP over
+  point subsets, one numpy array row per block count; examines every set
+  partition into exactly S blocks, with each block's center placed at its
+  barycentre (optimal for squared Euclidean cost).
 * ``solve_dp_1d`` — exact for one-dimensional measures; optimal 1-D clusters
   are contiguous in sorted order, so a DP over split points suffices. Its
   cost is O(S L^2) time: seconds at L = 10^4, minutes at 10^5.
@@ -19,8 +19,6 @@ center coordinates, so equal optima produce identical partitions.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from ..errors import DimensionNotOne, InstanceTooLarge, SExceedsSupport
@@ -32,7 +30,8 @@ from .partition import (
     nearest_center,
 )
 
-# Bell-number growth caps the subset DP; beyond this use lloyd (or dp1d in 1-D).
+# The subset DP pairs every mask with each of its submasks, so its work grows
+# as 3^L; beyond this use lloyd (or dp1d in 1-D).
 EXACT_LIMIT = 12
 LLOYD_MAX_ITERATIONS = 1000
 
@@ -82,77 +81,108 @@ def _cell_barycentres(points, weights, assignment, num_states):
 
 # --- exact solver: DP over point subsets -----------------------------------
 
-def _subset_costs(points: np.ndarray, weights: np.ndarray) -> list[float]:
+def _subset_costs(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Weighted SSE around the barycentre for every subset bitmask."""
-    total_w = np.zeros(1)
-    moment = np.zeros((1, points.shape[1]))
-    sumsq = np.zeros(1)
-    for l in range(points.shape[0]):
-        w = weights[l]
-        total_w = np.concatenate([total_w, total_w + w])
-        moment = np.vstack([moment, moment + w * points[l]])
-        sumsq = np.concatenate([sumsq, sumsq + w * float(points[l] @ points[l])])
+    count, dim = points.shape
+    # per point: its weight, weighted coordinates and weighted squared norm
+    terms = np.column_stack(
+        [weights, weights[:, None] * points, weights * np.array([p @ p for p in points])]
+    )
+    sums = np.zeros((1 << count, dim + 2))
+    for l in range(count):
+        # the masks whose highest point is l are those below 2^l plus point l
+        np.add(sums[:1 << l], terms[l], out=sums[1 << l:2 << l])
+    total_w, sumsq = sums[:, 0], sums[:, -1]
+    moment = np.ascontiguousarray(sums[:, 1:-1])
     safe_w = np.where(total_w > 0, total_w, 1.0)
     cost = sumsq - np.einsum("mk,mk->m", moment, moment) / safe_w
     np.maximum(cost, 0.0, out=cost)  # guard cancellation noise
     cost[0] = np.inf
-    return cost.tolist()
+    return cost
+
+
+def _submask_tables(bits: int):
+    """Yield ``(p, masks, blocks)`` for the masks over ``bits`` points with
+    p = 2..bits bits set, in that order.
+
+    ``blocks`` is an ``(n, 2^(p-1))`` table: a mask's lowest bit OR-ed with
+    every submask of the rest, in descending ``(sub - 1) & rest`` order. It
+    is filled from the right by doubling over the rest's bits from the lowest
+    up, which keeps that order: the submasks holding the new bit come first.
+    """
+    masks = np.arange(1 << bits, dtype=np.int64)
+    counts = np.zeros(1 << bits, dtype=np.int64)
+    for l in range(bits):
+        counts[1 << l:2 << l] = counts[:1 << l] + 1
+    for p in range(2, bits + 1):
+        group = masks[counts == p]
+        width = 1 << (p - 1)
+        rest = group & (group - 1)
+        blocks = np.empty((group.shape[0], width), dtype=np.int64)
+        blocks[:, -1] = group ^ rest
+        for filled in (1 << k for k in range(p - 1)):
+            bit = rest & -rest
+            rest ^= bit
+            np.bitwise_or(
+                blocks[:, width - filled:], bit[:, None],
+                out=blocks[:, width - 2 * filled:width - filled],
+            )
+        yield p, group, blocks
 
 
 def _optimal_blocks(points: np.ndarray, weights: np.ndarray, num_states: int) -> list[int]:
     """Minimum-cost partition of all points into exactly ``num_states`` blocks.
 
-    ``best(s, mask)`` is the least cost of ``mask`` in s non-empty blocks and
-    the block holding its lowest point, found over the submasks of the other
-    points in descending ``(sub - 1) & rest`` order; every set partition is
-    visited once. Only subproblems reachable from ``(num_states, full)`` are
-    solved, a candidate counts only if its remainder is finite, and the first
-    strict minimum wins. Returns the blocks as bitmasks from the full set down.
+    The first block holds point 0, so every smaller subproblem is a mask over
+    points 1..L-1. Row s - 1 of ``value`` and ``choice`` (s = 1..S-1) holds,
+    for each such mask, the least cost of s non-empty blocks and the block
+    holding its lowest point. The masks are visited by popcount: each group
+    takes ``value[s - 2][mask ^ block] + cost[block]`` over its submask table
+    and keeps the argmin of each row, which is the first strict minimum in
+    ``(sub - 1) & rest`` order. The full set is the same step on one row.
+    Returns the blocks as bitmasks from the full set down.
     """
+    length = points.shape[0]
+    if num_states == 1:
+        return [(1 << length) - 1]
     cost = _subset_costs(points, weights)
-    inf = float("inf")
-
-    @functools.cache
-    def best(s: int, mask: int) -> tuple[float, int]:
-        if s == 1:
-            return cost[mask], mask
-        if mask.bit_count() < s:
-            return inf, 0
-        low = mask & (-mask)
-        rest = mask ^ low
-        value, choice = inf, 0
-        sub = rest
-        while True:
-            block = sub | low
-            remainder_cost = best(s - 1, mask ^ block)[0]
-            if remainder_cost < inf:
-                cand = remainder_cost + cost[block]
-                if cand < value:
-                    value, choice = cand, block
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        return value, choice
-
-    blocks, mask = [], (1 << points.shape[0]) - 1
-    try:
-        for s in range(num_states, 0, -1):
-            blocks.append(best(s, mask)[1])
-            mask ^= blocks[-1]
-    finally:
-        del best  # empty the self-referencing cell, so the memo is freed now, not by the GC
+    without_first = cost[0::2]  # the masks without point 0, indexed by mask >> 1
+    size = without_first.shape[0]
+    value = np.full((num_states - 1, size), np.inf)
+    value[0] = without_first
+    choice = np.zeros((num_states - 1, size), dtype=np.int64)
+    if num_states > 2:
+        # a remainder has fewer points than its mask, so the rows it reads are
+        # filled; the S - s blocks above a mask in row s leave it p <= L - S + s
+        for p, masks, blocks in _submask_tables(length - 1):
+            block_cost = without_first[blocks]
+            remainders = masks[:, None] ^ blocks
+            rows = np.arange(masks.shape[0])
+            for s in range(max(2, p - length + num_states), min(p, num_states - 1) + 1):
+                cand = value[s - 2, remainders]
+                cand += block_cost
+                pick = cand.argmin(axis=1)
+                value[s - 1, masks] = cand[rows, pick]
+                choice[s - 1, masks] = blocks[rows, pick]
+    # the full set's candidate j is point 0 with submask size-1-j, leaving mask j
+    mask = int(np.argmin(cost[1::2][::-1] + value[-1]))
+    blocks = [2 * (size - 1 - mask) + 1]
+    for s in range(num_states - 1, 1, -1):
+        block = int(choice[s - 1, mask])
+        blocks.append(2 * block)
+        mask ^= block
+    blocks.append(2 * mask)
     return blocks
 
 
 def solve_exact(scenarios: ScenarioSet, num_states: int) -> QuantizationSolution:
-    """Globally optimal partition by a memoized recursion over point subsets.
+    """Globally optimal partition by a bottom-up DP over point subsets.
 
-    Guaranteed optimal for L <= ``EXACT_LIMIT``: ``_optimal_blocks`` solves the
-    subproblems reachable from (S, all points), splitting off the block that
-    holds the lowest point, and keeps the first strict minimum on ties.
-    One-dimensional measures with more points delegate to the 1-D DP, which
-    is also exact, in O(S L^2) time. The reported lower bound equals the
-    objective.
+    Guaranteed optimal for L <= ``EXACT_LIMIT``: ``_optimal_blocks`` fills
+    one array row per block count, splitting off the block that holds the
+    lowest point, and keeps the first strict minimum on ties. One-dimensional
+    measures with more points delegate to the 1-D DP, which is also exact, in
+    O(S L^2) time. The reported lower bound equals the objective.
     """
     length = scenarios.num_scenarios
     if length > EXACT_LIMIT and scenarios.dimension == 1:
@@ -162,12 +192,8 @@ def solve_exact(scenarios: ScenarioSet, num_states: int) -> QuantizationSolution
         raise InstanceTooLarge(
             f"L={length} exceeds the exact-solver limit {EXACT_LIMIT} for k>=2"
         )
-    blocks = _optimal_blocks(scenarios.points, scenarios.weights, num_states)
-    assignment = np.empty(length, dtype=int)
-    for index, block in enumerate(blocks):
-        for l in range(length):
-            if block >> l & 1:
-                assignment[l] = index
+    blocks = np.array(_optimal_blocks(scenarios.points, scenarios.weights, num_states))
+    assignment = (blocks[:, None] >> np.arange(length) & 1).argmax(axis=0)
     centers = _cell_barycentres(
         scenarios.points, scenarios.weights, assignment, num_states
     )

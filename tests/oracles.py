@@ -4,9 +4,9 @@ Deliberately written with different algorithms (and mostly plain Python
 arithmetic) than the package paths they verify: literal set-partition
 enumeration against the subset-DP exact solver, and basic-solution
 enumeration and scipy's HiGHS (a dev-only dependency) against the simplex.
-The bottom-up subset DP is kept as the tie-rule reference for the memoized
-recursion that replaced it, and cell enumeration as the reference for the
-branch and bound over commitments.
+A pure-Python bottom-up subset DP is the tie-rule reference for the
+vectorised DP of ``_optimal_blocks``, and cell enumeration the reference
+for the branch and bound over commitments.
 """
 
 from __future__ import annotations
@@ -96,6 +96,7 @@ def optimal_blocks_bottom_up(cost, length, num_states):
     full = (1 << length) - 1
     if num_states == 1:
         return [full]
+    cost = [float(c) for c in cost]
     popcount = [bin(m).count("1") for m in range(full + 1)]
     inf = float("inf")
     f_prev = list(cost)

@@ -62,6 +62,24 @@ def test_ingest_rejects_scenarios_and_endpoint_together(tmp_path, capsys, monkey
     assert not (tmp_path / "cache").exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--location", "52.0,2.0"],
+        ["--target-time", TARGET_TIME],
+        ["--cache-dir", "nowhere"],
+        ["--location", "1,2", "--target-time", "x", "--cache-dir", "nowhere"],
+    ],
+    ids=["location", "target_time", "cache_dir", "all_three"],
+)
+def test_ingest_scenarios_refuse_the_endpoint_only_flags(tmp_path, capsys, flags):
+    out = tmp_path / "s.csv"
+    assert run(["ingest", "--scenarios", SCENARIOS, *flags, "--out", out]) == 1
+    named = ", ".join(flags[::2])
+    assert f"ingest --scenarios does not take {named}," in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ingest_fixture_replay_is_deterministic(tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"

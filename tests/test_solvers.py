@@ -132,6 +132,28 @@ def test_optimal_blocks_keep_the_bottom_up_tie_rule(kind):
             ), (points.tolist(), states)
 
 
+@pytest.mark.parametrize(
+    "kind, count, dim",
+    [("grid", 11, 1), ("grid", 12, 2), ("uniform", 11, 2), ("uniform", 12, 3)],
+)
+def test_optimal_blocks_keep_the_bottom_up_tie_rule_at_the_limit(kind, count, dim):
+    # the sizes the exact partition runs at, up to S equal to the distinct
+    # support, the most states solve_exact accepts
+    rng = np.random.default_rng([42, count, dim])
+    if kind == "grid":
+        points = rng.integers(0, 3, (count, dim)).astype(float)
+        weights = np.full(count, 1.0 / count)
+    else:
+        points = rng.uniform(0.0, 1.0, (count, dim))
+        raw = rng.random(count) + 0.1
+        weights = raw / raw.sum()
+    cost = _subset_costs(points, weights)
+    for states in sorted({1, 2, 4, 6, _distinct_support(points)}):
+        assert _optimal_blocks(points, weights, states) == optimal_blocks_bottom_up(
+            cost, count, states
+        ), (points.tolist(), states)
+
+
 def test_exact_instance_too_large():
     rng = np.random.default_rng(6)
     scen = random_set(rng, 13, 2)
