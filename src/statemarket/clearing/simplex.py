@@ -21,10 +21,22 @@ checked again on a fresh one, and only a verdict on a fresh inverse is
 returned, so rounding drift cannot end a phase early. The reported values,
 duals and reduced costs come from one fresh solve on the final basis.
 Designed for desk-scale instances (tens of rows).
+
+At its start each phase also caches what each pivot would otherwise rebuild
+from ``status``, ``basis``, ``lower`` and ``upper``, and each pivot updates
+the caches in place: the bounds as Python float lists, the nonbasic values,
+the basis as an index array, and an improving sign per column (-1 at its
+lower bound, +1 at its upper, 0 if basic or fixed), so a column is eligible
+when sign * reduced cost exceeds the tolerance. The caches only save numpy
+calls. Each holds exactly the values it stands for, negation is exact, and
+Python floats round as numpy's do, so the pivots and every bit of the
+result are those of rebuilding them. The ratio test stays a sequential scan
+in Python, which at tens of rows is faster than a vectorised one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,6 +151,7 @@ class _Simplex:
         sign = np.where(residual >= 0, 1.0, -1.0)
         self.A = np.hstack([struct, np.eye(m), np.diag(sign)])
         self.iterations = 0
+        self.phase = 0  # 1 during phase 1, 2 during phase 2
         self.scale = max(1.0, float(np.max(np.abs(b))) if m else 1.0)
 
     def _nonbasic_values(self) -> np.ndarray:
@@ -169,10 +182,23 @@ class _Simplex:
     def run(self, cost: np.ndarray) -> str:
         """Minimize cost over the current basis; returns 'optimal' or 'unbounded'.
 
-        Fixed variables (pinned artificials included) never enter.
+        Fixed variables (pinned artificials included) never enter. The
+        caches built here equal what ``status``, ``basis``, ``lower`` and
+        ``upper`` give, and each pivot updates both alike.
         """
+        self.phase += 1
         tol = PIVOT_TOL * self.scale
         movable = ~(self.upper - self.lower <= 0.0)
+        self.lower_list = self.lower.tolist()
+        self.upper_list = self.upper.tolist()
+        self.improving = np.where(
+            movable & (self.status == AT_LOWER), -1.0,
+            np.where(movable & (self.status == AT_UPPER), 1.0, 0.0),
+        )
+        free = movable & (self.status == FREE)
+        self.free = free if free.any() else None
+        self.nonbasic = self._nonbasic_values()
+        self.basis_index = np.array(self.basis, dtype=np.intp)
         limit = 200 * (self.total + 1)
         self._refactor()
         for _ in range(limit):
@@ -183,64 +209,73 @@ class _Simplex:
                 verdict = self._pivot(cost, tol, movable)
             if verdict is not None:
                 return verdict
-        raise NumericalFailure(f"simplex exceeded {limit} iterations")
+        raise NumericalFailure(f"simplex exceeded {limit} iterations in phase {self.phase}")
 
     def _pivot(self, cost: np.ndarray, tol: float, movable: np.ndarray) -> str | None:
         """One Bland pivot or bound flip; returns a verdict instead when no pivot exists."""
-        y = cost[self.basis] @ self.Binv
-        reduced = cost - self.A.T @ y
-        eligible = movable & (
-            ((self.status == AT_LOWER) & (reduced < -tol))
-            | ((self.status == AT_UPPER) & (reduced > tol))
-            | ((self.status == FREE) & (np.abs(reduced) > tol))
-        )
-        if not eligible.any():
+        y = cost[self.basis_index] @ self.Binv
+        reduced = cost - self.A.T @ y  # a transposed copy may change BLAS's summation order
+        eligible = self.improving * reduced > tol
+        if self.free is not None:
+            eligible |= self.free & (np.abs(reduced) > tol)
+        candidates = eligible.nonzero()[0]
+        if not candidates.size:
             return "optimal"
-        entering = int(np.argmax(eligible))
+        entering = int(candidates[0])
         direction = 1.0 if reduced[entering] < 0 else -1.0
 
-        v = self._nonbasic_values()
-        v[self.basis] = self.Binv @ (self.b - self.A @ v)
+        x_basic = (self.Binv @ (self.b - self.A @ self.nonbasic)).tolist()
         w = self.Binv @ self.A[:, entering]
-        span = self.upper[entering] - self.lower[entering]
-        best_delta = span if np.isfinite(span) else np.inf
+        lower, upper = self.lower_list, self.upper_list
+        isfinite = math.isfinite
+        span = upper[entering] - lower[entering]
+        best_delta = span if isfinite(span) else math.inf
         leaving_pos = -1
         leaving_col = self.total  # sentinel larger than any real index
         hit_upper = False
-        for pos, col in enumerate(self.basis):
-            rate = -direction * w[pos]
+        for pos, (col, w_pos, value) in enumerate(zip(self.basis, w.tolist(), x_basic)):
+            rate = -direction * w_pos
             if rate > PIVOT_TOL:
-                if not np.isfinite(self.upper[col]):
-                    continue
-                ratio = (self.upper[col] - v[col]) / rate
+                bound = upper[col]
                 hits_upper = True
             elif rate < -PIVOT_TOL:
-                if not np.isfinite(self.lower[col]):
-                    continue
-                ratio = (self.lower[col] - v[col]) / rate
+                bound = lower[col]
                 hits_upper = False
             else:
                 continue
-            ratio = max(ratio, 0.0)
+            if not isfinite(bound):
+                continue
+            ratio = max((bound - value) / rate, 0.0)
             if ratio < best_delta - PIVOT_TOL or (
                 ratio < best_delta + PIVOT_TOL and col < leaving_col
             ):
                 best_delta = min(best_delta, ratio)
                 leaving_pos, leaving_col, hit_upper = pos, col, hits_upper
 
-        if not np.isfinite(best_delta):
+        if not isfinite(best_delta):
             return "unbounded"
 
         if leaving_pos < 0:
             # entering runs bound to bound without blocking any basic var
-            self.status[entering] = AT_UPPER if direction > 0 else AT_LOWER
+            to_upper = direction > 0
+            self.status[entering] = AT_UPPER if to_upper else AT_LOWER
+            self.improving[entering] = 1.0 if to_upper else -1.0
+            self.nonbasic[entering] = upper[entering] if to_upper else lower[entering]
             return None
         self.basis[leaving_pos] = entering
+        self.basis_index[leaving_pos] = entering
         self.status[entering] = BASIC
+        self.improving[entering] = 0.0
+        self.nonbasic[entering] = 0.0
+        if self.free is not None:
+            self.free[entering] = False
         self.status[leaving_col] = AT_UPPER if hit_upper else AT_LOWER
+        if movable[leaving_col]:
+            self.improving[leaving_col] = 1.0 if hit_upper else -1.0
+        self.nonbasic[leaving_col] = upper[leaving_col] if hit_upper else lower[leaving_col]
         # eta update: B_new^-1 = E B^-1, pivoting w onto unit vector leaving_pos
         row = self.Binv[leaving_pos] / w[leaving_pos]
-        self.Binv -= np.outer(w, row)
+        self.Binv -= w[:, None] * row
         self.Binv[leaving_pos] = row
         self.updates += 1
         if self.updates == REFACTOR_EVERY:
@@ -254,7 +289,8 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     Two phases: phase 1 minimizes the sum of the artificials, which are then
     pinned at zero and driven out of the basis (one transposed basis solve
     each); phase 2 optimizes the user's objective. Each phase may take
-    ``200 * (columns + 1)`` pivots. Duals follow the user's sense (derivative
+    ``200 * (columns + 1)`` pivots; exceeding that raises NumericalFailure
+    naming the phase. Duals follow the user's sense (derivative
     of the optimum w.r.t. the row rhs); complementary slackness is verified
     to FEAS_TOL before returning. Raises NumericalFailure instead of
     returning silently wrong answers.

@@ -1,6 +1,8 @@
 """LP solver: golden duals, oracle cross-checks (vertex enumeration, the
 refactor-every-pivot loop, HiGHS), degeneracy, status detection."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -16,13 +18,14 @@ from statemarket.clearing.simplex import (
 )
 from statemarket.errors import NumericalFailure
 from statemarket.market import MarketDimensions, assemble_welfare
-from statemarket.clearing.core import build_lp
+from statemarket.clearing.core import build_lp, clear
 
 from instances import (
     _consumer,
     _producer,
     commitment_bids,
     price_formation_bids,
+    random_commitment_market,
     random_convex_market,
 )
 from oracles import highs_optimum, lp_vertex_oracle
@@ -430,6 +433,77 @@ def test_updated_inverse_matches_refactoring_loop_on_long_lps():
     for seed in range(3):
         result = assert_matches_refactoring_loop(long_lp(seed))
         assert result.iterations > 2 * REFACTOR_EVERY
+
+
+def test_updated_inverse_matches_refactoring_loop_at_desk_scale():
+    program = assemble_welfare(*random_commitment_market(0))
+    count = len(program.binaries)
+    lps = [
+        ladder_lp(8, 6, 2, 0),  # the shape of the benchmark's convex market
+        ladder_lp(8, 8, 4, 0),
+        build_lp(program, [0] * count, free=range(count)),  # branch-and-bound root
+    ]
+    assert [lp.matrix.shape for lp in lps] == [(24, 194), (32, 512), (46, 45)]
+    iterations = [assert_matches_refactoring_loop(lp).iterations for lp in lps]
+    assert iterations[1] == 838
+
+
+def test_phase_caches_match_their_recomputation_after_every_pivot(monkeypatch):
+    phases, phase_1_basis, driven_out = [], [], []  # phases: one entry per pivot
+    pivot, run = simplex._Simplex._pivot, simplex._Simplex.run
+
+    def spy_pivot(self, cost, tol, movable):
+        verdict = pivot(self, cost, tol, movable)
+        movable = ~(self.upper - self.lower <= 0.0)
+        improving = np.where(movable & (self.status == AT_LOWER), -1.0,
+                             np.where(movable & (self.status == AT_UPPER), 1.0, 0.0))
+        assert same_bits(self.improving, improving)
+        free = movable & (self.status == FREE)
+        assert (self.free is None and not free.any()) or np.array_equal(self.free, free)
+        assert same_bits(self.nonbasic, self._nonbasic_values())
+        assert self.basis_index.dtype == np.intp
+        assert self.basis_index.tolist() == self.basis
+        assert self.lower_list == self.lower.tolist()
+        assert self.upper_list == self.upper.tolist()
+        phases.append(self.phase)
+        return verdict
+
+    def spy_run(self, cost):
+        if self.phase == 1:  # phase 2 starts: artificials pinned, some driven out
+            assert not self.upper[self.n_struct + self.m:].any()
+            driven_out.append(self.basis != phase_1_basis)
+        verdict = run(self, cost)
+        phase_1_basis[:] = self.basis
+        return verdict
+
+    monkeypatch.setattr(simplex._Simplex, "_pivot", spy_pivot)
+    monkeypatch.setattr(simplex._Simplex, "run", spy_run)
+    # fixed x0 replaces the artificial of the degenerate row x0 - x1 = 0 and
+    # leaves again when x1 enters in phase 2
+    fixed_leaves = LinearProgram(np.array([0.0, 1.0]), np.zeros(2), np.array([0.0, 5.0]),
+                                 np.array([[1.0, -1.0]]), np.array(["="]), np.zeros(1))
+    rng = np.random.default_rng(83)
+    lps = [random_lp(rng) for _ in range(300)] + [long_lp(seed) for seed in range(3)]
+    for lp in lps + [fixed_leaves]:
+        solve_lp(lp)
+    assert set(phases) == {1, 2} and len(phases) > 1000
+    assert any(driven_out)
+
+
+@pytest.mark.parametrize("phase", [1, 2])
+def test_pivot_limit_names_the_phase_and_the_cell(monkeypatch, phase):
+    pivot = simplex._Simplex._pivot
+
+    def stalled(self, cost, tol, movable):
+        return None if self.phase == phase else pivot(self, cost, tol, movable)
+
+    monkeypatch.setattr(simplex._Simplex, "_pivot", stalled)
+    program = assemble_welfare(*commitment_bids("expectation"))
+    with pytest.raises(NumericalFailure) as failure:
+        clear(program)
+    m, n = build_lp(program, (0,)).matrix.shape
+    assert re.fullmatch(rf"cell \(0,\), welfare LP {m}x{n}: simplex exceeded \d+ "
+                        rf"iterations in phase {phase}", str(failure.value))
 
 
 def test_inverse_is_rebuilt_on_cadence_and_before_each_verdict(monkeypatch):
