@@ -7,11 +7,12 @@ results reproducible bit for bit. Row duals are reported in the user's
 optimization sense, i.e. as the derivative of the optimal objective with
 respect to the row right-hand side.
 
-Phase 1 starts from one artificial per row. Artificials still basic after it
-are driven out: one transposed basis solve gives that basis row of B^-1 A,
-and its first non-basic structural or slack column with an entry above 1e-7
-takes the artificial's place (the row's own slack always qualifies in exact
-arithmetic, so a redundant equality row ends with its fixed slack basic).
+Phase 1 starts from one artificial per row. After it the artificials are
+pinned at zero and those still basic are driven out: one transposed basis
+solve gives that basis row of B^-1 A, and its first non-basic structural or
+slack column with an entry above 1e-7 takes the artificial's place (the
+row's own slack always qualifies in exact arithmetic, so a redundant
+equality row ends with its fixed slack basic).
 
 Each phase keeps an explicit basis inverse. It is inverted afresh at the
 phase start and after every REFACTOR_EVERY basis changes; in between, each
@@ -22,16 +23,19 @@ returned, so rounding drift cannot end a phase early. The reported values,
 duals and reduced costs come from one fresh solve on the final basis.
 Designed for desk-scale instances (tens of rows).
 
-At its start each phase also caches what each pivot would otherwise rebuild
-from ``status``, ``basis``, ``lower`` and ``upper``, and each pivot updates
-the caches in place: the bounds as Python float lists, the nonbasic values,
-the basis as an index array, and an improving sign per column (-1 at its
-lower bound, +1 at its upper, 0 if basic or fixed), so a column is eligible
-when sign * reduced cost exceeds the tolerance. The caches only save numpy
-calls. Each holds exactly the values it stands for, negation is exact, and
-Python floats round as numpy's do, so the pivots and every bit of the
-result are those of rebuilding them. The ratio test stays a sequential scan
-in Python, which at tens of rows is faster than a vectorised one.
+Each column's state is held once: set from the bounds at the start, then
+updated in place by every pivot and by the hand-over to phase 2. A basic
+column has a position in ``basis``, an index array, and holds 0 in
+``nonbasic``. A nonbasic column holds there the finite bound it sits at (at
+first its lower bound if finite, else its upper), or 0 if it is free, which
+``free`` then marks. ``improving`` holds its sign: -1 at its lower bound, +1
+at its upper, 0 if basic or fixed, so a column is eligible when sign *
+reduced cost exceeds the tolerance. Each phase copies the bounds into Python
+float lists for the ratio test, a sequential scan in Python that at tens of
+rows is faster than a vectorised one. Signs and values are exact, negation
+is exact, and Python floats round as numpy's do, so the pivots and every bit
+of the result are those of recomputing the state from the bounds and the
+basis at each pivot.
 """
 
 from __future__ import annotations
@@ -42,8 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NumericalFailure
-
-BASIC, AT_LOWER, AT_UPPER, FREE = 0, 1, 2, 3
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
@@ -88,8 +90,13 @@ class LinearProgram:
             raise ValueError("matrix, senses and rhs must have shapes (m, n), (m,) and (m,)")
         if not np.all(np.isfinite(c)):
             raise ValueError("objective coefficients must be finite")
-        if not np.all(lo <= hi):  # also false for a NaN bound
-            raise ValueError("some lower bound exceeds its upper bound")
+        crossed = np.flatnonzero(~(lo <= hi))  # also true for a NaN bound
+        if crossed.size:
+            raise ValueError(f"column {crossed[0]}: lower bound exceeds its upper bound")
+        pinned_at_infinity = np.flatnonzero(np.isinf(lo) & (lo == hi))
+        if pinned_at_infinity.size:
+            j = pinned_at_infinity[0]
+            raise ValueError(f"column {j}: both bounds are {lo[j]}")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("row coefficients must be finite")
         unknown = senses[(senses != "<=") & (senses != ">=") & (senses != "=")]
@@ -123,7 +130,8 @@ class _Simplex:
     """Computational form: minimize c'v, A v = b, lo <= v <= hi.
 
     Columns are ordered structural, slack, artificial. Artificials carry the
-    initial basis; after phase 1 they are pinned to [0, 0].
+    initial basis; after phase 1 ``hand_over`` pins them to [0, 0] and drives
+    out those still basic.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -139,28 +147,22 @@ class _Simplex:
         self.lower = np.concatenate([lp.lower, slack_lo, np.zeros(m)])
         self.upper = np.concatenate([lp.upper, slack_hi, np.full(m, np.inf)])
 
-        self.status = np.where(
-            np.isfinite(self.lower),
-            AT_LOWER,
-            np.where(np.isfinite(self.upper), AT_UPPER, FREE),
-        )
-        self.status[n + m :] = BASIC
-        self.basis = list(range(n + m, self.total))
-        start = self._nonbasic_values()
-        residual = b - struct @ start[:n] - start[n : n + m]
+        self.basis = np.arange(n + m, self.total, dtype=np.intp)
+        finite_lower, finite_upper = np.isfinite(self.lower), np.isfinite(self.upper)
+        # an artificial's lower bound, 0, is also what a basic column holds
+        self.nonbasic = np.where(finite_lower, self.lower,
+                                 np.where(finite_upper, self.upper, 0.0))
+        self.improving = np.where(finite_lower, -1.0, np.where(finite_upper, 1.0, 0.0))
+        self.improving[self.lower == self.upper] = 0.0
+        self.improving[n + m :] = 0.0
+        free = ~(finite_lower | finite_upper)
+        self.free = free if free.any() else None
+        residual = b - struct @ self.nonbasic[:n] - self.nonbasic[n : n + m]
         sign = np.where(residual >= 0, 1.0, -1.0)
         self.A = np.hstack([struct, np.eye(m), np.diag(sign)])
         self.iterations = 0
         self.phase = 0  # 1 during phase 1, 2 during phase 2
         self.scale = max(1.0, float(np.max(np.abs(b))) if m else 1.0)
-
-    def _nonbasic_values(self) -> np.ndarray:
-        values = np.zeros(self.total)
-        at_lower = self.status == AT_LOWER
-        at_upper = self.status == AT_UPPER
-        values[at_lower] = self.lower[at_lower]
-        values[at_upper] = self.upper[at_upper]
-        return values
 
     def _solve_basis(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
         matrix = self.A[:, self.basis]
@@ -170,35 +172,47 @@ class _Simplex:
             raise NumericalFailure(f"singular basis: {exc}") from exc
 
     def values(self) -> np.ndarray:
-        v = self._nonbasic_values()
-        x_basic = self._solve_basis(self.b - self.A @ v)
-        v[self.basis] = x_basic
+        v = self.nonbasic.copy()
+        v[self.basis] = self._solve_basis(self.b - self.A @ v)
         return v
 
     def _refactor(self) -> None:
         self.Binv = self._solve_basis(np.eye(self.m))
         self.updates = 0  # basis changes applied to Binv since this inversion
 
+    def _enter(self, pos: int, col: int) -> None:
+        """Make column ``col`` basic at position ``pos`` of the basis."""
+        self.basis[pos] = col
+        self.nonbasic[col] = 0.0
+        self.improving[col] = 0.0
+        if self.free is not None:
+            self.free[col] = False
+
+    def hand_over(self) -> None:
+        """Pin the artificials at zero and drive out those still basic, as the
+        module docstring describes."""
+        real = self.n_struct + self.m
+        self.upper[real:] = 0.0
+        self.improving[real:] = 0.0
+        for pos in np.flatnonzero(self.basis >= real).tolist():
+            row = self._solve_basis(np.eye(1, self.m, pos)[0], transpose=True) @ self.A[:, :real]
+            row[self.basis[self.basis < real]] = 0.0
+            candidates = np.flatnonzero(np.abs(row) > 1e-7)
+            if candidates.size:  # empty only if rounding hides the row's own slack
+                self._enter(pos, int(candidates[0]))
+        if self.free is not None and not self.free.any():
+            self.free = None
+
     def run(self, cost: np.ndarray) -> str:
         """Minimize cost over the current basis; returns 'optimal' or 'unbounded'.
 
-        Fixed variables (pinned artificials included) never enter. The
-        caches built here equal what ``status``, ``basis``, ``lower`` and
-        ``upper`` give, and each pivot updates both alike.
+        Fixed variables (pinned artificials included) never enter.
         """
         self.phase += 1
         tol = PIVOT_TOL * self.scale
-        movable = ~(self.upper - self.lower <= 0.0)
+        movable = self.lower < self.upper
         self.lower_list = self.lower.tolist()
         self.upper_list = self.upper.tolist()
-        self.improving = np.where(
-            movable & (self.status == AT_LOWER), -1.0,
-            np.where(movable & (self.status == AT_UPPER), 1.0, 0.0),
-        )
-        free = movable & (self.status == FREE)
-        self.free = free if free.any() else None
-        self.nonbasic = self._nonbasic_values()
-        self.basis_index = np.array(self.basis, dtype=np.intp)
         limit = 200 * (self.total + 1)
         self._refactor()
         for _ in range(limit):
@@ -213,7 +227,7 @@ class _Simplex:
 
     def _pivot(self, cost: np.ndarray, tol: float, movable: np.ndarray) -> str | None:
         """One Bland pivot or bound flip; returns a verdict instead when no pivot exists."""
-        y = cost[self.basis_index] @ self.Binv
+        y = cost[self.basis] @ self.Binv
         reduced = cost - self.A.T @ y  # a transposed copy may change BLAS's summation order
         eligible = self.improving * reduced > tol
         if self.free is not None:
@@ -233,7 +247,7 @@ class _Simplex:
         leaving_pos = -1
         leaving_col = self.total  # sentinel larger than any real index
         hit_upper = False
-        for pos, (col, w_pos, value) in enumerate(zip(self.basis, w.tolist(), x_basic)):
+        for pos, (col, w_pos, value) in enumerate(zip(self.basis.tolist(), w.tolist(), x_basic)):
             rate = -direction * w_pos
             if rate > PIVOT_TOL:
                 bound = upper[col]
@@ -258,18 +272,10 @@ class _Simplex:
         if leaving_pos < 0:
             # entering runs bound to bound without blocking any basic var
             to_upper = direction > 0
-            self.status[entering] = AT_UPPER if to_upper else AT_LOWER
             self.improving[entering] = 1.0 if to_upper else -1.0
             self.nonbasic[entering] = upper[entering] if to_upper else lower[entering]
             return None
-        self.basis[leaving_pos] = entering
-        self.basis_index[leaving_pos] = entering
-        self.status[entering] = BASIC
-        self.improving[entering] = 0.0
-        self.nonbasic[entering] = 0.0
-        if self.free is not None:
-            self.free[entering] = False
-        self.status[leaving_col] = AT_UPPER if hit_upper else AT_LOWER
+        self._enter(leaving_pos, entering)
         if movable[leaving_col]:
             self.improving[leaving_col] = 1.0 if hit_upper else -1.0
         self.nonbasic[leaving_col] = upper[leaving_col] if hit_upper else lower[leaving_col]
@@ -286,9 +292,9 @@ class _Simplex:
 def solve_lp(lp: LinearProgram) -> LPResult:
     """Solve to optimality and report primal values, row duals, reduced costs.
 
-    Two phases: phase 1 minimizes the sum of the artificials, which are then
-    pinned at zero and driven out of the basis (one transposed basis solve
-    each); phase 2 optimizes the user's objective. Each phase may take
+    Two phases: phase 1 minimizes the sum of the artificials; the simplex
+    then hands over to phase 2, pinning them at zero and driving them out of
+    the basis, and phase 2 optimizes the user's objective. Each phase may take
     ``200 * (columns + 1)`` pivots; exceeding that raises NumericalFailure
     naming the phase. Duals follow the user's sense (derivative
     of the optimum w.r.t. the row rhs); complementary slackness is verified
@@ -305,19 +311,7 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     values = state.values()
     if float(np.abs(values[n + m :]).sum()) > FEAS_TOL * state.scale:
         return LPResult("infeasible", None, None, None, None, state.iterations)
-
-    state.lower[n + m :] = 0.0
-    state.upper[n + m :] = 0.0
-    for pos in range(m):
-        col = state.basis[pos]
-        if col < n + m:
-            continue
-        row = state._solve_basis(np.eye(1, m, pos)[0], transpose=True) @ state.A[:, : n + m]
-        candidates = np.flatnonzero((state.status[: n + m] != BASIC) & (np.abs(row) > 1e-7))
-        if candidates.size:  # empty only if rounding hides the row's own slack
-            state.basis[pos] = int(candidates[0])
-            state.status[candidates[0]] = BASIC
-            state.status[col] = AT_LOWER
+    state.hand_over()
 
     sign = -1.0 if lp.sense == "max" else 1.0
     cost = np.zeros(state.total)

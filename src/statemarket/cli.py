@@ -197,9 +197,9 @@ def cmd_clear(args: argparse.Namespace) -> int:
 
 
 def _number(value) -> float:
-    """A number read from a JSON file; any other value is a TypeError, which
-    ``reading`` reports as a malformed file."""
-    if not isinstance(value, (int, float)):
+    """A number read from a JSON file; any other value, a boolean included, is
+    a TypeError, which ``reading`` reports as a malformed file."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a number, got {value!r}")
     return value
 

@@ -533,20 +533,29 @@ def assemble_welfare(bids: Sequence[AgentBid], dims: MarketDimensions) -> Welfar
 
 # --- JSON bid format ---------------------------------------------------------
 
+def _index(value) -> int:
+    """An index or count read from a bid file: an integral JSON number. Any
+    other value is a TypeError, which ``reading`` reports as a malformed file."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            isinstance(value, float) and not value.is_integer()):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _coord(entry: dict) -> Coord:
+    return (_index(entry["node"]), _index(entry["period"]), _index(entry["state"]))
+
+
 def _utility_from_json(entry: dict) -> tuple[Coord, PiecewiseUtility]:
-    coord = (int(entry["node"]), int(entry["period"]), int(entry["state"]))
     points = entry["points"]
-    return coord, PiecewiseUtility(
+    return _coord(entry), PiecewiseUtility(
         np.asarray([p[0] for p in points], dtype=float),
         np.asarray([p[1] for p in points], dtype=float),
     )
 
 
 def _constraint_from_json(entry: dict) -> LinkingConstraint:
-    x_terms = tuple(
-        ((int(t["node"]), int(t["period"]), int(t["state"])), float(t["coeff"]))
-        for t in entry.get("x", [])
-    )
+    x_terms = tuple((_coord(t), float(t["coeff"])) for t in entry.get("x", []))
     z_terms = tuple((str(t["name"]), float(t["coeff"])) for t in entry.get("z", []))
     return LinkingConstraint(x_terms, z_terms, entry["sense"], float(entry["rhs"]))
 
@@ -557,9 +566,9 @@ def load_bids_json(path: str | Path) -> tuple[list[AgentBid], MarketDimensions]:
         dims_entry = payload.get("dimensions", {})
         labels = payload.get("state_labels")
         dims = MarketDimensions(
-            nodes=int(dims_entry.get("nodes", 1)),
-            periods=int(dims_entry.get("periods", 1)),
-            states=int(dims_entry["states"]),
+            nodes=_index(dims_entry.get("nodes", 1)),
+            periods=_index(dims_entry.get("periods", 1)),
+            states=_index(dims_entry["states"]),
             state_labels=tuple(labels) if labels else None,
         )
         bids = []

@@ -591,9 +591,10 @@ def test_report_rejects_wrong_file_kind(tmp_path, capsys):
     assert run(["report", "--result", part]) == 1
 
 
-def _bids_with_a_one_number_point():
+def _price_bids(edit):
+    """The price-formation bid file after ``edit`` changes its payload."""
     payload = json.loads(PRICE_BIDS.read_text())
-    payload["agents"][0]["utilities"][0]["points"] = [[0, 0], [1]]
+    edit(payload)
     return json.dumps(payload)
 
 
@@ -603,18 +604,32 @@ def _bids_with_a_one_number_point():
         ("clear", '{"agents": [{"id": "x"}]}'),
         ("clear", "{not json"),
         ("clear", '[{"id": "x"}]'),
-        ("clear", _bids_with_a_one_number_point()),
+        ("clear", _price_bids(lambda p: p["agents"][0]["utilities"][0].update(
+            points=[[0, 0], [1]]))),
         ("result", '{"sweep": [{"x": 1}]}'),
         ("payments", '{"prices": [[[1.0]]]}'),
         ("payments", "[[[[1.0]]]]"),
         ("ingest", '{"body_sha256": "0"}'),
         ("clear", b'{"agents": "\xff"}'),
         ("result", '{"welfare": "x", "prices": 1, "verification": {}}'),
+        ("result", '{"welfare": true, "prices": [], "surplus": {}, "verification": '
+                   '{"balance_residual": 0, "budget_residual": 0, "confirmed": true, '
+                   '"gaps": {}}}'),
+        ("clear", _price_bids(lambda p: p["dimensions"].update(states=2.7))),
+        ("clear", _price_bids(lambda p: p["dimensions"].update(states="2"))),
+        ("clear", _price_bids(lambda p: p["dimensions"].update(periods=True))),
+        ("clear", _price_bids(lambda p: p["agents"][1]["utilities"][1].update(state=1.5))),
+        ("clear", _price_bids(lambda p: p["agents"][1]["utilities"][0].update(node="0"))),
+        ("clear", _price_bids(lambda p: p["agents"][2]["constraints"][1]["x"][0].update(
+            state=True))),
     ],
     ids=["bids_without_dimensions", "bids_not_json", "bids_top_level_array",
          "utility_point_with_one_number", "sweep_entry_without_result",
          "payments_without_positions", "payments_top_level_array",
-         "cache_entry_without_body", "bids_not_utf8", "result_welfare_not_a_number"],
+         "cache_entry_without_body", "bids_not_utf8", "result_welfare_not_a_number",
+         "result_welfare_a_boolean", "bids_states_not_integral", "bids_states_a_string",
+         "bids_periods_a_boolean", "utility_state_not_integral", "utility_node_a_string",
+         "constraint_state_a_boolean"],
 )
 def test_malformed_input_file_exits_1_naming_it(tmp_path, capsys, command, content):
     out = tmp_path / "out"

@@ -8,14 +8,7 @@ import pytest
 
 from statemarket.clearing import LinearProgram, solve_lp
 from statemarket.clearing import simplex
-from statemarket.clearing.simplex import (
-    AT_LOWER,
-    AT_UPPER,
-    BASIC,
-    FREE,
-    PIVOT_TOL,
-    REFACTOR_EVERY,
-)
+from statemarket.clearing.simplex import PIVOT_TOL, REFACTOR_EVERY
 from statemarket.errors import NumericalFailure
 from statemarket.market import MarketDimensions, assemble_welfare
 from statemarket.clearing.core import build_lp, clear
@@ -250,7 +243,10 @@ def test_deterministic_solutions():
 def refactoring_run(self, cost):
     """The simplex loop before the updated inverse: three fresh basis solves
     per pivot. Kept as the reference the updated-inverse loop must match bit
-    for bit whenever both take the same pivots."""
+    for bit whenever both take the same pivots. It reads a column's bound
+    status from its value against its bounds and from basis membership, and
+    keeps only ``basis`` and ``nonbasic`` current, never ``improving`` or
+    ``free``."""
     tol = PIVOT_TOL * self.scale
     movable = ~(self.upper - self.lower <= 0.0)
     limit = 200 * (self.total + 1)
@@ -258,10 +254,15 @@ def refactoring_run(self, cost):
         self.iterations += 1
         y = self._solve_basis(cost[self.basis], transpose=True)
         reduced = cost - self.A.T @ y
+        nonbasic = np.ones(self.total, dtype=bool)
+        nonbasic[self.basis] = False
+        at_lower = nonbasic & (self.nonbasic == self.lower)
+        at_upper = nonbasic & (self.nonbasic == self.upper)
+        free = nonbasic & np.isinf(self.lower) & np.isinf(self.upper)
         eligible = movable & (
-            ((self.status == AT_LOWER) & (reduced < -tol))
-            | ((self.status == AT_UPPER) & (reduced > tol))
-            | ((self.status == FREE) & (np.abs(reduced) > tol))
+            (at_lower & (reduced < -tol))
+            | (at_upper & (reduced > tol))
+            | (free & (np.abs(reduced) > tol))
         )
         if not eligible.any():
             return "optimal"
@@ -299,11 +300,11 @@ def refactoring_run(self, cost):
         if not np.isfinite(best_delta):
             return "unbounded"
         if leaving_pos < 0:
-            self.status[entering] = AT_UPPER if direction > 0 else AT_LOWER
+            self.nonbasic[entering] = (self.upper if direction > 0 else self.lower)[entering]
             continue
         self.basis[leaving_pos] = entering
-        self.status[entering] = BASIC
-        self.status[leaving_col] = AT_UPPER if hit_upper else AT_LOWER
+        self.nonbasic[entering] = 0.0
+        self.nonbasic[leaving_col] = (self.upper if hit_upper else self.lower)[leaving_col]
     raise NumericalFailure(f"simplex exceeded {limit} iterations")
 
 
@@ -401,9 +402,9 @@ def test_updated_inverse_matches_refactoring_loop_on_bound_flips(monkeypatch):
     pivot = simplex._Simplex._pivot
 
     def spy(self, cost, tol, movable):
-        basis = list(self.basis)
+        basis = self.basis.copy()
         verdict = pivot(self, cost, tol, movable)
-        flips.append(verdict is None and basis == self.basis)
+        flips.append(verdict is None and np.array_equal(basis, self.basis))
         return verdict
 
     monkeypatch.setattr(simplex._Simplex, "_pivot", spy)
@@ -448,46 +449,90 @@ def test_updated_inverse_matches_refactoring_loop_at_desk_scale():
     assert iterations[1] == 838
 
 
-def test_phase_caches_match_their_recomputation_after_every_pivot(monkeypatch):
-    phases, phase_1_basis, driven_out = [], [], []  # phases: one entry per pivot
-    pivot, run = simplex._Simplex._pivot, simplex._Simplex.run
+def assert_column_state(state):
+    """Basic columns hold 0 in ``nonbasic``, nonbasic ones a finite bound, or 0
+    if free; ``improving`` and ``free`` follow from these and the bounds."""
+    basic = np.zeros(state.total, dtype=bool)
+    basic[state.basis] = True
+    assert state.basis.dtype == np.intp and basic.sum() == state.m
+    value, lower, upper = state.nonbasic, state.lower, state.upper
+    free = ~basic & np.isinf(lower) & np.isinf(upper)
+    at_bound = np.isfinite(value) & ((value == lower) | (value == upper))
+    assert np.all(np.where(basic | free, value == 0.0, at_bound))
+    movable = ~basic & (lower < upper)
+    improving = np.where(movable & (value == lower), -1.0,
+                         np.where(movable & (value == upper), 1.0, 0.0))
+    assert same_bits(state.improving, improving)
+    assert (state.free is None and not free.any()) or np.array_equal(state.free, free)
+
+
+def test_column_state_holds_after_every_pivot_and_the_hand_over(monkeypatch):
+    phases, driven_out = [], []  # phases: one entry per pivot
+    pivot, hand_over = simplex._Simplex._pivot, simplex._Simplex.hand_over
 
     def spy_pivot(self, cost, tol, movable):
         verdict = pivot(self, cost, tol, movable)
-        movable = ~(self.upper - self.lower <= 0.0)
-        improving = np.where(movable & (self.status == AT_LOWER), -1.0,
-                             np.where(movable & (self.status == AT_UPPER), 1.0, 0.0))
-        assert same_bits(self.improving, improving)
-        free = movable & (self.status == FREE)
-        assert (self.free is None and not free.any()) or np.array_equal(self.free, free)
-        assert same_bits(self.nonbasic, self._nonbasic_values())
-        assert self.basis_index.dtype == np.intp
-        assert self.basis_index.tolist() == self.basis
+        assert_column_state(self)
         assert self.lower_list == self.lower.tolist()
         assert self.upper_list == self.upper.tolist()
         phases.append(self.phase)
         return verdict
 
-    def spy_run(self, cost):
-        if self.phase == 1:  # phase 2 starts: artificials pinned, some driven out
-            assert not self.upper[self.n_struct + self.m:].any()
-            driven_out.append(self.basis != phase_1_basis)
-        verdict = run(self, cost)
-        phase_1_basis[:] = self.basis
-        return verdict
+    def spy_hand_over(self):
+        basis = self.basis.copy()
+        hand_over(self)
+        assert not self.upper[self.n_struct + self.m:].any()  # artificials pinned
+        assert_column_state(self)
+        assert self.free is None or self.free.any()  # an emptied mask is dropped
+        driven_out.append(not np.array_equal(basis, self.basis))
 
     monkeypatch.setattr(simplex._Simplex, "_pivot", spy_pivot)
-    monkeypatch.setattr(simplex._Simplex, "run", spy_run)
+    monkeypatch.setattr(simplex._Simplex, "hand_over", spy_hand_over)
     # fixed x0 replaces the artificial of the degenerate row x0 - x1 = 0 and
     # leaves again when x1 enters in phase 2
     fixed_leaves = LinearProgram(np.array([0.0, 1.0]), np.zeros(2), np.array([0.0, 5.0]),
                                  np.array([[1.0, -1.0]]), np.array(["="]), np.zeros(1))
+    # free x0 enters in phase 1, which leaves the free mask empty
+    free_enters = LinearProgram(np.ones(2), np.array([-np.inf, 0.0]), np.array([np.inf, 5.0]),
+                                np.array([[1.0, -1.0]]), np.array(["="]), np.zeros(1))
     rng = np.random.default_rng(83)
     lps = [random_lp(rng) for _ in range(300)] + [long_lp(seed) for seed in range(3)]
-    for lp in lps + [fixed_leaves]:
+    for lp in lps + [fixed_leaves, free_enters]:
         solve_lp(lp)
     assert set(phases) == {1, 2} and len(phases) > 1000
     assert any(driven_out)
+
+
+@pytest.mark.parametrize(
+    "lower, upper, matrix, start, sign, x",
+    [
+        # x0 sits at its upper bound, where phase 1 cannot move it
+        ([-np.inf, 3.0], [3.0, 5.0], [[1.0, -1.0]], 3.0, 1.0, [3.0, 3.0]),
+        # free x0 would enter in phase 1 if the negated copy of the row did not
+        # cancel its phase-1 reduced cost
+        ([-np.inf, 0.0], [np.inf, 5.0], [[1.0, -1.0], [-1.0, 1.0]], 0.0, 0.0, [5.0, 5.0]),
+    ],
+    ids=["from_its_upper_bound", "free"],
+)
+def test_hand_over_brings_in_x0_for_the_row_x0_minus_x1(monkeypatch, lower, upper, matrix,
+                                                         start, sign, x):
+    seen = []
+    hand_over = simplex._Simplex.hand_over
+
+    def spy(self):
+        free = self.free is not None and bool(self.free[0])
+        seen.append((0 in self.basis, self.nonbasic[0], self.improving[0], free))
+        hand_over(self)
+        assert_column_state(self)
+        seen.append((0 in self.basis, self.nonbasic[0], self.improving[0], self.free))
+
+    monkeypatch.setattr(simplex._Simplex, "hand_over", spy)
+    rows = len(matrix)
+    lp = LinearProgram(np.ones(2), np.array(lower), np.array(upper), np.array(matrix),
+                       np.array(["="] * rows), np.zeros(rows))
+    result = solve_lp(lp)
+    assert seen == [(False, start, sign, sign == 0.0), (True, 0.0, 0.0, None)]
+    assert result.status == "optimal" and result.x.tolist() == x
 
 
 @pytest.mark.parametrize("phase", [1, 2])
@@ -578,6 +623,12 @@ def test_status_and_objective_match_highs():
         ({"senses": np.array(["<=", "<="])}, "shapes"),
         ({"lower": np.zeros(3)}, "matching shapes"),
         ({"sense": "maximize"}, "objective sense"),
+        ({"lower": np.array([0.0, np.nan])}, "^column 1: lower bound exceeds its upper bound$"),
+        ({"lower": np.array([0.0, 2.0])}, "^column 1: lower bound exceeds its upper bound$"),
+        ({"lower": np.array([0.0, np.inf]), "upper": np.array([1.0, np.inf])},
+         "^column 1: both bounds are inf$"),
+        ({"lower": np.array([-np.inf, 0.0]), "upper": np.array([-np.inf, 1.0])},
+         "^column 0: both bounds are -inf$"),
     ],
 )
 def test_lp_rejects_malformed_input(change, message):
