@@ -2,7 +2,8 @@
 
 Binary commitments (at most MAX_BINARIES) are cleared by an exact
 depth-first branch and bound (Land & Doig 1960). Each assignment of the
-binaries, a cell, yields an LP whose balance-row duals are the candidate
+binaries, a cell, yields an LP whose optimum, objective constant included,
+is the cell's welfare and whose balance-row duals are the candidate
 contract prices. The search branches on the binaries in index order, 0
 before 1, so it meets cells in lexicographic order; before branching on two
 or more free binaries it solves the relaxation ``build_lp(..., free)``, the
@@ -103,16 +104,24 @@ def build_lp(
     valuation minus payment. Each binary in ``free`` (0 in ``binary_values``)
     appends a [0, 1] column, in the given order: its column of
     ``binary_matrix`` and summed ``binary_objective`` coefficient, unpriced.
-    The constant the LP leaves out is ``_cell_constant`` without ``free``; with
-    ``free``, optimum plus constant bounds every cell that fixes those binaries.
+    The LP's constant is the base utility of every agent, or only ``agent``,
+    plus its set binaries' terms, less the payment on its pinned lower ends
+    when ``prices`` is set. So the optimum is the cell's value; with ``free``,
+    it bounds every cell that fixes those binaries.
     """
     rows = columns = slice(None)
     if agent is not None:
         rows, columns = program.agent_rows[agent], program.agent_columns[agent]
     objective = program.objective[columns]
+    base = program.objective_constant if agent is None else program.agent_constants[agent]
+    constant = base + sum(c * binary_values[b] for b, c in program.binary_objective
+                          if agent is None or program.binaries[b][0] == agent)
     if prices is not None:
         contract = program.column_contract[columns]
         objective = objective - np.where(contract >= 0, prices.values.ravel()[contract], 0.0)
+        for (a, coord), (lower, _) in program.quantities.items():
+            if agent is None or a == agent:
+                constant -= float(prices.values[coord]) * lower
     rhs = program.rhs[rows]
     for b in np.flatnonzero(binary_values):
         rhs = rhs - program.binary_matrix[rows, b]
@@ -127,26 +136,8 @@ def build_lp(
         lower = np.concatenate([lower, np.zeros(k)])
         upper = np.concatenate([upper, np.ones(k)])
         matrix = np.hstack([matrix, program.binary_matrix[rows][:, free]])
-    return LinearProgram(objective, lower, upper, matrix, program.senses[rows], rhs, "max")
-
-
-def _cell_constant(
-    program: WelfareProgram,
-    binary_values: Sequence[int],
-    agent: int | None = None,
-    prices: ContractGrid | None = None,
-) -> float:
-    """Objective constant of ``build_lp`` with the same arguments: the base
-    utility of every agent, or only ``agent``, plus its set binaries' terms,
-    less the payment on its pinned lower ends when ``prices`` is set."""
-    base = program.objective_constant if agent is None else program.agent_constants[agent]
-    constant = base + sum(c * binary_values[b] for b, c in program.binary_objective
-                          if agent is None or program.binaries[b][0] == agent)
-    if prices is not None:
-        for (a, coord), (lower, _) in program.quantities.items():
-            if agent is None or a == agent:
-                constant -= float(prices.values[coord]) * lower
-    return constant
+    return LinearProgram(objective, lower, upper, matrix, program.senses[rows], rhs, "max",
+                         constant)
 
 
 def _best_cell(
@@ -154,19 +145,19 @@ def _best_cell(
     agent: int | None = None,
     prices: ContractGrid | None = None,
 ) -> tuple[float, tuple[int, ...], LPResult]:
-    """Best (value, binary cell, LP solution) of ``build_lp`` plus its constant.
+    """Best (value, binary cell, LP solution) of ``build_lp``'s cells.
 
     Searches every binary, or with ``agent`` set only that agent's own (the
     others stay 0), by depth-first branch and bound: branching in index
     order, 0 before 1, so cells are met in lexicographic order, and a cell
     replaces the incumbent only when its value is strictly greater, so ties
-    keep the lex-smallest cell. A node with two or more free binaries first
-    solves its LP relaxation, ``build_lp`` with those binaries ``free``, plus
-    ``_cell_constant``. An infeasible relaxation prunes the subtree, and so
-    does an optimal one whose bound lies below the incumbent by more than
-    PRUNE_MARGIN relative; an unbounded one, or a numerical failure, prunes
-    nothing. A pruned cell could not have displaced the incumbent, so the
-    result is the one enumerating every cell gives. A numerical failure, or
+    keep the lex-smallest cell. A cell's value is its LP's optimum. A node
+    with two or more free binaries first solves its LP relaxation,
+    ``build_lp`` with those binaries ``free``. An infeasible relaxation prunes
+    the subtree, and so does an optimal one whose bound lies below the
+    incumbent by more than PRUNE_MARGIN relative; an unbounded one, or a
+    numerical failure, prunes nothing. A pruned cell could not have displaced
+    the incumbent, so the result is the one enumerating every cell gives. A numerical failure, or
     an unbounded LP, in a cell is raised naming the cell, the LP and its size.
     """
     own = [b for b, (a, _) in enumerate(program.binaries) if agent is None or a == agent]
@@ -186,9 +177,8 @@ def _best_cell(
             raise type(exc)(f"cell {tuple(cell)}, {owner} LP {m}x{n}: {exc}") from exc
         if outcome.status != "optimal":
             return
-        value = outcome.objective + _cell_constant(program, cell, agent, prices)
-        if best is None or value > best[0]:
-            best = (value, tuple(cell), outcome)
+        if best is None or outcome.objective > best[0]:
+            best = (outcome.objective, tuple(cell), outcome)
 
     def pruned(free: list[int]) -> bool:
         try:
@@ -199,8 +189,7 @@ def _best_cell(
             return True
         if outcome.status != "optimal" or best is None:
             return False
-        bound = outcome.objective + _cell_constant(program, cell, agent, prices)
-        return bound < best[0] - PRUNE_MARGIN * max(1.0, abs(best[0]))
+        return outcome.objective < best[0] - PRUNE_MARGIN * max(1.0, abs(best[0]))
 
     def search(depth: int) -> None:
         free = own[depth:]

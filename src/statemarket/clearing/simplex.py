@@ -64,9 +64,10 @@ class LPRow:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Dense LP: optimize c'x subject to ``matrix @ x (senses) rhs``, senses
-    being "<=", ">=" or "=", and ``lower <= x <= upper``. Nothing writes to
-    the arrays, which may be read-only views into a welfare program's."""
+    """Dense LP: optimize c'x + constant subject to ``matrix @ x (senses)
+    rhs``, senses being "<=", ">=" or "=", and ``lower <= x <= upper``.
+    Nothing writes to the arrays, which may be read-only views into a welfare
+    program's."""
 
     objective: np.ndarray
     lower: np.ndarray
@@ -75,6 +76,7 @@ class LinearProgram:
     senses: np.ndarray
     rhs: np.ndarray
     sense: str = "max"
+    constant: float = 0.0
 
     def __post_init__(self) -> None:
         for name in ("objective", "lower", "upper", "matrix", "rhs"):
@@ -88,7 +90,7 @@ class LinearProgram:
             raise ValueError("objective and bounds must have matching shapes")
         if not (b.ndim == 1 and senses.shape == b.shape and a.shape == (b.size, c.size)):
             raise ValueError("matrix, senses and rhs must have shapes (m, n), (m,) and (m,)")
-        if not np.all(np.isfinite(c)):
+        if not (np.all(np.isfinite(c)) and math.isfinite(self.constant)):
             raise ValueError("objective coefficients must be finite")
         crossed = np.flatnonzero(~(lo <= hi))  # also true for a NaN bound
         if crossed.size:
@@ -296,10 +298,10 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     then hands over to phase 2, pinning them at zero and driving them out of
     the basis, and phase 2 optimizes the user's objective. Each phase may take
     ``200 * (columns + 1)`` pivots; exceeding that raises NumericalFailure
-    naming the phase. Duals follow the user's sense (derivative
-    of the optimum w.r.t. the row rhs); complementary slackness is verified
-    to FEAS_TOL before returning. Raises NumericalFailure instead of
-    returning silently wrong answers.
+    naming the phase. The reported objective is c'x + constant. Duals follow
+    the user's sense (derivative of the optimum w.r.t. the row rhs);
+    complementary slackness is verified to FEAS_TOL before returning. Raises
+    NumericalFailure instead of returning silently wrong answers.
     """
     state = _Simplex(lp)
     n, m = state.n_struct, state.m
@@ -326,7 +328,7 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     reduced = cost - state.A.T @ y
     duals = sign * y
     reduced_user = sign * reduced[:n]
-    objective = float(lp.objective @ x)
+    objective = float(lp.objective @ x) + lp.constant
 
     _validate_solution(lp, state, x, reduced_user)
     return LPResult("optimal", x, objective, duals, reduced_user, state.iterations)

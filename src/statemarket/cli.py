@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import clearing, quantize, scenarios
-from .errors import SolverFailure, ValidationError, VerificationFailure, reading
+from .errors import (SolverFailure, ValidationError, VerificationFailure, number, numbers,
+                     reading)
 from .market import ContractGrid, load_bids_json, payment
 
 ENDPOINT_ENV = "STATEMARKET_ENDPOINT"
@@ -196,14 +197,6 @@ def cmd_clear(args: argparse.Namespace) -> int:
     return 0
 
 
-def _number(value) -> float:
-    """A number read from a JSON file; any other value, a boolean included, is
-    a TypeError, which ``reading`` reports as a malformed file."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return value
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     if args.result is None and args.partition is None and args.payments is None:
         raise ValidationError("report needs --result, --partition, or --payments")
@@ -216,23 +209,23 @@ def cmd_report(args: argparse.Namespace) -> int:
             results = [e["result"] for e in payload["sweep"]] if "sweep" in payload else [payload]
             for entry in results:
                 verification = entry["verification"]
-                print(f"welfare: {_number(entry['welfare']):.9g}")
+                print(f"welfare: {number(entry['welfare']):.9g}")
                 print(f"prices: {entry['prices']}")
                 print(
-                    f"balance residual {_number(verification['balance_residual']):.3g}, "
-                    f"budget residual {_number(verification['budget_residual']):.3g}, "
+                    f"balance residual {number(verification['balance_residual']):.3g}, "
+                    f"budget residual {number(verification['budget_residual']):.3g}, "
                     f"confirmed: {verification['confirmed']}"
                 )
                 for agent, surplus in sorted(entry["surplus"].items()):
                     print(
-                        f"  {agent}: surplus {_number(surplus):.6g}, "
-                        f"gap {_number(verification['gaps'][agent]):.3g}"
+                        f"  {agent}: surplus {number(surplus):.6g}, "
+                        f"gap {number(verification['gaps'][agent]):.3g}"
                     )
     if args.payments is not None:
         with reading(args.payments, "payments") as payload:
-            prices = ContractGrid(np.asarray(payload["prices"], dtype=float))
+            prices = ContractGrid(np.asarray(numbers(payload["prices"]), dtype=float))
             for agent, position in sorted(payload["positions"].items()):
-                grid = ContractGrid(np.asarray(position, dtype=float))
+                grid = ContractGrid(np.asarray(numbers(position), dtype=float))
                 paid = payment(prices, grid)
                 direction = "pays" if paid >= 0 else "receives"
                 print(f"  {agent}: {direction} {abs(paid):.6g}")

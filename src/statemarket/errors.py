@@ -29,15 +29,29 @@ class VerificationFailure(StateMarketError):
 def reading(path, kind: str):
     """Read the UTF-8 JSON input file ``path`` and yield its payload.
 
-    A file that is not UTF-8 or not JSON, and a missing key or index or a
-    value of the wrong type met while the ``with`` body converts the payload,
-    become a ValidationError naming the file. A missing or unreadable file
-    raises OSError; other errors pass."""
+    A file that is not UTF-8 or not JSON, and a missing key or index, a value
+    of the wrong type or an integer too large for a float met while the
+    ``with`` body converts the payload, become a ValidationError naming the
+    file. A missing or unreadable file raises OSError; other errors pass."""
     try:
         yield json.loads(Path(path).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, IndexError, TypeError,
-            AttributeError) as exc:
+            AttributeError, OverflowError) as exc:
         raise ValidationError(f"{path} is not a valid {kind} file ({exc!r})") from None
+
+
+def number(value) -> float:
+    """A number read from a JSON file, as a float. Any other value, a string
+    or a boolean included, is a TypeError, which ``reading`` reports as a
+    malformed file."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def numbers(value):
+    """``number`` applied to each entry of a list, nested to any depth."""
+    return [numbers(v) for v in value] if isinstance(value, list) else number(value)
 
 
 # --- scenario ingestion ---

@@ -21,6 +21,8 @@ from .errors import (
     EmptyMarket,
     InconsistentDimensions,
     ValidationError,
+    number,
+    numbers,
     reading,
 )
 
@@ -536,8 +538,7 @@ def assemble_welfare(bids: Sequence[AgentBid], dims: MarketDimensions) -> Welfar
 def _index(value) -> int:
     """An index or count read from a bid file: an integral JSON number. Any
     other value is a TypeError, which ``reading`` reports as a malformed file."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-            isinstance(value, float) and not value.is_integer()):
+    if not number(value).is_integer():
         raise TypeError(f"expected an integer, got {value!r}")
     return int(value)
 
@@ -549,15 +550,15 @@ def _coord(entry: dict) -> Coord:
 def _utility_from_json(entry: dict) -> tuple[Coord, PiecewiseUtility]:
     points = entry["points"]
     return _coord(entry), PiecewiseUtility(
-        np.asarray([p[0] for p in points], dtype=float),
-        np.asarray([p[1] for p in points], dtype=float),
+        np.asarray([number(p[0]) for p in points], dtype=float),
+        np.asarray([number(p[1]) for p in points], dtype=float),
     )
 
 
 def _constraint_from_json(entry: dict) -> LinkingConstraint:
-    x_terms = tuple((_coord(t), float(t["coeff"])) for t in entry.get("x", []))
-    z_terms = tuple((str(t["name"]), float(t["coeff"])) for t in entry.get("z", []))
-    return LinkingConstraint(x_terms, z_terms, entry["sense"], float(entry["rhs"]))
+    x_terms = tuple((_coord(t), number(t["coeff"])) for t in entry.get("x", []))
+    z_terms = tuple((str(t["name"]), number(t["coeff"])) for t in entry.get("z", []))
+    return LinkingConstraint(x_terms, z_terms, entry["sense"], number(entry["rhs"]))
 
 
 def load_bids_json(path: str | Path) -> tuple[list[AgentBid], MarketDimensions]:
@@ -583,9 +584,9 @@ def load_bids_json(path: str | Path) -> tuple[list[AgentBid], MarketDimensions]:
                 Decision(
                     name=str(d["name"]),
                     kind=str(d.get("kind", "continuous")),
-                    lower=float(d.get("lower", 0.0)),
-                    upper=float(d.get("upper", 1.0)),
-                    utility_coeff=float(d.get("utility_coeff", 0.0)),
+                    lower=number(d.get("lower", 0.0)),
+                    upper=number(d.get("upper", 1.0)),
+                    utility_coeff=number(d.get("utility_coeff", 0.0)),
                 )
                 for d in agent.get("decisions", [])
             )
@@ -595,7 +596,7 @@ def load_bids_json(path: str | Path) -> tuple[list[AgentBid], MarketDimensions]:
             bids.append(
                 AgentBid(
                     agent_id=str(agent["id"]),
-                    beliefs=np.asarray(agent["beliefs"], dtype=float),
+                    beliefs=np.asarray(numbers(agent["beliefs"]), dtype=float),
                     risk=str(agent.get("risk", "expectation")),
                     utilities=utilities,
                     decisions=decisions,

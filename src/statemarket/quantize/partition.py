@@ -25,7 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import DimensionMismatch, EmptyState, EmptySubset, NonFiniteCoordinate
+from ..errors import (DimensionMismatch, EmptyState, EmptySubset, NonFiniteCoordinate, number,
+                      numbers)
 from ..scenarios import ScenarioSet, barycentre
 
 # Centers closer than this are considered coincident and rejected.
@@ -133,10 +134,10 @@ class StatePartition:
     @classmethod
     def from_dict(cls, payload: dict) -> "StatePartition":
         scen = ScenarioSet(
-            np.asarray(payload["scenarios"]["points"], dtype=float),
-            np.asarray(payload["scenarios"]["weights"], dtype=float),
+            np.asarray(numbers(payload["scenarios"]["points"]), dtype=float),
+            np.asarray(numbers(payload["scenarios"]["weights"]), dtype=float),
         )
-        return cls(np.asarray(payload["centers"], dtype=float), scen)
+        return cls(np.asarray(numbers(payload["centers"]), dtype=float), scen)
 
 
 def classify(partition: StatePartition, xi: Sequence[float]) -> int:
@@ -242,17 +243,18 @@ class QuantizationSolution:
         """
         solution = cls(
             partition=StatePartition.from_dict(payload),
-            lower_bound=None if payload.get("lower_bound") is None else float(payload["lower_bound"]),
+            lower_bound=(None if payload.get("lower_bound") is None
+                         else number(payload["lower_bound"])),
             provenance=str(payload["provenance"]),
         )
-        if not np.array_equal(np.asarray(payload["assignment"]), solution.assignment):
+        if not np.array_equal(np.asarray(numbers(payload["assignment"])), solution.assignment):
             raise ValueError("stored assignment disagrees with the partition's cells")
-        distances = np.asarray(payload["distances"], dtype=float)
+        distances = np.asarray(numbers(payload["distances"]), dtype=float)
         if distances.shape != solution.distances.shape or not np.allclose(
             distances, solution.distances, rtol=0.0, atol=1e-9
         ):
             raise ValueError("stored distances disagree with nearest-center distances")
-        objective = float(payload["objective"])
+        objective = number(payload["objective"])
         if not math.isclose(objective, solution.objective, rel_tol=0.0, abs_tol=1e-9):
             raise ValueError("objective disagrees with weighted distances")
         bound = solution.lower_bound

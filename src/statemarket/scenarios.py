@@ -41,29 +41,6 @@ MODEL = "icon_seamless"
 
 
 @dataclass(frozen=True)
-class RandomVariableSpec:
-    """Declares the uncertain quantity whose realization selects the market state.
-
-    ``labels`` carry units as free text; coordinates are never converted.
-    """
-
-    dimension: int
-    labels: tuple[str, ...]
-    announcement_time: dt.datetime
-    realization_time: dt.datetime
-
-    def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise DimensionMismatch(f"dimension must be >= 1, got {self.dimension}")
-        if len(self.labels) != self.dimension:
-            raise DimensionMismatch(
-                f"expected {self.dimension} coordinate labels, got {len(self.labels)}"
-            )
-        if self.realization_time <= self.announcement_time:
-            raise ValueError("realization_time must be strictly after announcement_time")
-
-
-@dataclass(frozen=True)
 class ScenarioSet:
     """Discrete probability measure: points ``(L, k)`` with strictly positive weights.
 

@@ -252,9 +252,8 @@ def best_cell_by_enumeration(program, agent=None, prices=None):
             raise type(exc)(f"cell {tuple(cell)}, {owner} LP {m}x{n}: {exc}") from exc
         if outcome.status != "optimal":
             continue
-        value = outcome.objective + core._cell_constant(program, cell, agent, prices)
-        if best is None or value > best[0]:
-            best = (value, tuple(cell), outcome)
+        if best is None or outcome.objective > best[0]:
+            best = (outcome.objective, tuple(cell), outcome)
     if best is None:
         if agent is None:
             raise Infeasible("no binary assignment admits a feasible allocation")

@@ -381,7 +381,7 @@ def test_welfare_and_best_responses_match_highs(market):
     assert result.welfare == pytest.approx(reference, abs=1e-7 * scale)
 
     # each agent's LP at the posted prices, priced through valuation(), not
-    # through the constant the builder leaves out
+    # through the constant the builder sets
     for a, bid in enumerate(bids):
         own = [b for b, (owner, _) in enumerate(program.binaries) if owner == a]
         best = float("-inf")

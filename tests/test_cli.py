@@ -6,12 +6,14 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from urllib.parse import parse_qs, urlparse
 
+import numpy as np
 import pytest
 import requests
 
 from statemarket.cli import fixture_path, main
 from statemarket.market import assemble_welfare, load_bids_json
-from statemarket.scenarios import fetch_ensemble
+from statemarket.quantize import solve_exact
+from statemarket.scenarios import ScenarioSet, fetch_ensemble
 
 
 def run(args):
@@ -598,6 +600,19 @@ def _price_bids(edit):
     return json.dumps(payload)
 
 
+def _partition(edit):
+    """A two-state partition solution file after ``edit`` changes its payload."""
+    points = np.array([[1.0, 2.0], [1.5, 2.5], [8.0, 9.0], [9.0, 8.5]])
+    payload = solve_exact(ScenarioSet(points, np.full(4, 0.25)), 2).to_dict()
+    edit(payload)
+    return json.dumps(payload)
+
+
+def _spoil_objective_and_center(payload):
+    payload["objective"] = str(payload["objective"])
+    payload["centers"][0][1] = str(payload["centers"][0][1])
+
+
 @pytest.mark.parametrize(
     "command, content",
     [
@@ -622,6 +637,24 @@ def _price_bids(edit):
         ("clear", _price_bids(lambda p: p["agents"][1]["utilities"][0].update(node="0"))),
         ("clear", _price_bids(lambda p: p["agents"][2]["constraints"][1]["x"][0].update(
             state=True))),
+        ("clear", _price_bids(lambda p: p["agents"][0].update(beliefs=[True, False]))),
+        ("clear", _price_bids(lambda p: p["agents"][0]["utilities"][0]["points"][0].__setitem__(
+            0, "-10.0"))),
+        ("clear", _price_bids(lambda p: p["agents"][2]["constraints"][0]["x"][0].update(
+            coeff="1.0"))),
+        ("clear", _price_bids(lambda p: p["agents"][2]["constraints"][1].update(rhs=False))),
+        ("clear", _price_bids(lambda p: p["agents"][2]["decisions"][0].update(lower="-5.0"))),
+        ("clear", _price_bids(lambda p: p["agents"][2]["decisions"][0].update(upper=True))),
+        ("clear", _price_bids(lambda p: p["agents"][2]["decisions"][0].update(
+            utility_coeff="0"))),
+        ("payments", '{"prices": [[["10.0", true]]], "positions": {"load": [[[10.0, 1.0]]]}}'),
+        ("payments", '{"prices": [[[10.0, 20.0]]], "positions": {"load": [[[10.0, "1"]]]}}'),
+        ("partition", _partition(_spoil_objective_and_center)),
+        ("partition", _partition(lambda p: p["scenarios"]["weights"].__setitem__(0, "0.25"))),
+        ("partition", _partition(lambda p: p["scenarios"]["points"][3].__setitem__(0, "9"))),
+        ("partition", _partition(lambda p: p["distances"].__setitem__(0, True))),
+        ("partition", _partition(lambda p: p.update(lower_bound=str(p["lower_bound"])))),
+        ("clear", _price_bids(lambda p: p["agents"][2]["constraints"][1].update(rhs=10**400))),
     ],
     ids=["bids_without_dimensions", "bids_not_json", "bids_top_level_array",
          "utility_point_with_one_number", "sweep_entry_without_result",
@@ -629,7 +662,13 @@ def _price_bids(edit):
          "cache_entry_without_body", "bids_not_utf8", "result_welfare_not_a_number",
          "result_welfare_a_boolean", "bids_states_not_integral", "bids_states_a_string",
          "bids_periods_a_boolean", "utility_state_not_integral", "utility_node_a_string",
-         "constraint_state_a_boolean"],
+         "constraint_state_a_boolean", "beliefs_booleans", "utility_point_a_string",
+         "constraint_coeff_a_string", "constraint_rhs_a_boolean", "decision_lower_a_string",
+         "decision_upper_a_boolean", "decision_utility_coeff_a_string",
+         "payments_prices_a_string_and_a_boolean", "payments_position_a_string",
+         "partition_objective_and_center_strings", "partition_weight_a_string",
+         "partition_point_a_string", "partition_distance_a_boolean",
+         "partition_lower_bound_a_string", "constraint_rhs_too_large_for_a_float"],
 )
 def test_malformed_input_file_exits_1_naming_it(tmp_path, capsys, command, content):
     out = tmp_path / "out"
@@ -645,6 +684,7 @@ def test_malformed_input_file_exits_1_naming_it(tmp_path, capsys, command, conte
             "clear": ["clear", "--bids", path, "--out", out],
             "result": ["report", "--result", path],
             "payments": ["report", "--payments", path],
+            "partition": ["report", "--partition", path],
         }[command]
     if isinstance(content, bytes):
         path.write_bytes(content)

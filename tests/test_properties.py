@@ -17,6 +17,7 @@ from statemarket.clearing import clear, core
 from statemarket.clearing.core import _best_cell
 from statemarket.market import (
     AgentBid,
+    ContractGrid,
     Decision,
     LinkingConstraint,
     MarketDimensions,
@@ -114,6 +115,30 @@ def markets(draw):
     return bids, dims
 
 
+def value_through_valuation(program, found, agent=None, prices=None):
+    """A search's value rebuilt from its LP solution: the sum of the agents'
+    valuations, or one agent's valuation less its payment at ``prices``."""
+    _, cell, outcome = found
+    agents = range(len(program.bids)) if agent is None else [agent]
+    columns = range(program.objective.size)
+    if agent is not None:
+        columns = columns[program.agent_columns[agent]]
+    x = dict(zip(columns, outcome.x))
+    total = 0.0
+    for a in agents:
+        bid = program.bids[a]
+        grid = np.zeros(program.dims.shape)
+        for coord in bid.utilities:
+            lower, deltas = program.quantities[(a, coord)]
+            grid[coord] = lower + sum(x[d] for d in deltas)
+        z = {d.name: float(cell[program.binaries.index((a, d.name))]) if d.kind == "binary"
+             else x[program.decision_index[(a, d.name)]] for d in bid.decisions}
+        total += valuation(bid, ContractGrid(grid), z, tol=1e-7)
+        if prices is not None:
+            total -= payment(prices, ContractGrid(grid))
+    return total
+
+
 @settings(max_examples=40, deadline=None)
 @given(markets())
 def test_welfare_is_the_sum_of_valuations_at_the_allocation(market):
@@ -140,9 +165,12 @@ def test_welfare_is_the_sum_of_valuations_at_the_allocation(market):
         )
     assert result.welfare == pytest.approx(sum(values.values()), abs=1e-7 * scale)
     assert result.verification.balance_residual <= 1e-9 * scale
+    # every search's value is its solution's value through valuation(), and
     # each search over two or more binaries picked enumeration's cell, bit for bit
     for args, found in searches:
         agent = args[1] if len(args) > 1 else None
+        rebuilt = value_through_valuation(program, found, *args[1:])
+        assert found[0] == pytest.approx(rebuilt, abs=1e-7 * max(1.0, abs(rebuilt))), agent
         if sum(agent is None or a == agent for a, _ in program.binaries) < 2:
             continue  # one or no binary: the search solves enumeration's LPs
         expected = best_cell_by_enumeration(*args)

@@ -1,13 +1,10 @@
 """State description reports."""
 
-import datetime as dt
-
 import numpy as np
 import pytest
 
-from statemarket.errors import DimensionMismatch
 from statemarket.quantize import describe_states, solve_exact, state_descriptions
-from statemarket.scenarios import RandomVariableSpec, ScenarioSet
+from statemarket.scenarios import ScenarioSet
 
 
 def test_descriptions_cover_the_measure():
@@ -40,22 +37,3 @@ def test_singleton_support_single_state():
     text = describe_states(solution)
     assert "State 1 occurs when" in text
 
-
-def test_random_variable_spec_invariants():
-    base = dict(
-        announcement_time=dt.datetime(2026, 2, 18, 9, 0),
-        realization_time=dt.datetime(2026, 2, 18, 23, 0),
-    )
-    spec = RandomVariableSpec(2, ("wind speed m/s at 52N,2E", "wind speed m/s at 54N,7E"), **base)
-    assert spec.dimension == 2
-    with pytest.raises(DimensionMismatch):
-        RandomVariableSpec(2, ("only one label",), **base)
-    with pytest.raises(DimensionMismatch):
-        RandomVariableSpec(0, (), **base)
-    with pytest.raises(ValueError):
-        RandomVariableSpec(
-            1,
-            ("label",),
-            announcement_time=dt.datetime(2026, 2, 18, 23, 0),
-            realization_time=dt.datetime(2026, 2, 18, 9, 0),
-        )

@@ -47,7 +47,7 @@ def test_price_formation_lp_duals():
     lp = build_lp(program, ())
     result = solve_lp(lp)
     assert result.status == "optimal"
-    assert result.objective + program.objective_constant == pytest.approx(780.0)
+    assert result.objective == pytest.approx(780.0)
     balance = [result.duals[program.balance_rows[(0, 0, s)]] for s in (0, 1)]
     assert balance[0] == pytest.approx(0.0, abs=1e-9)
     assert balance[1] == pytest.approx(70.0, abs=1e-9)
@@ -605,8 +605,9 @@ def test_status_and_objective_match_highs():
         reference = highs_optimum(lp)
         assert (result.status == "infeasible") == (reference is None)
         if reference is not None:
-            scale = max(1.0, abs(reference[0]))
-            assert result.objective == pytest.approx(reference[0], abs=1e-7 * scale)
+            optimum = reference[0] + lp.constant
+            scale = max(1.0, abs(optimum))
+            assert result.objective == pytest.approx(optimum, abs=1e-7 * scale)
 
 
 @pytest.mark.parametrize(
@@ -629,6 +630,8 @@ def test_status_and_objective_match_highs():
          "^column 1: both bounds are inf$"),
         ({"lower": np.array([-np.inf, 0.0]), "upper": np.array([-np.inf, 1.0])},
          "^column 0: both bounds are -inf$"),
+        ({"constant": np.nan}, "objective coefficients"),
+        ({"constant": -np.inf}, "objective coefficients"),
     ],
 )
 def test_lp_rejects_malformed_input(change, message):
