@@ -5,16 +5,22 @@ depth-first branch and bound (Land & Doig 1960). Each assignment of the
 binaries, a cell, yields an LP whose optimum, objective constant included,
 is the cell's welfare and whose balance-row duals are the candidate
 contract prices. The search branches on the binaries in index order, 0
-before 1, so it meets cells in lexicographic order; before branching on two
-or more free binaries it solves the relaxation ``build_lp(..., free)``, the
-same LP with those binaries as [0, 1] columns, and drops the subtree when it
-is infeasible or its bound lies below the best cell found so far by more
-than PRUNE_MARGIN relative. A cell wins only with a strictly greater
-welfare, so ties go to the lexicographically smallest binary vector, and the
-winner and its LP are those that enumerating every cell would give. For
-purely convex programs the outcome is a Walrasian equilibrium; with binaries
-the verification report surfaces any agent that could deviate profitably at
-the posted prices.
+before 1, so it meets cells in lexicographic order. A node's relaxation is
+``build_lp(..., free)``, the same LP with its free binaries as [0, 1]
+columns, and the search solves only the relaxations it needs: the root's
+first, proving infeasibility at once; the cell the root's relaxed binaries
+name, when they are all exactly 0 or 1, for a first pruning reference; and
+none at a node whose branches all equal the relaxed binaries of the nearest
+relaxation above it, whose optimum is then the node's own bound. Other
+nodes with two or more free binaries solve theirs once some cell has been
+solved or has proved infeasible. A subtree is dropped when its relaxation is
+infeasible or its bound lies below a solved cell's value by more than
+PRUNE_MARGIN relative, so no dropped cell could have won. A cell wins only
+with a strictly greater welfare, so ties go to the lexicographically
+smallest binary vector, and the winner and its LP are those that enumerating
+every cell would give. For purely convex programs the outcome is a Walrasian
+equilibrium; with binaries the verification report surfaces any agent that
+could deviate profitably at the posted prices.
 """
 
 from __future__ import annotations
@@ -140,6 +146,105 @@ def build_lp(
                          constant)
 
 
+Bound = tuple[float, np.ndarray]  # a relaxation's optimum and its free binaries' values
+
+
+class _Search:
+    """Depth-first branch and bound over one search's binaries; see ``_best_cell``."""
+
+    def __init__(self, program: WelfareProgram, agent: int | None,
+                 prices: ContractGrid | None):
+        self.program, self.agent, self.prices = program, agent, prices
+        self.own = [b for b, (a, _) in enumerate(program.binaries)
+                    if agent is None or a == agent]
+        self.cell = [0] * len(program.binaries)
+        self.best: tuple[float, tuple[int, ...], LPResult] | None = None
+        self.reference: float | None = None  # the greatest value of a solved cell
+        self.ahead: tuple[tuple[int, ...], LPResult] | None = None  # the rounded root's cell
+        self.infeasible_leaf = False
+
+    def run(self) -> tuple[float, tuple[int, ...], LPResult] | None:
+        bound = None
+        if len(self.own) >= 2:
+            infeasible, bound = self.relax(self.own)
+            if infeasible:
+                return None
+            if bound is not None and np.all((bound[1] == 0.0) | (bound[1] == 1.0)):
+                self.solve_ahead(bound[1])
+        self.node(0, bound)
+        return self.best
+
+    def relax(self, free: list[int]) -> tuple[bool, Bound | None]:
+        """(infeasible, bound) of the relaxation freeing ``free`` below the
+        current cell; the bound is None unless the relaxation is optimal."""
+        try:
+            outcome = solve_lp(build_lp(self.program, self.cell, self.agent, self.prices, free))
+        except NumericalFailure:
+            return False, None
+        if outcome.status != "optimal":
+            return outcome.status == "infeasible", None
+        return False, (outcome.objective, outcome.x[-len(free):])
+
+    def solve_ahead(self, relaxed: np.ndarray) -> None:
+        """Solve the cell the integral root relaxation names, for a first
+        reference; a failure or a non-optimal status is left for the search."""
+        cell = list(self.cell)
+        for b, value in zip(self.own, relaxed):
+            cell[b] = int(value)
+        try:
+            outcome = solve_lp(build_lp(self.program, cell, self.agent, self.prices))
+        except NumericalFailure:
+            return
+        if outcome.status == "optimal":
+            self.ahead, self.reference = (tuple(cell), outcome), outcome.objective
+
+    def node(self, depth: int, bound: Bound | None) -> None:
+        """Search the cells below the first ``depth`` branches of ``self.cell``,
+        given the bound inherited from the nearest agreeing relaxation."""
+        free = self.own[depth:]
+        if bound is None and len(free) >= 2 and (
+                self.reference is not None or self.infeasible_leaf):
+            infeasible, bound = self.relax(free)
+            if infeasible:
+                return
+        reference = self.reference
+        if bound is not None and reference is not None and (
+                bound[0] < reference - PRUNE_MARGIN * max(1.0, abs(reference))):
+            return
+        if not free:
+            self.leaf()
+            return
+        for value in (0, 1):
+            self.cell[free[0]] = value
+            agrees = bound is not None and bound[1][0] == value
+            self.node(depth + 1, (bound[0], bound[1][1:]) if agrees else None)
+        self.cell[free[0]] = 0
+
+    def leaf(self) -> None:
+        cell = tuple(self.cell)
+        if self.ahead is not None and self.ahead[0] == cell:
+            outcome = self.ahead[1]
+        else:
+            lp = build_lp(self.program, self.cell, self.agent, self.prices)
+            try:
+                outcome = solve_lp(lp)
+                if outcome.status == "unbounded":
+                    raise Unbounded("the objective is unbounded")
+            except (NumericalFailure, Unbounded) as exc:
+                owner = ("welfare" if self.agent is None
+                         else f"agent {self.program.bids[self.agent].agent_id!r}")
+                m, n = lp.matrix.shape
+                raise type(exc)(f"cell {cell}, {owner} LP {m}x{n}: {exc}") from exc
+        if outcome.status == "infeasible":
+            self.infeasible_leaf = True
+            return
+        value = outcome.objective
+        if self.reference is None or value > self.reference:
+            self.reference = value
+        if self.best is None or value > self.best[0]:
+            self.best = (value, cell, outcome)
+
+
 def _best_cell(
     program: WelfareProgram,
     agent: int | None = None,
@@ -150,58 +255,33 @@ def _best_cell(
     Searches every binary, or with ``agent`` set only that agent's own (the
     others stay 0), by depth-first branch and bound: branching in index
     order, 0 before 1, so cells are met in lexicographic order, and a cell
-    replaces the incumbent only when its value is strictly greater, so ties
-    keep the lex-smallest cell. A cell's value is its LP's optimum. A node
-    with two or more free binaries first solves its LP relaxation,
-    ``build_lp`` with those binaries ``free``. An infeasible relaxation prunes
-    the subtree, and so does an optimal one whose bound lies below the
-    incumbent by more than PRUNE_MARGIN relative; an unbounded one, or a
-    numerical failure, prunes nothing. A pruned cell could not have displaced
-    the incumbent, so the result is the one enumerating every cell gives. A numerical failure, or
-    an unbounded LP, in a cell is raised naming the cell, the LP and its size.
+    replaces the best only when its value is strictly greater, so ties keep
+    the lex-smallest cell. A cell's value is its LP's optimum. A node's
+    relaxation is ``build_lp`` with its free binaries ``free``; it solves one
+    only as follows.
+
+    1. With two or more binaries, the root relaxation is solved first; if it
+       is infeasible, no cell is feasible.
+    2. If its binaries are all exactly 0 or 1, that cell's LP is solved at
+       once. Its value is the first pruning reference, and its solution is
+       used when the search reaches the cell; a numerical failure or a
+       non-optimal status here is dropped, and the search meets it again.
+    3. A node inherits (value, relaxed binaries) from the nearest relaxation
+       above it whose relaxed binaries equal every branch taken since. That
+       relaxation's optimum is feasible below the node, so the value is the
+       node's own bound and no relaxation is solved.
+    4. Any other node with two or more free binaries solves its relaxation,
+       but only once a cell has been solved or a cell has proved infeasible.
+
+    An infeasible relaxation prunes the subtree, and so does a bound below
+    the greatest value of a solved cell by more than PRUNE_MARGIN relative;
+    an unbounded relaxation, or a numerical failure, prunes nothing. A pruned
+    cell's value is below a solved cell's, so it could not have won, and the
+    result is the one enumerating every cell gives. A numerical failure, or
+    an unbounded LP, in a cell met by the search is raised naming the cell,
+    the LP and its size.
     """
-    own = [b for b, (a, _) in enumerate(program.binaries) if agent is None or a == agent]
-    owner = "welfare" if agent is None else f"agent {program.bids[agent].agent_id!r}"
-    cell = [0] * len(program.binaries)
-    best = None
-
-    def solve_cell() -> None:
-        nonlocal best
-        lp = build_lp(program, cell, agent, prices)
-        try:
-            outcome = solve_lp(lp)
-            if outcome.status == "unbounded":
-                raise Unbounded("the objective is unbounded")
-        except (NumericalFailure, Unbounded) as exc:
-            m, n = lp.matrix.shape
-            raise type(exc)(f"cell {tuple(cell)}, {owner} LP {m}x{n}: {exc}") from exc
-        if outcome.status != "optimal":
-            return
-        if best is None or outcome.objective > best[0]:
-            best = (outcome.objective, tuple(cell), outcome)
-
-    def pruned(free: list[int]) -> bool:
-        try:
-            outcome = solve_lp(build_lp(program, cell, agent, prices, free))
-        except NumericalFailure:
-            return False
-        if outcome.status == "infeasible":
-            return True
-        if outcome.status != "optimal" or best is None:
-            return False
-        return outcome.objective < best[0] - PRUNE_MARGIN * max(1.0, abs(best[0]))
-
-    def search(depth: int) -> None:
-        free = own[depth:]
-        if not free:
-            solve_cell()
-        elif len(free) < 2 or not pruned(free):
-            for value in (0, 1):
-                cell[free[0]] = value
-                search(depth + 1)
-            cell[free[0]] = 0
-
-    search(0)
+    best = _Search(program, agent, prices).run()
     if best is None:
         if agent is None:
             raise Infeasible("no binary assignment admits a feasible allocation")

@@ -49,6 +49,15 @@ def number(value) -> float:
     return float(value)
 
 
+def text(value) -> str:
+    """A name or label read from a JSON file. Any other value, a number or a
+    list included, is a TypeError, which ``reading`` reports as a malformed
+    file."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 def numbers(value):
     """``number`` applied to each entry of a list, nested to any depth."""
     return [numbers(v) for v in value] if isinstance(value, list) else number(value)

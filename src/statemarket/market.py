@@ -24,6 +24,7 @@ from .errors import (
     number,
     numbers,
     reading,
+    text,
 )
 
 Coord = tuple[int, int, int]  # (node, period, state)
@@ -557,8 +558,8 @@ def _utility_from_json(entry: dict) -> tuple[Coord, PiecewiseUtility]:
 
 def _constraint_from_json(entry: dict) -> LinkingConstraint:
     x_terms = tuple((_coord(t), number(t["coeff"])) for t in entry.get("x", []))
-    z_terms = tuple((str(t["name"]), number(t["coeff"])) for t in entry.get("z", []))
-    return LinkingConstraint(x_terms, z_terms, entry["sense"], number(entry["rhs"]))
+    z_terms = tuple((text(t["name"]), number(t["coeff"])) for t in entry.get("z", []))
+    return LinkingConstraint(x_terms, z_terms, text(entry["sense"]), number(entry["rhs"]))
 
 
 def load_bids_json(path: str | Path) -> tuple[list[AgentBid], MarketDimensions]:
@@ -566,11 +567,13 @@ def load_bids_json(path: str | Path) -> tuple[list[AgentBid], MarketDimensions]:
     with reading(path, "bid") as payload:
         dims_entry = payload.get("dimensions", {})
         labels = payload.get("state_labels")
+        if not isinstance(labels, (list, type(None))):
+            raise TypeError(f"expected a list of state labels, got {labels!r}")
         dims = MarketDimensions(
             nodes=_index(dims_entry.get("nodes", 1)),
             periods=_index(dims_entry.get("periods", 1)),
             states=_index(dims_entry["states"]),
-            state_labels=tuple(labels) if labels else None,
+            state_labels=tuple(map(text, labels)) if labels else None,
         )
         bids = []
         for agent in payload.get("agents", []):
@@ -582,8 +585,8 @@ def load_bids_json(path: str | Path) -> tuple[list[AgentBid], MarketDimensions]:
                 utilities[coord] = piece
             decisions = tuple(
                 Decision(
-                    name=str(d["name"]),
-                    kind=str(d.get("kind", "continuous")),
+                    name=text(d["name"]),
+                    kind=text(d.get("kind", "continuous")),
                     lower=number(d.get("lower", 0.0)),
                     upper=number(d.get("upper", 1.0)),
                     utility_coeff=number(d.get("utility_coeff", 0.0)),
@@ -595,9 +598,9 @@ def load_bids_json(path: str | Path) -> tuple[list[AgentBid], MarketDimensions]:
             )
             bids.append(
                 AgentBid(
-                    agent_id=str(agent["id"]),
+                    agent_id=text(agent["id"]),
                     beliefs=np.asarray(numbers(agent["beliefs"]), dtype=float),
-                    risk=str(agent.get("risk", "expectation")),
+                    risk=text(agent.get("risk", "expectation")),
                     utilities=utilities,
                     decisions=decisions,
                     constraints=constraints,

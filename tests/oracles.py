@@ -259,3 +259,13 @@ def best_cell_by_enumeration(program, agent=None, prices=None):
             raise Infeasible("no binary assignment admits a feasible allocation")
         raise Infeasible(f"agent {program.bids[agent].agent_id!r} has no feasible position")
     return best
+
+
+def assert_same_search(found, expected):
+    """A search's (value, cell, LPResult) equals the oracle's bit for bit."""
+    assert found[0] == expected[0]
+    assert found[1] == expected[1]
+    for name in ("status", "objective", "iterations"):
+        assert getattr(found[2], name) == getattr(expected[2], name)
+    for name in ("x", "duals", "reduced_costs"):
+        assert np.array_equal(getattr(found[2], name), getattr(expected[2], name))

@@ -2,14 +2,16 @@
 
 ``_best_cell`` must pick the cell that solving every cell in lexicographic
 order picks, with the same LP solution bit for bit, and raise the same error
-where enumeration raises one.
+where enumeration raises one. Its shortcuts (a bound inherited from an
+agreeing relaxation, the rounded root's cell solved ahead) are checked
+against what they stand for, and its LP counts are pinned.
 """
 
 import numpy as np
 import pytest
 
 from statemarket.clearing import clear, core
-from statemarket.clearing.core import _best_cell
+from statemarket.clearing.core import PRUNE_MARGIN, _best_cell
 from statemarket.errors import Infeasible, NumericalFailure, Unbounded
 from statemarket.market import ContractGrid, assemble_welfare
 
@@ -20,7 +22,7 @@ from instances import (
     random_convex_market,
     unbounded_commitment_market,
 )
-from oracles import best_cell_by_enumeration
+from oracles import assert_same_search, best_cell_by_enumeration
 
 
 def _binaries(market) -> int:
@@ -29,7 +31,7 @@ def _binaries(market) -> int:
 
 # the oracle solves 2^B LPs per search, so the corpus keeps B <= 6
 MARKETS = {
-    **{f"random_{seed}": random_commitment_market(seed) for seed in range(30)
+    **{f"random_{seed}": random_commitment_market(seed) for seed in range(70)
        if _binaries(random_commitment_market(seed)) <= 6},
     **{f"fixture_{risk}": commitment_bids(risk) for risk in ("expectation", "worst_case")},
 }
@@ -42,21 +44,12 @@ def searches(program):
     return [(None, None), *((a, prices) for a in range(len(program.bids)))]
 
 
-def assert_same(found, expected):
-    assert found[0] == expected[0]
-    assert found[1] == expected[1]
-    for name in ("status", "objective", "iterations"):
-        assert getattr(found[2], name) == getattr(expected[2], name)
-    for name in ("x", "duals", "reduced_costs"):
-        assert np.array_equal(getattr(found[2], name), getattr(expected[2], name))
-
-
 @pytest.mark.parametrize("market", MARKETS.values(), ids=MARKETS.keys())
 def test_search_picks_the_enumerated_cell(market):
     program = assemble_welfare(*market)
     for agent, prices in searches(program):
-        assert_same(_best_cell(program, agent, prices),
-                    best_cell_by_enumeration(program, agent, prices))
+        assert_same_search(_best_cell(program, agent, prices),
+                           best_cell_by_enumeration(program, agent, prices))
 
 
 @pytest.mark.parametrize(
@@ -128,7 +121,107 @@ def test_a_relaxation_that_fails_numerically_prunes_nothing(monkeypatch):
     found = _best_cell(program)
     assert relaxations
     assert len(leaves) == 2 ** len(program.binaries)
-    assert_same(found, expected)
+    assert_same_search(found, expected)
+
+
+def test_an_inherited_bound_is_the_nodes_own_relaxation(monkeypatch):
+    """Each node handed a bound would have solved a relaxation (a cell's LP at
+    a leaf) whose optimum is that bound, within PRUNE_MARGIN relative."""
+    node = core._Search.node
+    inherited = []
+
+    def check_bound(search, depth, bound):
+        if bound is not None:
+            lp = core.build_lp(search.program, search.cell, search.agent, search.prices,
+                               search.own[depth:])
+            own = core.solve_lp(lp)
+            assert own.status == "optimal"
+            assert abs(own.objective - bound[0]) <= PRUNE_MARGIN * max(1.0, abs(bound[0]))
+            inherited.append(depth > 0)
+        return node(search, depth, bound)
+
+    monkeypatch.setattr(core._Search, "node", check_bound)
+    for market in MARKETS.values():
+        program = assemble_welfare(*market)
+        for agent, prices in searches(program):
+            _best_cell(program, agent, prices)
+    assert sum(inherited) > 100
+
+
+def _outcome(find, *args):
+    try:
+        return find(*args)
+    except (Infeasible, NumericalFailure, Unbounded) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_a_rounded_root_cell_that_fails_is_left_to_the_search(monkeypatch):
+    """A numerical failure on the first solve of the integral root
+    relaxation's cell is not raised: the search still ends as enumeration
+    does, errors coming only from a cell the search meets."""
+    expected = {}  # searches over two or more binaries, which have a root relaxation
+    for name, market in MARKETS.items():
+        program = assemble_welfare(*market)
+        for agent, prices in searches(program):
+            if sum(agent is None or a == agent for a, _ in program.binaries) >= 2:
+                expected[name, agent] = (
+                    program, prices, _outcome(best_cell_by_enumeration, program, agent, prices))
+    build, solve = core.build_lp, core.solve_lp
+    built, root, failed = {}, {}, []
+
+    def build_and_record(program, cell, agent=None, prices=None, free=()):
+        lp = build(program, cell, agent, prices, free)
+        built[id(lp)] = (lp, tuple(cell), list(free))  # lp held, so its id stays unique
+        return lp
+
+    def fail_on_the_rounded_cell(lp):
+        _, cell, free = built[id(lp)]
+        if free and not root:  # a search's first relaxation is its root's
+            outcome = solve(lp)
+            root["cell"] = None
+            if outcome.status == "optimal" and set(outcome.x[-len(free):]) <= {0.0, 1.0}:
+                rounded = list(cell)
+                for b, value in zip(free, outcome.x[-len(free):]):
+                    rounded[b] = int(value)
+                root["cell"] = tuple(rounded)
+            return outcome
+        if not free and cell == root.get("cell"):
+            root["cell"] = None
+            failed.append(cell)
+            raise NumericalFailure("singular basis: test")
+        return solve(lp)
+
+    monkeypatch.setattr(core, "build_lp", build_and_record)
+    monkeypatch.setattr(core, "solve_lp", fail_on_the_rounded_cell)
+    for (name, agent), (program, prices, enumerated) in expected.items():
+        root.clear()
+        found = _outcome(_best_cell, program, agent, prices)
+        if isinstance(enumerated, str):
+            assert found == enumerated
+        else:
+            assert_same_search(found, enumerated)
+    assert len(failed) >= 20
+
+
+def test_an_infeasible_market_is_proved_by_its_root_relaxation(monkeypatch):
+    calls = lps_solved(monkeypatch)
+    for seed in range(10):
+        program = assemble_welfare(*infeasible_commitment_market(seed))
+        with pytest.raises(Infeasible):
+            clear(program)
+        (root,) = calls  # the relaxation freeing every binary
+        assert root.num_vars == program.objective.size + len(program.binaries)
+        calls.clear()
+
+
+def test_clearing_the_random_corpus_solves_fewer_lps(monkeypatch):
+    """Welfare and verification searches over ``random_commitment_market``
+    seeds 0-69: 2 892 LPs before the root relaxation came first and bounds
+    were inherited, 2 505 since."""
+    calls = lps_solved(monkeypatch)
+    for seed in range(70):
+        clear(assemble_welfare(*random_commitment_market(seed)))
+    assert len(calls) <= 2505
 
 
 @pytest.mark.parametrize(

@@ -655,6 +655,14 @@ def _spoil_objective_and_center(payload):
         ("partition", _partition(lambda p: p["distances"].__setitem__(0, True))),
         ("partition", _partition(lambda p: p.update(lower_bound=str(p["lower_bound"])))),
         ("clear", _price_bids(lambda p: p["agents"][2]["constraints"][1].update(rhs=10**400))),
+        ("clear", _price_bids(lambda p: p["agents"][1].update(id=7))),
+        ("clear", _price_bids(lambda p: p["agents"][1].update(risk=0))),
+        ("clear", _price_bids(lambda p: p["agents"][2]["decisions"][0].update(name=3))),
+        ("clear", _price_bids(lambda p: p["agents"][2]["decisions"][0].update(kind=["binary"]))),
+        ("clear", _price_bids(lambda p: p["agents"][2]["constraints"][0]["z"][0].update(name=3))),
+        ("clear", _price_bids(lambda p: p["agents"][2]["constraints"][0].update(sense=None))),
+        ("clear", _price_bids(lambda p: p.update(state_labels=[1, 2]))),
+        ("clear", _price_bids(lambda p: p.update(state_labels="ab"))),
     ],
     ids=["bids_without_dimensions", "bids_not_json", "bids_top_level_array",
          "utility_point_with_one_number", "sweep_entry_without_result",
@@ -668,7 +676,10 @@ def _spoil_objective_and_center(payload):
          "payments_prices_a_string_and_a_boolean", "payments_position_a_string",
          "partition_objective_and_center_strings", "partition_weight_a_string",
          "partition_point_a_string", "partition_distance_a_boolean",
-         "partition_lower_bound_a_string", "constraint_rhs_too_large_for_a_float"],
+         "partition_lower_bound_a_string", "constraint_rhs_too_large_for_a_float",
+         "agent_id_a_number", "risk_a_number", "decision_name_a_number",
+         "decision_kind_a_list", "z_term_name_a_number", "constraint_sense_null",
+         "state_labels_numbers", "state_labels_a_string"],
 )
 def test_malformed_input_file_exits_1_naming_it(tmp_path, capsys, command, content):
     out = tmp_path / "out"

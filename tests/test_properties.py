@@ -4,9 +4,12 @@ Markets mix expectation and worst-case agents, single-breakpoint (pinned)
 quantities, linking constraints with non-zero lower ends, and up to three
 binary commitments over two agents, so every substitution of
 ``lower + sum(delta)`` into a row is exercised, and the branch and bound over
-commitments meets both the welfare and an agent's own search.
+commitments meets both the welfare and an agent's own search. Commitment
+markets of up to five binaries, with exact twins, check every search against
+cell enumeration bit for bit.
 """
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -27,7 +30,7 @@ from statemarket.market import (
     valuation,
 )
 
-from oracles import best_cell_by_enumeration
+from oracles import assert_same_search, best_cell_by_enumeration
 
 
 @st.composite
@@ -115,6 +118,56 @@ def markets(draw):
     return bids, dims
 
 
+@st.composite
+def thermal_unit(draw, agent_id, states, boost):
+    """Binary "on": off, or output between lo and hi at a marginal and a fixed
+    cost. With ``boost``, a second binary that needs "on" adds capacity."""
+    lo = draw(st.floats(2.0, 10.0))
+    hi = lo + draw(st.floats(0.0, 10.0))
+    extra = draw(st.floats(1.0, 8.0)) if boost else 0.0
+    marginal = draw(st.floats(10.0, 60.0))
+    decisions = [Decision("on", "binary", utility_coeff=-draw(st.floats(0.0, 300.0)))]
+    z_terms = [("on", hi)]
+    constraints = []
+    if boost:
+        decisions.append(Decision("boost", "binary", utility_coeff=-draw(st.floats(0.0, 150.0))))
+        z_terms.append(("boost", extra))
+        constraints.append(LinkingConstraint((), (("boost", 1.0), ("on", -1.0)), "<=", 0.0))
+    utilities = {}
+    for s in range(states):
+        coord = (0, 0, s)
+        utilities[coord] = PiecewiseUtility([-(hi + extra), 0.0], [-marginal * (hi + extra), 0.0])
+        constraints.append(LinkingConstraint(((coord, 1.0),), (("on", lo),), "<=", 0.0))
+        constraints.append(LinkingConstraint(((coord, 1.0),), tuple(z_terms), ">=", 0.0))
+    risk = draw(st.sampled_from(["expectation", "worst_case"]))
+    return AgentBid(agent_id, draw(beliefs(states)), risk, utilities, tuple(decisions),
+                    tuple(constraints))
+
+
+@st.composite
+def commitment_markets(draw):
+    """One to four thermal units, some exact twins of the unit before (so
+    cells tie), the last maybe boosted, so five binaries at most, against one
+    or two consumers and maybe a producer; 1 node, 1 period, 1-3 states.
+    Every unit off is feasible."""
+    states = draw(st.integers(1, 3))
+    dims = MarketDimensions(1, 1, states)
+    coords = list(dims.coordinates())
+    units = draw(st.integers(1, 4))
+    bids = []
+    for u in range(units):
+        last = u == units - 1
+        if bids and not last and draw(st.booleans()):
+            bids.append(replace(bids[-1], agent_id=f"unit_{u}"))
+        else:
+            bids.append(draw(thermal_unit(f"unit_{u}", states, last and draw(st.booleans()))))
+    sides = [1] * draw(st.integers(1, 2)) + [-1] * draw(st.integers(0, 1))
+    for i, sign in enumerate(sides):
+        bids.append(AgentBid(f"convex_{i}", draw(beliefs(states)), "expectation",
+                             utilities={c: draw(convex_piece(sign)) for c in coords}))
+    return bids, dims
+
+
 def value_through_valuation(program, found, agent=None, prices=None):
     """A search's value rebuilt from its LP solution: the sum of the agents'
     valuations, or one agent's valuation less its payment at ``prices``."""
@@ -178,3 +231,13 @@ def test_welfare_is_the_sum_of_valuations_at_the_allocation(market):
         assert np.array_equal(found[2].x, expected[2].x)
         assert np.array_equal(found[2].duals, expected[2].duals)
 
+
+@settings(max_examples=40, deadline=None)
+@given(commitment_markets())
+def test_every_search_picks_the_enumerated_cell(market):
+    program = assemble_welfare(*market)
+    assert len(program.binaries) <= 5
+    prices = clear(program).prices
+    for agent, at in [(None, None), *((a, prices) for a in range(len(program.bids)))]:
+        assert_same_search(_best_cell(program, agent, at),
+                           best_cell_by_enumeration(program, agent, at))
