@@ -1,11 +1,32 @@
 """Dense bounded-variable two-phase primal simplex.
 
 Small, deterministic LP solver used for welfare maximization and price
-extraction. Bland's rule (smallest eligible index enters; smallest index
-among minimum-ratio candidates leaves) guarantees termination and makes
-results reproducible bit for bit. Row duals are reported in the user's
-optimization sense, i.e. as the derivative of the optimal objective with
-respect to the row right-hand side.
+extraction. Row duals are reported in the user's optimization sense, i.e. as
+the derivative of the optimal objective with respect to the row right-hand
+side.
+
+A nonbasic column scores sign * reduced cost (see ``improving`` below), or
+|reduced cost| if it is free, and is eligible when its score exceeds the
+tolerance. The column with the largest score enters (Dantzig 1963). Scores
+within the tolerance of the largest tie, and the smallest index among them
+enters, so the last bits of a reduced cost do not choose the pivot. After
+DEGENERATE_LIMIT basis changes in a row with a zero step (at most PIVOT_TOL)
+the smallest eligible index enters instead (Bland 1977), until a pivot or a
+bound flip moves by a positive step; each phase starts on the largest score.
+The smallest index among the minimum-ratio candidates always leaves. No
+pivot makes the objective worse and a positive step makes it better, so a
+basis can recur only within a run of zero steps, and such a run is under
+Bland's rule after its first DEGENERATE_LIMIT pivots, which cannot cycle:
+every phase ends. The largest score alone does cycle on Chvatal's example
+(Linear Programming, 1983), which the tests keep.
+
+A structural column that meets no row keeps its cost as its reduced cost at
+every basis, and no basic column blocks it. Phase 1 never moves it (its
+phase-1 cost is zero); after phase 1 has proved the LP feasible, each such
+column with an eligible cost is put at its better bound at once, and the LP
+is unbounded if that bound is infinite. A bound flip changes neither the
+basis nor the basic values, so under Bland's rule this gives the bits that
+flipping the columns one pivot at a time gives.
 
 Phase 1 starts from one artificial per row. After it the artificials are
 pinned at zero and those still basic are driven out: one transposed basis
@@ -24,18 +45,17 @@ duals and reduced costs come from one fresh solve on the final basis.
 Designed for desk-scale instances (tens of rows).
 
 Each column's state is held once: set from the bounds at the start, then
-updated in place by every pivot and by the hand-over to phase 2. A basic
-column has a position in ``basis``, an index array, and holds 0 in
-``nonbasic``. A nonbasic column holds there the finite bound it sits at (at
-first its lower bound if finite, else its upper), or 0 if it is free, which
-``free`` then marks. ``improving`` holds its sign: -1 at its lower bound, +1
-at its upper, 0 if basic or fixed, so a column is eligible when sign *
-reduced cost exceeds the tolerance. Each phase copies the bounds into Python
-float lists for the ratio test, a sequential scan in Python that at tens of
-rows is faster than a vectorised one. Signs and values are exact, negation
-is exact, and Python floats round as numpy's do, so the pivots and every bit
-of the result are those of recomputing the state from the bounds and the
-basis at each pivot.
+updated in place by every pivot, by the hand-over to phase 2 and by the
+setting of the columns that meet no row. A basic column has a position in
+``basis``, an index array, and holds 0 in ``nonbasic``. A nonbasic column
+holds there the finite bound it sits at (at first its lower bound if finite,
+else its upper), or 0 if it is free, which ``free`` then marks.
+``improving`` holds its sign: -1 at its lower bound, +1 at its upper, 0 if
+basic or fixed. Each phase copies the bounds into Python float lists for the
+ratio test, a sequential scan in Python that at tens of rows is faster than
+a vectorised one. Signs and values are exact, negation is exact, and Python
+floats round as numpy's do, so the pivots and every bit of the result are
+those of recomputing the state from the bounds and the basis at each pivot.
 """
 
 from __future__ import annotations
@@ -50,6 +70,7 @@ from ..errors import NumericalFailure
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 REFACTOR_EVERY = 50  # basis changes between fresh inversions
+DEGENERATE_LIMIT = 3  # zero-step basis changes in a row before Bland's rule
 
 
 @dataclass(frozen=True)
@@ -205,6 +226,29 @@ class _Simplex:
         if self.free is not None and not self.free.any():
             self.free = None
 
+    def _score(self, reduced: np.ndarray) -> np.ndarray:
+        """Each column's gain per unit step, as the module docstring defines it."""
+        score = self.improving * reduced
+        if self.free is not None:
+            score[self.free] = np.abs(reduced[self.free])
+        return score
+
+    def set_rowless(self, cost: np.ndarray) -> bool:
+        """Put each structural column that meets no row and has an eligible
+        cost at its better bound; False if that bound is infinite."""
+        n = self.n_struct
+        rowless = ~self.A[:, :n].any(axis=0)
+        moving = np.flatnonzero(rowless & (self._score(cost)[:n] > PIVOT_TOL * self.scale))
+        if not moving.size:
+            return True
+        to_upper = cost[moving] < 0
+        target = np.where(to_upper, self.upper[moving], self.lower[moving])
+        if not np.all(np.isfinite(target)):
+            return False
+        self.nonbasic[moving] = target
+        self.improving[moving] = np.where(to_upper, 1.0, -1.0)
+        return True
+
     def run(self, cost: np.ndarray) -> str:
         """Minimize cost over the current basis; returns 'optimal' or 'unbounded'.
 
@@ -216,6 +260,7 @@ class _Simplex:
         self.lower_list = self.lower.tolist()
         self.upper_list = self.upper.tolist()
         limit = 200 * (self.total + 1)
+        self.degenerate = 0  # zero-step basis changes since the last positive step
         self._refactor()
         for _ in range(limit):
             self.iterations += 1
@@ -228,16 +273,17 @@ class _Simplex:
         raise NumericalFailure(f"simplex exceeded {limit} iterations in phase {self.phase}")
 
     def _pivot(self, cost: np.ndarray, tol: float, movable: np.ndarray) -> str | None:
-        """One Bland pivot or bound flip; returns a verdict instead when no pivot exists."""
+        """One pivot or bound flip; returns a verdict instead when no pivot exists."""
         y = cost[self.basis] @ self.Binv
         reduced = cost - self.A.T @ y  # a transposed copy may change BLAS's summation order
-        eligible = self.improving * reduced > tol
-        if self.free is not None:
-            eligible |= self.free & (np.abs(reduced) > tol)
-        candidates = eligible.nonzero()[0]
-        if not candidates.size:
+        score = self._score(reduced)
+        if not score.size:  # an LP without variables or rows
             return "optimal"
-        entering = int(candidates[0])
+        best = score.item(score.argmax())  # a Python float: cheaper arithmetic below
+        if best <= tol:
+            return "optimal"
+        floor = tol if self.degenerate >= DEGENERATE_LIMIT else max(best - tol, tol)
+        entering = int((score > floor).argmax())  # the smallest index above the floor
         direction = 1.0 if reduced[entering] < 0 else -1.0
 
         x_basic = (self.Binv @ (self.b - self.A @ self.nonbasic)).tolist()
@@ -273,10 +319,12 @@ class _Simplex:
 
         if leaving_pos < 0:
             # entering runs bound to bound without blocking any basic var
+            self.degenerate = 0
             to_upper = direction > 0
             self.improving[entering] = 1.0 if to_upper else -1.0
             self.nonbasic[entering] = upper[entering] if to_upper else lower[entering]
             return None
+        self.degenerate = 0 if best_delta > PIVOT_TOL else self.degenerate + 1
         self._enter(leaving_pos, entering)
         if movable[leaving_col]:
             self.improving[leaving_col] = 1.0 if hit_upper else -1.0
@@ -296,12 +344,15 @@ def solve_lp(lp: LinearProgram) -> LPResult:
 
     Two phases: phase 1 minimizes the sum of the artificials; the simplex
     then hands over to phase 2, pinning them at zero and driving them out of
-    the basis, and phase 2 optimizes the user's objective. Each phase may take
-    ``200 * (columns + 1)`` pivots; exceeding that raises NumericalFailure
-    naming the phase. The reported objective is c'x + constant. Duals follow
-    the user's sense (derivative of the optimum w.r.t. the row rhs);
-    complementary slackness is verified to FEAS_TOL before returning. Raises
-    NumericalFailure instead of returning silently wrong answers.
+    the basis, and phase 2 optimizes the user's objective; in between, the
+    columns that meet no row are set at their better bounds. Each phase may
+    take ``200 * (columns + 1)`` pivots; exceeding that raises NumericalFailure
+    naming the phase. ``iterations`` counts each phase's pivots, bound flips
+    and final pricing, but not the setting of the columns that meet no row.
+    The reported objective is c'x + constant. Duals follow the user's sense
+    (derivative of the optimum w.r.t. the row rhs); complementary slackness
+    is verified to FEAS_TOL before returning. Raises NumericalFailure instead
+    of returning silently wrong answers.
     """
     state = _Simplex(lp)
     n, m = state.n_struct, state.m
@@ -318,7 +369,7 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     sign = -1.0 if lp.sense == "max" else 1.0
     cost = np.zeros(state.total)
     cost[:n] = sign * lp.objective
-    status = state.run(cost)
+    status = state.run(cost) if state.set_rowless(cost) else "unbounded"
     if status == "unbounded":
         return LPResult("unbounded", None, None, None, None, state.iterations)
 

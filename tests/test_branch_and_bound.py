@@ -217,11 +217,12 @@ def test_an_infeasible_market_is_proved_by_its_root_relaxation(monkeypatch):
 def test_clearing_the_random_corpus_solves_fewer_lps(monkeypatch):
     """Welfare and verification searches over ``random_commitment_market``
     seeds 0-69: 2 892 LPs before the root relaxation came first and bounds
-    were inherited, 2 505 since."""
+    were inherited, 2 505 after, and 2 488 since the simplex enters by the
+    largest score."""
     calls = lps_solved(monkeypatch)
     for seed in range(70):
         clear(assemble_welfare(*random_commitment_market(seed)))
-    assert len(calls) <= 2505
+    assert len(calls) <= 2488
 
 
 @pytest.mark.parametrize(

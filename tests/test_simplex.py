@@ -1,6 +1,7 @@
 """LP solver: golden duals, oracle cross-checks (vertex enumeration, the
 refactor-every-pivot loop, HiGHS), degeneracy, status detection."""
 
+import math
 import re
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from statemarket.clearing import LinearProgram, solve_lp
 from statemarket.clearing import simplex
-from statemarket.clearing.simplex import PIVOT_TOL, REFACTOR_EVERY
+from statemarket.clearing.simplex import DEGENERATE_LIMIT, PIVOT_TOL, REFACTOR_EVERY
 from statemarket.errors import NumericalFailure
 from statemarket.market import MarketDimensions, assemble_welfare
 from statemarket.clearing.core import build_lp, clear
@@ -246,10 +247,13 @@ def refactoring_run(self, cost):
     for bit whenever both take the same pivots. It reads a column's bound
     status from its value against its bounds and from basis membership, and
     keeps only ``basis`` and ``nonbasic`` current, never ``improving`` or
-    ``free``."""
+    ``free``. It enters by the same rule: the smallest index whose score is
+    within tol of the largest, or the smallest eligible index once
+    DEGENERATE_LIMIT basis changes in a row have had a zero step."""
     tol = PIVOT_TOL * self.scale
     movable = ~(self.upper - self.lower <= 0.0)
     limit = 200 * (self.total + 1)
+    degenerate = 0
     for _ in range(limit):
         self.iterations += 1
         y = self._solve_basis(cost[self.basis], transpose=True)
@@ -259,14 +263,12 @@ def refactoring_run(self, cost):
         at_lower = nonbasic & (self.nonbasic == self.lower)
         at_upper = nonbasic & (self.nonbasic == self.upper)
         free = nonbasic & np.isinf(self.lower) & np.isinf(self.upper)
-        eligible = movable & (
-            (at_lower & (reduced < -tol))
-            | (at_upper & (reduced > tol))
-            | (free & (np.abs(reduced) > tol))
-        )
-        if not eligible.any():
+        score = np.where(at_lower, -reduced, np.where(at_upper, reduced, 0.0))
+        score = np.where(movable, np.where(free, np.abs(reduced), score), 0.0)
+        if not np.any(score > tol):
             return "optimal"
-        entering = int(np.argmax(eligible))
+        floor = tol if degenerate >= DEGENERATE_LIMIT else max(score.max() - tol, tol)
+        entering = int(np.argmax(score > floor))
         direction = 1.0 if reduced[entering] < 0 else -1.0
 
         v = self.values()
@@ -301,7 +303,9 @@ def refactoring_run(self, cost):
             return "unbounded"
         if leaving_pos < 0:
             self.nonbasic[entering] = (self.upper if direction > 0 else self.lower)[entering]
+            degenerate = 0
             continue
+        degenerate = 0 if best_delta > PIVOT_TOL else degenerate + 1
         self.basis[leaving_pos] = entering
         self.nonbasic[entering] = 0.0
         self.nonbasic[leaving_col] = (self.upper if hit_upper else self.lower)[leaving_col]
@@ -358,7 +362,7 @@ def random_lp(rng, max_vars=8, max_rows=6):
                          np.array(rhs), sense)
 
 
-def long_lp(seed, rows=20, columns=40):
+def long_lp(seed, rows=50, columns=100):
     """Nonnegative columns without upper bounds, so no pivot is a bound flip.
     Seeds 0-2 each take more than 2 * REFACTOR_EVERY pivots."""
     rng = np.random.default_rng(seed)
@@ -446,7 +450,167 @@ def test_updated_inverse_matches_refactoring_loop_at_desk_scale():
     ]
     assert [lp.matrix.shape for lp in lps] == [(24, 194), (32, 512), (46, 45)]
     iterations = [assert_matches_refactoring_loop(lp).iterations for lp in lps]
-    assert iterations[1] == 838
+    assert iterations[1] == 534
+
+
+# --- entry rule: largest score, Bland after a degenerate run -----------------
+
+def chvatal_lp(row_scale=(1.0, 1.0)):
+    """Chvatal's cycling example (Linear Programming, 1983, ch. 3): max
+    10x1 - 57x2 - 9x3 - 24x4 over two rows through the origin, x1 <= 1 as a
+    bound, optimum 1 at x = (1, 0, 1, 0). Unscaled, phase 1 ends on x4 and
+    the second slack, and from there the largest-score rule alone runs round
+    Chvatal's cycle of six degenerate bases for good."""
+    matrix = np.array([[0.5, -5.5, -2.5, 9.0], [0.5, -1.5, -0.5, 1.0]])
+    return LinearProgram(np.array([10.0, -57.0, -9.0, -24.0]), np.zeros(4),
+                         np.array([1.0, np.inf, np.inf, np.inf]),
+                         matrix * np.array(row_scale)[:, None], np.array(["<=", "<="]),
+                         np.zeros(2))
+
+
+def test_the_fallback_ends_the_cycles_of_chvatals_example(monkeypatch):
+    result = solve_lp(chvatal_lp())
+    assert result.status == "optimal"
+    assert result.x.tolist() == [1.0, 0.0, 1.0, 0.0] and result.objective == 1.0
+    # the rows scaled by powers of two: the same polytope, other pivots
+    family = [chvatal_lp((2.0 ** i, 2.0 ** j)) for i in range(-3, 4) for j in range(-3, 4)]
+    for lp in family:
+        result = solve_lp(lp)
+        assert result.status == "optimal"
+        assert result.objective == pytest.approx(lp_vertex_oracle(lp), abs=1e-9)
+    monkeypatch.setattr(simplex, "DEGENERATE_LIMIT", 10**9)
+    with pytest.raises(NumericalFailure, match="exceeded .* in phase 2"):
+        solve_lp(chvatal_lp())
+    cycled = 0
+    for lp in family:
+        try:
+            solve_lp(lp)
+        except NumericalFailure:
+            cycled += 1
+    assert cycled >= 10
+
+
+def test_bland_enters_after_three_zero_steps_and_yields_after_a_positive_one(monkeypatch):
+    """Counts each phase's run of zero-step basis changes from the values
+    before and after each pivot, and checks the entering column against it:
+    the smallest eligible index after DEGENERATE_LIMIT of them, otherwise
+    the smallest index within tol of the largest score. The seed-83 corpus
+    rarely runs that long; the scaled copies of Chvatal's example always do."""
+    picks = []  # (rule that must pick, the picks differ, rule followed)
+    run = {"phase": None, "zero_steps": 0}  # holds the state, so no id is reused
+    pivot = simplex._Simplex._pivot
+
+    def spy(self, cost, tol, movable):
+        y = cost[self.basis] @ self.Binv
+        reduced = cost - self.A.T @ y
+        score = self.improving * reduced
+        if self.free is not None:
+            score[self.free] = np.abs(reduced[self.free])
+        eligible = np.flatnonzero(score > tol)
+        before, basis, nonbasic = self.values(), self.basis.copy(), self.nonbasic.copy()
+        verdict = pivot(self, cost, tol, movable)
+        if verdict is not None:
+            return verdict
+        changed = np.flatnonzero(basis != self.basis)
+        if changed.size:
+            entering = int(self.basis[changed[0]])
+            step = abs(self.values()[entering] - before[entering])
+        else:  # a bound flip runs the column's whole span
+            (entering,) = np.flatnonzero(nonbasic != self.nonbasic)
+            step = math.inf
+        if run["phase"] != (self, self.phase):
+            run.update(phase=(self, self.phase), zero_steps=0)
+        zero_steps = run["zero_steps"]
+        largest = int(eligible[score[eligible] > max(score.max() - tol, tol)][0])
+        bland = zero_steps >= DEGENERATE_LIMIT
+        picks.append((bland, largest != eligible[0],
+                      entering == (eligible[0] if bland else largest)))
+        run["zero_steps"] = zero_steps + 1 if changed.size and step <= PIVOT_TOL else 0
+        return None
+
+    monkeypatch.setattr(simplex._Simplex, "_pivot", spy)
+    rng = np.random.default_rng(83)
+    lps = [random_lp(rng) for _ in range(300)]
+    lps.append(LinearProgram(  # the LP of test_degenerate_lp_terminates
+        np.ones(2), np.zeros(2), np.full(2, np.inf),
+        np.array([[1.0, 1.0], [2.0, 2.0], [1.0, 2.0], [2.0, 1.0]]),
+        np.array(["<="] * 4), np.array([2.0, 4.0, 3.0, 3.0])))
+    lps += [chvatal_lp((2.0 ** i, 2.0 ** j)) for i in range(-3, 4) for j in range(-3, 4)]
+    for lp in lps:
+        solve_lp(lp)
+    assert all(followed for _, _, followed in picks)
+    # each rule is seen where it picks another column than the other would
+    assert sum(bland and differ for bland, differ, _ in picks) >= 20
+    assert sum(not bland and differ for bland, differ, _ in picks) >= 100
+    # and the largest-score rule comes back after a run ends
+    returned = [b0 and not b1 for (b0, _, _), (b1, _, _) in zip(picks, picks[1:])]
+    assert sum(returned) >= 20
+
+
+# --- columns that meet no row --------------------------------------------------
+
+def test_a_rowless_column_toward_infinity_is_unbounded_only_if_feasible():
+    # x0 meets no row and its cost improves toward +inf; x1 >= 2 beyond its bound
+    columns = dict(objective=np.array([1.0, 0.0]), lower=np.zeros(2),
+                   upper=np.array([np.inf, 1.0]), sense="max")
+    infeasible = LinearProgram(matrix=np.array([[0.0, 1.0]]), senses=np.array([">="]),
+                               rhs=np.array([2.0]), **columns)
+    assert solve_lp(infeasible).status == "infeasible"
+    without_the_row = LinearProgram(matrix=np.zeros((0, 2)), senses=np.zeros(0, dtype="U2"),
+                                    rhs=np.zeros(0), **columns)
+    assert solve_lp(without_the_row).status == "unbounded"
+
+
+def test_an_expectation_agents_best_response_takes_one_phase_2_iteration(monkeypatch):
+    phases = []
+    pivot = simplex._Simplex._pivot
+
+    def spy(self, cost, tol, movable):
+        phases.append(self.phase)
+        return pivot(self, cost, tol, movable)
+
+    program = assemble_welfare(*random_convex_market(1))
+    prices = clear(program).prices
+    monkeypatch.setattr(simplex._Simplex, "_pivot", spy)
+    checked = 0
+    for agent, bid in enumerate(program.bids):
+        lp = build_lp(program, [], agent, prices)
+        if bid.risk != "expectation" or lp.matrix.shape[0]:
+            continue
+        phases.clear()
+        result = solve_lp(lp)
+        assert result.status == "optimal" and result.iterations == 2
+        assert phases == [1, 2]
+        checked += 1
+    assert checked == 4
+
+
+def test_setting_rowless_columns_keeps_the_bits_of_the_bland_loop(monkeypatch):
+    """Bland's rule from the first pivot, with and without the row-less
+    columns set before phase 2, over random_lp draws that have a column
+    outside every row; LPs with no rows at all give the same bits under the
+    default rule too, as their phase 2 only prices."""
+    rng = np.random.default_rng(86)
+    lps = [lp for lp in (random_lp(rng) for _ in range(400)) if not np.all(lp.matrix.any(axis=0))]
+    lps += [random_lp(rng, max_rows=0) for _ in range(40)]
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex, "DEGENERATE_LIMIT", 0)
+        bland = [solve_lp(lp) for lp in lps]
+        patch.setattr(simplex._Simplex, "set_rowless", lambda self, cost: True)
+        one_flip_each = [solve_lp(lp) for lp in lps]
+    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    fewer_with_rows = 0
+    for lp, reference, flipped in zip(lps, bland, one_flip_each):
+        statuses[reference.status] += 1
+        has_rows = lp.matrix.shape[0] > 0
+        assert reference.iterations <= flipped.iterations
+        fewer_with_rows += has_rows and reference.iterations < flipped.iterations
+        for other in (flipped,) if has_rows else (flipped, solve_lp(lp)):
+            assert reference.status == other.status
+            for field in ("x", "duals", "reduced_costs"):
+                assert same_bits(getattr(reference, field), getattr(other, field)), field
+    assert min(statuses.values()) >= 10, statuses
+    assert fewer_with_rows >= 20
 
 
 def assert_column_state(state):
