@@ -8,7 +8,8 @@ side.
 A nonbasic column scores sign * reduced cost (see ``improving`` below), or
 |reduced cost| if it is free, and is eligible when its score exceeds the
 tolerance. The column with the largest score enters (Dantzig 1963). Scores
-within the tolerance of the largest tie, and the smallest index among them
+within the tolerance of the largest tie (within one unit in the last place
+of the largest, where that is wider), and the smallest index among them
 enters, so the last bits of a reduced cost do not choose the pivot. After
 DEGENERATE_LIMIT basis changes in a row with a zero step (at most PIVOT_TOL)
 the smallest eligible index enters instead (Bland 1977), until a pivot or a
@@ -186,6 +187,7 @@ class _Simplex:
         self.iterations = 0
         self.phase = 0  # 1 during phase 1, 2 during phase 2
         self.scale = max(1.0, float(np.max(np.abs(b))) if m else 1.0)
+        self.tol = PIVOT_TOL * self.scale  # a column is eligible if its score exceeds it
 
     def _solve_basis(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
         matrix = self.A[:, self.basis]
@@ -238,7 +240,7 @@ class _Simplex:
         cost at its better bound; False if that bound is infinite."""
         n = self.n_struct
         rowless = ~self.A[:, :n].any(axis=0)
-        moving = np.flatnonzero(rowless & (self._score(cost)[:n] > PIVOT_TOL * self.scale))
+        moving = np.flatnonzero(rowless & (self._score(cost)[:n] > self.tol))
         if not moving.size:
             return True
         to_upper = cost[moving] < 0
@@ -255,7 +257,7 @@ class _Simplex:
         Fixed variables (pinned artificials included) never enter.
         """
         self.phase += 1
-        tol = PIVOT_TOL * self.scale
+        tol = self.tol
         movable = self.lower < self.upper
         self.lower_list = self.lower.tolist()
         self.upper_list = self.upper.tolist()
@@ -282,7 +284,9 @@ class _Simplex:
         best = score.item(score.argmax())  # a Python float: cheaper arithmetic below
         if best <= tol:
             return "optimal"
-        floor = tol if self.degenerate >= DEGENERATE_LIMIT else max(best - tol, tol)
+        # below best even where best - tol rounds to best, so best clears it
+        window = max(tol, math.ulp(best))
+        floor = tol if self.degenerate >= DEGENERATE_LIMIT else max(best - window, tol)
         entering = int((score > floor).argmax())  # the smallest index above the floor
         direction = 1.0 if reduced[entering] < 0 else -1.0
 

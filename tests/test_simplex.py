@@ -248,8 +248,9 @@ def refactoring_run(self, cost):
     status from its value against its bounds and from basis membership, and
     keeps only ``basis`` and ``nonbasic`` current, never ``improving`` or
     ``free``. It enters by the same rule: the smallest index whose score is
-    within tol of the largest, or the smallest eligible index once
-    DEGENERATE_LIMIT basis changes in a row have had a zero step."""
+    within tol (or one ulp of the largest, if wider) of the largest, or the
+    smallest eligible index once DEGENERATE_LIMIT basis changes in a row
+    have had a zero step."""
     tol = PIVOT_TOL * self.scale
     movable = ~(self.upper - self.lower <= 0.0)
     limit = 200 * (self.total + 1)
@@ -267,7 +268,9 @@ def refactoring_run(self, cost):
         score = np.where(movable, np.where(free, np.abs(reduced), score), 0.0)
         if not np.any(score > tol):
             return "optimal"
-        floor = tol if degenerate >= DEGENERATE_LIMIT else max(score.max() - tol, tol)
+        best = score.max()
+        window = max(tol, math.ulp(best))
+        floor = tol if degenerate >= DEGENERATE_LIMIT else max(best - window, tol)
         entering = int(np.argmax(score > floor))
         direction = 1.0 if reduced[entering] < 0 else -1.0
 
@@ -490,6 +493,21 @@ def test_the_fallback_ends_the_cycles_of_chvatals_example(monkeypatch):
     assert cycled >= 10
 
 
+@pytest.mark.parametrize("cost", [0.0, -1.0], ids=["basic", "not_eligible"])
+@pytest.mark.parametrize("gain", [2e7, 1e300])
+def test_a_score_too_large_for_the_tie_window_still_enters(cost, gain):
+    """gain - tol rounds to gain, yet x2 must enter, not column 0: after
+    phase 1 column 0 is basic (cost 0, in the row) or sits at its lower
+    bound with a score below tol (cost -1, in no row), and entering it
+    would report an LP with optimum gain unbounded."""
+    row = [1.0, 1.0, 1.0] if cost == 0.0 else [0.0, 1.0, 1.0]
+    lp = LinearProgram(np.array([cost, 0.0, gain]), np.zeros(3), np.full(3, np.inf),
+                       np.array([row]), np.array(["<="]), np.ones(1))
+    result = assert_matches_refactoring_loop(lp)
+    assert result.status == "optimal"
+    assert result.x.tolist() == [0.0, 0.0, 1.0] and result.objective == gain
+
+
 def test_bland_enters_after_three_zero_steps_and_yields_after_a_positive_one(monkeypatch):
     """Counts each phase's run of zero-step basis changes from the values
     before and after each pivot, and checks the entering column against it:
@@ -521,7 +539,8 @@ def test_bland_enters_after_three_zero_steps_and_yields_after_a_positive_one(mon
         if run["phase"] != (self, self.phase):
             run.update(phase=(self, self.phase), zero_steps=0)
         zero_steps = run["zero_steps"]
-        largest = int(eligible[score[eligible] > max(score.max() - tol, tol)][0])
+        best = score.max()
+        largest = int(eligible[score[eligible] > max(best - max(tol, math.ulp(best)), tol)][0])
         bland = zero_steps >= DEGENERATE_LIMIT
         picks.append((bland, largest != eligible[0],
                       entering == (eligible[0] if bland else largest)))
