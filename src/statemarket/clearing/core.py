@@ -1,26 +1,16 @@
 """Welfare maximization, equilibrium prices, and property verification.
 
 Binary commitments (at most MAX_BINARIES) are cleared by an exact
-depth-first branch and bound (Land & Doig 1960). Each assignment of the
-binaries, a cell, yields an LP whose optimum, objective constant included,
-is the cell's welfare and whose balance-row duals are the candidate
-contract prices. The search branches on the binaries in index order, 0
-before 1, so it meets cells in lexicographic order. A node's relaxation is
-``build_lp(..., free)``, the same LP with its free binaries as [0, 1]
-columns, and the search solves only the relaxations it needs: the root's
-first, proving infeasibility at once; the cell the root's relaxed binaries
-name, when they are all exactly 0 or 1, for a first pruning reference; and
-none at a node whose branches all equal the relaxed binaries of the nearest
-relaxation above it, whose optimum is then the node's own bound. Other
-nodes with two or more free binaries solve theirs once some cell has been
-solved or has proved infeasible. A subtree is dropped when its relaxation is
-infeasible or its bound lies below a solved cell's value by more than
-PRUNE_MARGIN relative, so no dropped cell could have won. A cell wins only
-with a strictly greater welfare, so ties go to the lexicographically
-smallest binary vector, and the winner and its LP are those that enumerating
-every cell would give. For purely convex programs the outcome is a Walrasian
-equilibrium; with binaries the verification report surfaces any agent that
-could deviate profitably at the posted prices.
+depth-first branch and bound (Land & Doig 1960), whose rules ``_best_cell``
+states. Each assignment of the binaries, a cell, yields an LP whose optimum,
+objective constant included, is the cell's welfare and whose balance-row
+duals are the candidate contract prices. The search solves only the
+relaxations it needs and drops only subtrees in which no cell could have
+won, so the winner and its LP are those that enumerating every cell would
+give, ties going to the lexicographically smallest binary vector. For purely
+convex programs the outcome is a Walrasian equilibrium; with binaries the
+verification report surfaces any agent that could deviate profitably at the
+posted prices.
 """
 
 from __future__ import annotations
@@ -40,7 +30,7 @@ from ..market import (
     payment,
     valuation,
 )
-from .simplex import LinearProgram, LPResult, solve_lp
+from .simplex import PIVOT_TOL, LinearProgram, LPResult, solve_lp
 
 MAX_BINARIES = 20
 DEFAULT_TOL = 1e-6
@@ -293,8 +283,10 @@ def clear(program: WelfareProgram, tol: float = DEFAULT_TOL) -> ClearingResult:
     """Clear the market: welfare-optimal allocation, dual prices, verification.
 
     Prices are the balance-row duals of the winning fixed-commitment LP;
-    contracts nobody can trade are priced at zero. The verification report is
-    populated by re-solving each agent's best response at the posted prices.
+    contracts nobody can trade are priced at zero, and so is a dual within
+    PIVOT_TOL * max(1, max |objective coefficient|) of zero, which is the
+    simplex's rounding residue. The verification report is populated by
+    re-solving each agent's best response at the posted prices.
     """
     if len(program.binaries) > MAX_BINARIES:
         raise TooManyBinaries(f"{len(program.binaries)} binary decisions exceed the "
@@ -302,9 +294,11 @@ def clear(program: WelfareProgram, tol: float = DEFAULT_TOL) -> ClearingResult:
     welfare, cell, outcome = _best_cell(program)
     dims = program.dims
 
+    residue = PIVOT_TOL * float(np.max(np.abs(program.objective), initial=1.0))
     prices_grid = np.zeros(dims.shape)
     for coord, row_index in program.balance_rows.items():
-        prices_grid[coord] = outcome.duals[row_index] + 0.0  # drop negative zeros
+        dual = float(outcome.duals[row_index])
+        prices_grid[coord] = 0.0 if abs(dual) <= residue else dual
     prices = ContractGrid(prices_grid)
 
     allocations: dict[str, ContractGrid] = {}

@@ -1,9 +1,8 @@
 """Dense bounded-variable two-phase primal simplex.
 
-Small, deterministic LP solver used for welfare maximization and price
-extraction. Row duals are reported in the user's optimization sense, i.e. as
-the derivative of the optimal objective with respect to the row right-hand
-side.
+Small, deterministic LP solver for welfare maximization and price
+extraction. Row duals are reported in the user's optimization sense, as the
+derivative of the optimal objective with respect to the row's rhs.
 
 A nonbasic column scores sign * reduced cost (see ``improving`` below), or
 |reduced cost| if it is free, and is eligible when its score exceeds the
@@ -29,21 +28,23 @@ is unbounded if that bound is infinite. A bound flip changes neither the
 basis nor the basic values, so under Bland's rule this gives the bits that
 flipping the columns one pivot at a time gives.
 
-Phase 1 starts from one artificial per row. After it the artificials are
-pinned at zero and those still basic are driven out: one transposed basis
-solve gives that basis row of B^-1 A, and its first non-basic structural or
-slack column with an entry above 1e-7 takes the artificial's place (the
-row's own slack always qualifies in exact arithmetic, so a redundant
-equality row ends with its fixed slack basic).
+Phase 1 starts from one artificial per row, a diagonal basis of signs that
+is its own inverse. After it the artificials are pinned at zero and those
+still basic are driven out: the artificial's row of Binv A names its first
+non-basic structural or slack column with an entry above 1e-7, which takes
+its place (the row's own slack always qualifies in exact arithmetic, so a
+redundant equality row ends with its fixed slack basic).
 
-Each phase keeps an explicit basis inverse. It is inverted afresh at the
-phase start and after every REFACTOR_EVERY basis changes; in between, each
-basis change applies one rank-one (eta) update, and a bound flip applies
-none. An "optimal" or "unbounded" verdict reached on an updated inverse is
-checked again on a fresh one, and only a verdict on a fresh inverse is
-returned, so rounding drift cannot end a phase early. The reported values,
-duals and reduced costs come from one fresh solve on the final basis.
-Designed for desk-scale instances (tens of rows).
+``Binv`` is the basis inverse from start to end. Every basis change, pivot
+or drive-out, is one rank-one (eta) update in ``_replace`` (Dantzig &
+Orchard-Hays 1954); a bound flip applies none. It is inverted afresh after
+every REFACTOR_EVERY basis changes and at the end of the hand-over, so phase
+2 starts on a fresh inverse however small a drive-out's pivot; no phase
+starts by inverting. A verdict ("optimal" or "unbounded") reached on an
+updated inverse is checked again on a fresh one, and only a verdict on a
+fresh inverse is returned, so rounding drift cannot end a phase early. The
+reported values, duals and reduced costs come from one fresh solve on the
+final basis. Designed for desk-scale instances (tens of rows).
 
 Each column's state is held once: set from the bounds at the start, then
 updated in place by every pivot, by the hand-over to phase 2 and by the
@@ -151,12 +152,8 @@ class LPResult:
 
 
 class _Simplex:
-    """Computational form: minimize c'v, A v = b, lo <= v <= hi.
-
-    Columns are ordered structural, slack, artificial. Artificials carry the
-    initial basis; after phase 1 ``hand_over`` pins them to [0, 0] and drives
-    out those still basic.
-    """
+    """Computational form: minimize c'v, A v = b, lo <= v <= hi, with the
+    columns ordered structural, slack, artificial (the start basis)."""
 
     def __init__(self, lp: LinearProgram):
         struct = np.ascontiguousarray(lp.matrix)
@@ -184,6 +181,8 @@ class _Simplex:
         residual = b - struct @ self.nonbasic[:n] - self.nonbasic[n : n + m]
         sign = np.where(residual >= 0, 1.0, -1.0)
         self.A = np.hstack([struct, np.eye(m), np.diag(sign)])
+        self.Binv = np.diag(sign)  # the inverse of the all-artificial start basis
+        self.updates = 0  # basis changes applied to Binv since it was inverted
         self.iterations = 0
         self.phase = 0  # 1 during phase 1, 2 during phase 2
         self.scale = max(1.0, float(np.max(np.abs(b))) if m else 1.0)
@@ -203,15 +202,20 @@ class _Simplex:
 
     def _refactor(self) -> None:
         self.Binv = self._solve_basis(np.eye(self.m))
-        self.updates = 0  # basis changes applied to Binv since this inversion
+        self.updates = 0
 
-    def _enter(self, pos: int, col: int) -> None:
-        """Make column ``col`` basic at position ``pos`` of the basis."""
+    def _replace(self, pos: int, col: int, w: np.ndarray) -> None:
+        """Make ``col`` basic at position ``pos``; ``w`` is ``Binv @ A[:, col]``."""
         self.basis[pos] = col
         self.nonbasic[col] = 0.0
         self.improving[col] = 0.0
         if self.free is not None:
             self.free[col] = False
+        # eta update: B_new^-1 = E B^-1, pivoting w onto unit vector pos
+        row = self.Binv[pos] / w[pos]
+        self.Binv -= w[:, None] * row
+        self.Binv[pos] = row
+        self.updates += 1
 
     def hand_over(self) -> None:
         """Pin the artificials at zero and drive out those still basic, as the
@@ -220,11 +224,13 @@ class _Simplex:
         self.upper[real:] = 0.0
         self.improving[real:] = 0.0
         for pos in np.flatnonzero(self.basis >= real).tolist():
-            row = self._solve_basis(np.eye(1, self.m, pos)[0], transpose=True) @ self.A[:, :real]
+            row = self.Binv[pos] @ self.A[:, :real]
             row[self.basis[self.basis < real]] = 0.0
             candidates = np.flatnonzero(np.abs(row) > 1e-7)
             if candidates.size:  # empty only if rounding hides the row's own slack
-                self._enter(pos, int(candidates[0]))
+                col = int(candidates[0])
+                self._replace(pos, col, self.Binv @ self.A[:, col])
+        self._refactor()
         if self.free is not None and not self.free.any():
             self.free = None
 
@@ -263,7 +269,6 @@ class _Simplex:
         self.upper_list = self.upper.tolist()
         limit = 200 * (self.total + 1)
         self.degenerate = 0  # zero-step basis changes since the last positive step
-        self._refactor()
         for _ in range(limit):
             self.iterations += 1
             verdict = self._pivot(cost, tol, movable)
@@ -329,15 +334,10 @@ class _Simplex:
             self.nonbasic[entering] = upper[entering] if to_upper else lower[entering]
             return None
         self.degenerate = 0 if best_delta > PIVOT_TOL else self.degenerate + 1
-        self._enter(leaving_pos, entering)
+        self._replace(leaving_pos, entering, w)
         if movable[leaving_col]:
             self.improving[leaving_col] = 1.0 if hit_upper else -1.0
         self.nonbasic[leaving_col] = upper[leaving_col] if hit_upper else lower[leaving_col]
-        # eta update: B_new^-1 = E B^-1, pivoting w onto unit vector leaving_pos
-        row = self.Binv[leaving_pos] / w[leaving_pos]
-        self.Binv -= w[:, None] * row
-        self.Binv[leaving_pos] = row
-        self.updates += 1
         if self.updates == REFACTOR_EVERY:
             self._refactor()
         return None

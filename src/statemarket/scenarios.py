@@ -93,28 +93,27 @@ def barycentre(scenarios: ScenarioSet, subset: Sequence[int]) -> np.ndarray:
     return (w @ scenarios.points[idx]) / w.sum()
 
 
-def _validate_header(path: Path, header: list[str], k: int) -> None:
-    expected = ["scenario_id", "weight"] + [f"xi_{j + 1}" for j in range(k)]
+def _validate_header(path: Path, header: list[str]) -> int:
+    """Check ``scenario_id,weight,xi_1,...,xi_k`` and return k, the number of
+    coordinate columns."""
     for name in ("scenario_id", "weight"):
         if name not in header:
             raise MissingColumn(f"{path}: missing required column {name!r}")
-    coord_cols = [h for h in header if h not in ("scenario_id", "weight")]
-    if not coord_cols:
+    k = sum(h not in ("scenario_id", "weight") for h in header)
+    if not k:
         raise DimensionMismatch(f"{path}: header has no coordinate column")
-    if len(coord_cols) != k:
-        raise DimensionMismatch(
-            f"{path}: header has {len(coord_cols)} coordinate columns, expected k={k}"
-        )
+    expected = ["scenario_id", "weight"] + [f"xi_{j + 1}" for j in range(k)]
     if header != expected:
         missing = [c for c in expected if c not in header]
         if missing:
             raise MissingColumn(f"{path}: missing required column(s) {missing}")
         raise DimensionMismatch(f"{path}: unexpected header order {header}, expected {expected}")
+    return k
 
 
-def load_scenarios_csv(path: str | Path, k: int | None = None) -> ScenarioSet:
+def load_scenarios_csv(path: str | Path) -> ScenarioSet:
     """Read a UTF-8 scenario CSV (header ``scenario_id,weight,xi_1,...,xi_k``);
-    ``k`` defaults to the header's number of columns after the first two.
+    k is the header's number of coordinate columns.
 
     Weights may deviate from sum 1 by at most ``WEIGHT_SUM_TOLERANCE`` and are
     renormalized; larger deviations raise WeightSumMismatch.
@@ -128,8 +127,7 @@ def load_scenarios_csv(path: str | Path, k: int | None = None) -> ScenarioSet:
             except StopIteration:
                 raise MissingColumn(f"{path} is empty") from None
             header = [h.strip() for h in header]
-            k = len(header) - 2 if k is None else k
-            _validate_header(path, header, k)
+            k = _validate_header(path, header)
             weights: list[float] = []
             rows: list[list[float]] = []
             for line_no, row in enumerate(reader, start=2):

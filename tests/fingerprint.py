@@ -1,0 +1,122 @@
+"""Print one SHA-256 per corpus of solver and clearing outputs.
+
+Run from the repository root as ``PYTHONPATH=src python tests/fingerprint.py``
+on two checkouts: equal lines mean the two codes give the same bits on that
+corpus. The corpora are
+
+- the ``LPResult`` (status, x, objective, duals, reduced costs, iterations)
+  of the seed-83 ``random_lp`` draws, ``long_lp`` seeds 0-2 and three rungs
+  of ``ladder_lp``;
+- ``clear(...).to_dict()``, or the repr of the typed error it raises, on
+  ``random_convex_market`` seeds 0-99 and ``random_commitment_market`` 0-69;
+- for each bid fixture, with and without ``--sweep-pi``: the exit code and
+  stdout of ``statemarket clear``, its JSON outside ``metadata`` and its
+  ``.prices.csv``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from instances import (
+    ladder_lp,
+    long_lp,
+    random_commitment_market,
+    random_convex_market,
+    random_lp,
+)
+from statemarket import cli
+from statemarket.clearing import clear, solve_lp
+from statemarket.errors import StateMarketError
+from statemarket.market import assemble_welfare
+
+RUNGS = ((8, 6, 2), (8, 8, 4), (16, 8, 4))
+FIXTURES = (
+    "bids_price_formation.json",
+    "bids_commitment_expectation.json",
+    "bids_commitment_worst_case.json",
+)
+
+
+def _span(seeds: range) -> str:
+    return f"{seeds.start}-{seeds.stop - 1}"
+
+
+def _digest(chunks) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk if isinstance(chunk, bytes) else repr(chunk).encode())
+    return h.hexdigest()
+
+
+def _lp_chunks(lps):
+    for lp in lps:
+        result = solve_lp(lp)
+        yield (result.status, result.objective, result.iterations)
+        for array in (result.x, result.duals, result.reduced_costs):
+            yield b"None" if array is None else array.tobytes()
+
+
+def _clear_chunks(markets):
+    for bids, dims in markets:
+        try:
+            outcome = clear(assemble_welfare(bids, dims)).to_dict()
+        except StateMarketError as exc:  # a typed error is part of the outcome
+            outcome = repr(exc)
+        yield json.dumps(outcome, sort_keys=True)
+
+
+def _fixture_chunks(name: str, sweep: bool):
+    with tempfile.TemporaryDirectory() as work:
+        out = Path(work) / "out.json"
+        argv = ["clear", "--bids", str(cli.fixture_path(name)), "--out", str(out)]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), open(os.devnull, "w") as sink, \
+                contextlib.redirect_stderr(sink):
+            code = cli.main(argv + ["--sweep-pi"] * sweep)
+        yield code
+        yield stdout.getvalue().replace(work, "<work>")
+        if out.exists():
+            payload = json.loads(out.read_text())
+            payload.pop("metadata", None)
+            yield json.dumps(payload, sort_keys=True)
+        prices = out.with_suffix(".prices.csv")
+        yield prices.read_bytes() if prices.exists() else b"None"
+
+
+def digests(random_lps=300, long_seeds=range(3), rungs=RUNGS, convex=range(100),
+            commitment=range(70), fixtures=FIXTURES):
+    """Yield (corpus name, SHA-256 hex digest); the arguments, seed ranges
+    and counts, pick the slice."""
+    rng = np.random.default_rng(83)
+    yield (f"random_lp seed 83 x{random_lps}",
+           _digest(_lp_chunks(random_lp(rng) for _ in range(random_lps))))
+    yield f"long_lp {_span(long_seeds)}", _digest(_lp_chunks(map(long_lp, long_seeds)))
+    for rung in rungs:
+        name = "x".join(map(str, rung))
+        yield f"ladder_lp {name}", _digest(_lp_chunks([ladder_lp(*rung, 0)]))
+    yield (f"random_convex_market {_span(convex)}",
+           _digest(_clear_chunks(map(random_convex_market, convex))))
+    yield (f"random_commitment_market {_span(commitment)}",
+           _digest(_clear_chunks(map(random_commitment_market, commitment))))
+    for name in fixtures:
+        for sweep in (False, True):
+            mode = " --sweep-pi" if sweep else ""
+            yield f"clear {name}{mode}", _digest(_fixture_chunks(name, sweep))
+
+
+def main() -> None:
+    for name, digest in digests():
+        print(f"{digest}  {name}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

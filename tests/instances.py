@@ -1,5 +1,6 @@
-"""Shared test instances: golden markets from the worked examples and
-seeded generators of random convex and commitment markets."""
+"""Shared test instances: golden markets from the worked examples,
+seeded generators of random convex and commitment markets, and seeded LPs
+for the simplex."""
 
 from __future__ import annotations
 
@@ -7,12 +8,14 @@ from dataclasses import replace
 
 import numpy as np
 
+from statemarket.clearing import LinearProgram, build_lp
 from statemarket.market import (
     AgentBid,
     Decision,
     LinkingConstraint,
     MarketDimensions,
     PiecewiseUtility,
+    assemble_welfare,
 )
 
 TWO_STATE = MarketDimensions(1, 1, 2, state_labels=("high wind", "low wind"))
@@ -296,3 +299,56 @@ def unbounded_commitment_market(seed: int):
 
 def _boosted(bids) -> int:
     return next(i for i, bid in enumerate(bids) if len(bid.decisions) == 2)
+
+
+# --- seeded LPs ---------------------------------------------------------------
+
+def random_lp(rng, max_vars=8, max_rows=6):
+    """Boxed, one-sided, free and fixed columns; some rows repeated exactly.
+
+    Coefficients on a 0.1 grid make degenerate vertices and ratio ties common.
+    """
+    n = int(rng.integers(1, max_vars + 1))
+    kind = rng.integers(0, 5, n)  # boxed, lower only, upper only, free, fixed
+    lower = rng.uniform(-5, 0, n).round(1)
+    upper = lower + rng.uniform(0.5, 6, n).round(1)
+    lower = np.where((kind == 2) | (kind == 3), -np.inf, lower)
+    upper = np.where((kind == 1) | (kind == 3), np.inf, np.where(kind == 4, lower, upper))
+    rows, senses, rhs = [], [], []
+    for _ in range(int(rng.integers(0, max_rows + 1))):
+        idx = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        row = np.zeros(n)
+        row[idx] += rng.uniform(-2, 2, idx.size).round(1)
+        rows.append(row)
+        senses.append(("<=", ">=", "=")[int(rng.integers(0, 3))])
+        rhs.append(round(float(rng.uniform(-4, 4)), 1))
+        if rng.random() < 0.2:
+            rows.append(row)
+            senses.append(senses[-1])
+            rhs.append(rhs[-1])
+    sense = "max" if rng.random() < 0.5 else "min"
+    return LinearProgram(rng.uniform(-3, 3, n).round(1), lower, upper,
+                         np.array(rows).reshape(-1, n), np.array(senses, dtype="U2"),
+                         np.array(rhs), sense)
+
+
+def long_lp(seed, rows=50, columns=100):
+    """Nonnegative columns without upper bounds, so no pivot is a bound flip.
+    Seeds 0-2 each take more than 2 * REFACTOR_EVERY pivots."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.uniform(0, 1, (rows, columns)) * (rng.random((rows, columns)) < 0.6)
+    senses = ["<="] * (rows - rows // 3) + [">="] * (rows // 3)
+    rhs = rng.uniform(1, 10, rows)
+    objective = rng.uniform(0, 3, columns)
+    return LinearProgram(objective, np.zeros(columns), np.full(columns, np.inf),
+                         matrix, np.array(senses), rhs)
+
+
+def ladder_lp(agents, states, periods, seed):
+    """Welfare LP of alternating producers and consumers, 1 node, no binaries."""
+    rng = np.random.default_rng(seed)
+    bids = [
+        (_producer if a % 2 == 0 else _consumer)(rng, f"agent_{a}", states, periods)
+        for a in range(agents)
+    ]
+    return build_lp(assemble_welfare(bids, MarketDimensions(1, periods, states)), ())

@@ -173,7 +173,7 @@ def test_criterion_4_quantizer_oracle_suite():
 
 
 def test_criterion_5_fixture_partition_properties():
-    scen = load_scenarios_csv(SCENARIOS_FIXTURE, 2)
+    scen = load_scenarios_csv(SCENARIOS_FIXTURE)
     lo = scen.points.min(axis=0)
     hi = scen.points.max(axis=0)
     grid_x = np.linspace(lo[0], hi[0], 200)

@@ -34,6 +34,7 @@ from instances import (
     TWO_STATE,
     commitment_bids,
     price_formation_bids,
+    random_commitment_market,
     random_convex_market,
     reserving_market,
 )
@@ -244,6 +245,19 @@ def test_clearing_is_deterministic():
     first = clear_bids(bids, dims)
     second = clear_bids(bids, dims)
     assert first.to_dict() == second.to_dict()
+
+
+@pytest.mark.parametrize("market, coord", [(random_convex_market, (0, 1, 0)),
+                                           (random_commitment_market, (0, 0, 0))])
+def test_a_dual_of_rounding_residue_is_posted_as_zero(market, coord):
+    """Seed 17 of each generator ends on a zero balance dual that the simplex
+    computes as -2e-16 or -1e-15; the posted price is exactly 0.0, and no
+    posted price lies within the residue band without being 0.0."""
+    program = assemble_welfare(*market(17))
+    prices = clear(program).prices.values
+    assert prices[coord] == 0.0 and not np.signbit(prices[coord])
+    residue = core.PIVOT_TOL * max(1.0, np.abs(program.objective).max())
+    assert not np.any((prices != 0.0) & (np.abs(prices) <= residue))
 
 
 def test_startup_cost_flips_commitment():

@@ -239,7 +239,7 @@ def test_partition_single_state_objective_is_variance(tmp_path, capsys):
     from statemarket.quantize import size_of_state
     from statemarket.scenarios import load_scenarios_csv
 
-    scen = load_scenarios_csv(SCENARIOS, 2)
+    scen = load_scenarios_csv(SCENARIOS)
     assert payload["objective"] == pytest.approx(
         size_of_state(scen, range(scen.num_scenarios)), abs=1e-12
     )

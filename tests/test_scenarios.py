@@ -44,7 +44,7 @@ def test_load_39_equal_weights(tmp_path):
         ["scenario_id", "weight", "xi_1", "xi_2"],
         [[i + 1, repr(w), 5.0 + 0.1 * i, 7.0 + 0.05 * i] for i in range(39)],
     )
-    scen = load_scenarios_csv(path, 2)
+    scen = load_scenarios_csv(path)
     assert scen.num_scenarios == 39
     assert scen.dimension == 2
     assert abs(scen.weights.sum() - 1.0) < 1e-12
@@ -54,7 +54,7 @@ def test_load_39_equal_weights(tmp_path):
 def test_load_single_row_degenerate(tmp_path):
     path = tmp_path / "s.csv"
     write_csv(path, ["scenario_id", "weight", "xi_1"], [[1, 1.0, 3.25]])
-    scen = load_scenarios_csv(path, 1)
+    scen = load_scenarios_csv(path)
     assert scen.num_scenarios == 1
     assert np.allclose(scen.mean(), [3.25])
 
@@ -67,7 +67,7 @@ def test_load_weight_sum_mismatch(tmp_path):
         [[1, 0.45, 0.0], [2, 0.45, 1.0]],
     )
     with pytest.raises(WeightSumMismatch, match=re.escape(f"{path}: weights sum to 0.9")):
-        load_scenarios_csv(path, 1)
+        load_scenarios_csv(path)
 
 
 def test_load_renormalizes_small_drift(tmp_path):
@@ -77,7 +77,7 @@ def test_load_renormalizes_small_drift(tmp_path):
         ["scenario_id", "weight", "xi_1"],
         [[1, 0.5000001, 0.0], [2, 0.5, 1.0]],
     )
-    scen = load_scenarios_csv(path, 1)
+    scen = load_scenarios_csv(path)
     assert abs(scen.weights.sum() - 1.0) < 1e-12
 
 
@@ -85,7 +85,7 @@ def test_load_renormalizes_small_drift(tmp_path):
     "header,rows,error",
     [
         (["id", "weight", "xi_1"], [[1, 1.0, 0.0]], MissingColumn),
-        (["scenario_id", "weight", "xi_1", "xi_2"], [[1, 1.0, 0.0, 0.0]], DimensionMismatch),
+        (["scenario_id", "weight", "xi_2", "xi_1"], [[1, 1.0, 0.0, 0.0]], DimensionMismatch),
         (["scenario_id", "weight", "xi_1"], [[1, -0.5, 0.0], [2, 1.5, 1.0]], NonPositiveWeight),
         (["scenario_id", "weight", "xi_1"], [[1, 0.5, "nan"], [2, 0.5, 1.0]], NonFiniteCoordinate),
         (["scenario_id", "weight", "xi_1"], [[1, 0.5, "abc"], [2, 0.5, 1.0]], NonFiniteCoordinate),
@@ -95,7 +95,7 @@ def test_load_validation_errors(tmp_path, header, rows, error):
     path = tmp_path / "s.csv"
     write_csv(path, header, rows)
     with pytest.raises(error, match=f"^{re.escape(str(path))}"):  # names the file
-        load_scenarios_csv(path, 1)
+        load_scenarios_csv(path)
 
 
 def test_load_takes_the_dimension_from_the_header(tmp_path):
@@ -105,7 +105,6 @@ def test_load_takes_the_dimension_from_the_header(tmp_path):
     scen = load_scenarios_csv(path)
     assert scen.dimension == 3
     assert scen.points.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
-    assert np.array_equal(scen.points, load_scenarios_csv(path, 3).points)
 
 
 def test_load_rejects_a_header_without_coordinates(tmp_path):
@@ -121,7 +120,7 @@ def test_csv_round_trip_bit_identical(tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
     write_scenarios_csv(scen, first)
-    loaded = load_scenarios_csv(first, 3)
+    loaded = load_scenarios_csv(first)
     assert np.array_equal(loaded.points, scen.points)
     write_scenarios_csv(loaded, second)
     assert first.read_bytes() == second.read_bytes()

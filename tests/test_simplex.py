@@ -11,16 +11,17 @@ from statemarket.clearing import LinearProgram, solve_lp
 from statemarket.clearing import simplex
 from statemarket.clearing.simplex import DEGENERATE_LIMIT, PIVOT_TOL, REFACTOR_EVERY
 from statemarket.errors import NumericalFailure
-from statemarket.market import MarketDimensions, assemble_welfare
+from statemarket.market import assemble_welfare
 from statemarket.clearing.core import build_lp, clear
 
 from instances import (
-    _consumer,
-    _producer,
     commitment_bids,
+    ladder_lp,
+    long_lp,
     price_formation_bids,
     random_commitment_market,
     random_convex_market,
+    random_lp,
 )
 from oracles import highs_optimum, lp_vertex_oracle
 
@@ -247,10 +248,11 @@ def refactoring_run(self, cost):
     for bit whenever both take the same pivots. It reads a column's bound
     status from its value against its bounds and from basis membership, and
     keeps only ``basis`` and ``nonbasic`` current, never ``improving`` or
-    ``free``. It enters by the same rule: the smallest index whose score is
-    within tol (or one ulp of the largest, if wider) of the largest, or the
-    smallest eligible index once DEGENERATE_LIMIT basis changes in a row
-    have had a zero step."""
+    ``free``; it inverts the basis into ``Binv`` only before it returns a
+    verdict, as the hand-over to phase 2 reads it there. It enters by the
+    same rule: the smallest index whose score is within tol (or one ulp of
+    the largest, if wider) of the largest, or the smallest eligible index
+    once DEGENERATE_LIMIT basis changes in a row have had a zero step."""
     tol = PIVOT_TOL * self.scale
     movable = ~(self.upper - self.lower <= 0.0)
     limit = 200 * (self.total + 1)
@@ -267,6 +269,7 @@ def refactoring_run(self, cost):
         score = np.where(at_lower, -reduced, np.where(at_upper, reduced, 0.0))
         score = np.where(movable, np.where(free, np.abs(reduced), score), 0.0)
         if not np.any(score > tol):
+            self._refactor()  # a verdict leaves Binv the inverse of the basis
             return "optimal"
         best = score.max()
         window = max(tol, math.ulp(best))
@@ -303,6 +306,7 @@ def refactoring_run(self, cost):
                 leaving_pos, leaving_col, hit_upper = pos, col, hits_upper
 
         if not np.isfinite(best_delta):
+            self._refactor()
             return "unbounded"
         if leaving_pos < 0:
             self.nonbasic[entering] = (self.upper if direction > 0 else self.lower)[entering]
@@ -334,47 +338,6 @@ def assert_matches_refactoring_loop(lp):
     for field in ("x", "duals", "reduced_costs"):
         assert same_bits(getattr(fast, field), getattr(reference, field)), field
     return fast
-
-
-def random_lp(rng, max_vars=8, max_rows=6):
-    """Boxed, one-sided, free and fixed columns; some rows repeated exactly.
-
-    Coefficients on a 0.1 grid make degenerate vertices and ratio ties common.
-    """
-    n = int(rng.integers(1, max_vars + 1))
-    kind = rng.integers(0, 5, n)  # boxed, lower only, upper only, free, fixed
-    lower = rng.uniform(-5, 0, n).round(1)
-    upper = lower + rng.uniform(0.5, 6, n).round(1)
-    lower = np.where((kind == 2) | (kind == 3), -np.inf, lower)
-    upper = np.where((kind == 1) | (kind == 3), np.inf, np.where(kind == 4, lower, upper))
-    rows, senses, rhs = [], [], []
-    for _ in range(int(rng.integers(0, max_rows + 1))):
-        idx = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
-        row = np.zeros(n)
-        row[idx] += rng.uniform(-2, 2, idx.size).round(1)
-        rows.append(row)
-        senses.append(("<=", ">=", "=")[int(rng.integers(0, 3))])
-        rhs.append(round(float(rng.uniform(-4, 4)), 1))
-        if rng.random() < 0.2:
-            rows.append(row)
-            senses.append(senses[-1])
-            rhs.append(rhs[-1])
-    sense = "max" if rng.random() < 0.5 else "min"
-    return LinearProgram(rng.uniform(-3, 3, n).round(1), lower, upper,
-                         np.array(rows).reshape(-1, n), np.array(senses, dtype="U2"),
-                         np.array(rhs), sense)
-
-
-def long_lp(seed, rows=50, columns=100):
-    """Nonnegative columns without upper bounds, so no pivot is a bound flip.
-    Seeds 0-2 each take more than 2 * REFACTOR_EVERY pivots."""
-    rng = np.random.default_rng(seed)
-    matrix = rng.uniform(0, 1, (rows, columns)) * (rng.random((rows, columns)) < 0.6)
-    senses = ["<="] * (rows - rows // 3) + [">="] * (rows // 3)
-    rhs = rng.uniform(1, 10, rows)
-    objective = rng.uniform(0, 3, columns)
-    return LinearProgram(objective, np.zeros(columns), np.full(columns, np.inf),
-                         matrix, np.array(senses), rhs)
 
 
 def test_updated_inverse_matches_refactoring_loop_on_random_lps():
@@ -428,12 +391,16 @@ def test_updated_inverse_matches_refactoring_loop_on_bound_flips(monkeypatch):
     assert any(flips)
 
 
-def test_updated_inverse_matches_refactoring_loop_on_markets():
+def market_lps():
     lps = [build_lp(assemble_welfare(*random_convex_market(seed)), ()) for seed in range(8)]
     for risk in ("expectation", "worst_case"):  # commitment cells, some infeasible
         program = assemble_welfare(*commitment_bids(risk))
         lps += [build_lp(program, cell) for cell in ((0,), (1,))]
-    for lp in lps:
+    return lps
+
+
+def test_updated_inverse_matches_refactoring_loop_on_markets():
+    for lp in market_lps():
         assert_matches_refactoring_loop(lp)
 
 
@@ -686,6 +653,42 @@ def test_column_state_holds_after_every_pivot_and_the_hand_over(monkeypatch):
     assert any(driven_out)
 
 
+def test_each_basis_change_keeps_binv_the_inverse_and_drive_outs_pick_as_before(
+        monkeypatch):
+    """After every pivot and drive-out, Binv @ B is the identity within 1e-10
+    (these corpora stay within 3e-13). Each drive-out picks the column that
+    the transposed solve of B' y = e_pos picks: the first non-basic real
+    column whose entry of y' A exceeds 1e-7 in magnitude."""
+    changes = {"pivot": 0, "drive-out": 0}
+    handing_over = []  # non-empty while hand_over runs
+    replace, hand_over = simplex._Simplex._replace, simplex._Simplex.hand_over
+
+    def spy_hand_over(self):
+        handing_over.append(self)
+        hand_over(self)
+        handing_over.clear()
+
+    def spy_replace(self, pos, col, w):
+        real = self.n_struct + self.m
+        if handing_over:
+            y = np.linalg.solve(self.A[:, self.basis].T, np.eye(1, self.m, pos)[0])
+            row = y @ self.A[:, :real]
+            row[self.basis[self.basis < real]] = 0.0
+            assert col == np.flatnonzero(np.abs(row) > 1e-7)[0]
+        changes["drive-out" if handing_over else "pivot"] += 1
+        replace(self, pos, col, w)
+        identity = self.Binv @ self.A[:, self.basis]
+        assert np.abs(identity - np.eye(self.m)).max() <= 1e-10
+
+    monkeypatch.setattr(simplex._Simplex, "_replace", spy_replace)
+    monkeypatch.setattr(simplex._Simplex, "hand_over", spy_hand_over)
+    rng = np.random.default_rng(83)
+    lps = [random_lp(rng) for _ in range(300)] + [long_lp(seed) for seed in range(3)]
+    for lp in lps + market_lps():
+        solve_lp(lp)
+    assert changes["pivot"] > 1000 and changes["drive-out"] >= 20, changes
+
+
 @pytest.mark.parametrize(
     "lower, upper, matrix, start, sign, x",
     [
@@ -735,39 +738,54 @@ def test_pivot_limit_names_the_phase_and_the_cell(monkeypatch, phase):
 
 
 def test_inverse_is_rebuilt_on_cadence_and_before_each_verdict(monkeypatch):
-    inverted_at, fresh_verdicts = [], []
+    """No phase starts by inverting, since Binv is the inverse of the basis
+    from the start; the hand-over ends with exactly one inversion."""
+    inverted_at, fresh_verdicts, log = [], [], []
     refactor, run = simplex._Simplex._refactor, simplex._Simplex.run
+    pivot, hand_over = simplex._Simplex._pivot, simplex._Simplex.hand_over
 
     def spy_refactor(self):
         inverted_at.append(self.iterations)
+        log.append("invert")
         refactor(self)
 
+    def spy_pivot(self, cost, tol, movable):
+        log.append("pivot")
+        return pivot(self, cost, tol, movable)
+
     def spy_run(self, cost):
+        log.append("run")
         verdict = run(self, cost)
         fresh = np.linalg.inv(self.A[:, self.basis])
         fresh_verdicts.append(np.array_equal(self.Binv, fresh))
         return verdict
 
+    def spy_hand_over(self):
+        log.append("hand over")
+        hand_over(self)
+        log.append("handed over")
+
     monkeypatch.setattr(simplex._Simplex, "_refactor", spy_refactor)
+    monkeypatch.setattr(simplex._Simplex, "_pivot", spy_pivot)
     monkeypatch.setattr(simplex._Simplex, "run", spy_run)
-    for seed in range(3):
+    monkeypatch.setattr(simplex._Simplex, "hand_over", spy_hand_over)
+    cases = [(long_lp(seed), True) for seed in range(3)] + [(lp, False) for lp in market_lps()]
+    for lp, long in cases:
         inverted_at.clear()
         fresh_verdicts.clear()
-        result = solve_lp(long_lp(seed))
-        assert result.iterations > 2 * REFACTOR_EVERY
-        # no bound flips here, so each iteration between inversions is one
-        # basis change applied as an eta update
-        assert max(np.diff(inverted_at)) <= REFACTOR_EVERY, inverted_at
+        log.clear()
+        result = solve_lp(lp)
+        if long:
+            assert result.iterations > 2 * REFACTOR_EVERY
+            # no bound flips here, so each iteration between inversions is one
+            # basis change applied as an eta update
+            assert max(np.diff(inverted_at)) <= REFACTOR_EVERY, inverted_at
         assert fresh_verdicts and all(fresh_verdicts)
-
-
-def ladder_lp(agents, states, periods, seed):
-    rng = np.random.default_rng(seed)
-    bids = [
-        (_producer if a % 2 == 0 else _consumer)(rng, f"agent_{a}", states, periods)
-        for a in range(agents)
-    ]
-    return build_lp(assemble_welfare(bids, MarketDimensions(1, periods, states)), ())
+        starts = [i for i, event in enumerate(log) if event == "run"]
+        assert all(log[i + 1] == "pivot" for i in starts), log
+        if result.status != "infeasible":
+            start = log.index("hand over")
+            assert log[start + 1 : start + 3] == ["invert", "handed over"], log
 
 
 def test_status_and_objective_match_highs():

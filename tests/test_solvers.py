@@ -307,7 +307,7 @@ def test_lloyd_on_fixture_matches_pinned_result():
         3: ("020111002001011210221010101011200011012", 2.012906112637362),
         4: ("030121003002012310332020202011300022013", 1.5618384869759867),
     }
-    scen = load_scenarios_csv(fixture_path("scenarios_northsea_39x2.csv"), 2)
+    scen = load_scenarios_csv(fixture_path("scenarios_northsea_39x2.csv"))
     for states, (assignment, objective) in pinned.items():
         solution = solve_lloyd(scen, states, restarts=64, seed=0)
         assert "".join(map(str, solution.assignment)) == assignment
