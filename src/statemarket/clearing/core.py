@@ -4,13 +4,13 @@ Binary commitments (at most MAX_BINARIES) are cleared by an exact
 depth-first branch and bound (Land & Doig 1960), whose rules ``_best_cell``
 states. Each assignment of the binaries, a cell, yields an LP whose optimum,
 objective constant included, is the cell's welfare and whose balance-row
-duals are the candidate contract prices. The search solves only the
-relaxations it needs and drops only subtrees in which no cell could have
-won, so the winner and its LP are those that enumerating every cell would
-give, ties going to the lexicographically smallest binary vector. For purely
-convex programs the outcome is a Walrasian equilibrium; with binaries the
-verification report surfaces any agent that could deviate profitably at the
-posted prices.
+duals are the candidate contract prices. The search dives toward the
+rounding of each relaxation it solves and drops only subtrees in which no
+cell could have won, so the winner and its LP are those that enumerating
+every cell would give, exact ties going to the lexicographically smallest
+binary vector. For purely convex programs the outcome is a Walrasian
+equilibrium; with binaries the verification report surfaces any agent that
+could deviate profitably at the posted prices.
 """
 
 from __future__ import annotations
@@ -149,19 +149,9 @@ class _Search:
                     if agent is None or a == agent]
         self.cell = [0] * len(program.binaries)
         self.best: tuple[float, tuple[int, ...], LPResult] | None = None
-        self.reference: float | None = None  # the greatest value of a solved cell
-        self.ahead: tuple[tuple[int, ...], LPResult] | None = None  # the rounded root's cell
-        self.infeasible_leaf = False
 
     def run(self) -> tuple[float, tuple[int, ...], LPResult] | None:
-        bound = None
-        if len(self.own) >= 2:
-            infeasible, bound = self.relax(self.own)
-            if infeasible:
-                return None
-            if bound is not None and np.all((bound[1] == 0.0) | (bound[1] == 1.0)):
-                self.solve_ahead(bound[1])
-        self.node(0, bound)
+        self.node(0, None)
         return self.best
 
     def relax(self, free: list[int]) -> tuple[bool, Bound | None]:
@@ -175,36 +165,23 @@ class _Search:
             return outcome.status == "infeasible", None
         return False, (outcome.objective, outcome.x[-len(free):])
 
-    def solve_ahead(self, relaxed: np.ndarray) -> None:
-        """Solve the cell the integral root relaxation names, for a first
-        reference; a failure or a non-optimal status is left for the search."""
-        cell = list(self.cell)
-        for b, value in zip(self.own, relaxed):
-            cell[b] = int(value)
-        try:
-            outcome = solve_lp(build_lp(self.program, cell, self.agent, self.prices))
-        except NumericalFailure:
-            return
-        if outcome.status == "optimal":
-            self.ahead, self.reference = (tuple(cell), outcome), outcome.objective
-
     def node(self, depth: int, bound: Bound | None) -> None:
         """Search the cells below the first ``depth`` branches of ``self.cell``,
         given the bound inherited from the nearest agreeing relaxation."""
         free = self.own[depth:]
-        if bound is None and len(free) >= 2 and (
-                self.reference is not None or self.infeasible_leaf):
+        if bound is None and len(free) >= 2:
             infeasible, bound = self.relax(free)
             if infeasible:
                 return
-        reference = self.reference
-        if bound is not None and reference is not None and (
-                bound[0] < reference - PRUNE_MARGIN * max(1.0, abs(reference))):
+        best = self.best
+        if bound is not None and best is not None and (
+                bound[0] < best[0] - PRUNE_MARGIN * max(1.0, abs(best[0]))):
             return
         if not free:
             self.leaf()
             return
-        for value in (0, 1):
+        first = 0 if bound is None else int(bound[1][0] >= 0.5)
+        for value in (first, 1 - first):
             self.cell[free[0]] = value
             agrees = bound is not None and bound[1][0] == value
             self.node(depth + 1, (bound[0], bound[1][1:]) if agrees else None)
@@ -212,26 +189,20 @@ class _Search:
 
     def leaf(self) -> None:
         cell = tuple(self.cell)
-        if self.ahead is not None and self.ahead[0] == cell:
-            outcome = self.ahead[1]
-        else:
-            lp = build_lp(self.program, self.cell, self.agent, self.prices)
-            try:
-                outcome = solve_lp(lp)
-                if outcome.status == "unbounded":
-                    raise Unbounded("the objective is unbounded")
-            except (NumericalFailure, Unbounded) as exc:
-                owner = ("welfare" if self.agent is None
-                         else f"agent {self.program.bids[self.agent].agent_id!r}")
-                m, n = lp.matrix.shape
-                raise type(exc)(f"cell {cell}, {owner} LP {m}x{n}: {exc}") from exc
+        lp = build_lp(self.program, self.cell, self.agent, self.prices)
+        try:
+            outcome = solve_lp(lp)
+            if outcome.status == "unbounded":
+                raise Unbounded("the objective is unbounded")
+        except (NumericalFailure, Unbounded) as exc:
+            owner = ("welfare" if self.agent is None
+                     else f"agent {self.program.bids[self.agent].agent_id!r}")
+            m, n = lp.matrix.shape
+            raise type(exc)(f"cell {cell}, {owner} LP {m}x{n}: {exc}") from exc
         if outcome.status == "infeasible":
-            self.infeasible_leaf = True
             return
-        value = outcome.objective
-        if self.reference is None or value > self.reference:
-            self.reference = value
-        if self.best is None or value > self.best[0]:
+        value, best = outcome.objective, self.best
+        if best is None or value > best[0] or (value == best[0] and cell < best[1]):
             self.best = (value, cell, outcome)
 
 
@@ -243,33 +214,29 @@ def _best_cell(
     """Best (value, binary cell, LP solution) of ``build_lp``'s cells.
 
     Searches every binary, or with ``agent`` set only that agent's own (the
-    others stay 0), by depth-first branch and bound: branching in index
-    order, 0 before 1, so cells are met in lexicographic order, and a cell
-    replaces the best only when its value is strictly greater, so ties keep
-    the lex-smallest cell. A cell's value is its LP's optimum. A node's
-    relaxation is ``build_lp`` with its free binaries ``free``; it solves one
-    only as follows.
+    others stay 0), by depth-first branch and bound. A cell's value is its
+    LP's optimum, and a cell replaces the best when its value is greater, or
+    equal and the cell lexicographically smaller, so ties keep the
+    lex-smallest cell in whatever order the search meets them. A node's
+    relaxation is ``build_lp`` with its free binaries ``free``.
 
-    1. With two or more binaries, the root relaxation is solved first; if it
-       is infeasible, no cell is feasible.
-    2. If its binaries are all exactly 0 or 1, that cell's LP is solved at
-       once. Its value is the first pruning reference, and its solution is
-       used when the search reaches the cell; a numerical failure or a
-       non-optimal status here is dropped, and the search meets it again.
-    3. A node inherits (value, relaxed binaries) from the nearest relaxation
+    1. A node inherits (value, relaxed binaries) from the nearest relaxation
        above it whose relaxed binaries equal every branch taken since. That
        relaxation's optimum is feasible below the node, so the value is the
-       node's own bound and no relaxation is solved.
-    4. Any other node with two or more free binaries solves its relaxation,
-       but only once a cell has been solved or a cell has proved infeasible.
+       node's own bound. Any other node with two or more free binaries
+       solves its relaxation.
+    2. An infeasible relaxation prunes the subtree, and so does a bound below
+       the best cell's value by more than PRUNE_MARGIN relative; an unbounded
+       relaxation, or a numerical failure, prunes nothing.
+    3. A node branches on its first free binary, first to the value its
+       relaxation rounds that binary to (1 from 0.5 up), and to 0 first when
+       it has no bound. So the search dives toward the relaxation's rounding,
+       and an integral root relaxation names the first cell solved.
 
-    An infeasible relaxation prunes the subtree, and so does a bound below
-    the greatest value of a solved cell by more than PRUNE_MARGIN relative;
-    an unbounded relaxation, or a numerical failure, prunes nothing. A pruned
-    cell's value is below a solved cell's, so it could not have won, and the
-    result is the one enumerating every cell gives. A numerical failure, or
-    an unbounded LP, in a cell met by the search is raised naming the cell,
-    the LP and its size.
+    A pruned cell's value is below a solved cell's, so it could not have
+    won, and the result is the one enumerating every cell gives. A numerical
+    failure, or an unbounded LP, in a cell met by the search is raised
+    naming the cell, the LP and its size.
     """
     best = _Search(program, agent, prices).run()
     if best is None:

@@ -9,6 +9,11 @@ corpus. The corpora are
   of ``ladder_lp``;
 - ``clear(...).to_dict()``, or the repr of the typed error it raises, on
   ``random_convex_market`` seeds 0-99 and ``random_commitment_market`` 0-69;
+- on ``infeasible_commitment_market`` and ``unbounded_commitment_market``
+  seeds 0-19, the (value, cell) of the welfare search and of each agent's
+  at zero prices, or the text of the error it raises; an error names the
+  first failing cell the search meets, so this line moves with the search
+  order;
 - for each bid fixture, with and without ``--sweep-pi``: the exit code and
   stdout of ``statemarket clear``, its JSON outside ``metadata`` and its
   ``.prices.csv``.
@@ -27,16 +32,19 @@ from pathlib import Path
 import numpy as np
 
 from instances import (
+    infeasible_commitment_market,
     ladder_lp,
     long_lp,
     random_commitment_market,
     random_convex_market,
     random_lp,
+    unbounded_commitment_market,
 )
 from statemarket import cli
 from statemarket.clearing import clear, solve_lp
+from statemarket.clearing.core import _best_cell
 from statemarket.errors import StateMarketError
-from statemarket.market import assemble_welfare
+from statemarket.market import ContractGrid, assemble_welfare
 
 RUNGS = ((8, 6, 2), (8, 8, 4), (16, 8, 4))
 FIXTURES = (
@@ -74,6 +82,18 @@ def _clear_chunks(markets):
         yield json.dumps(outcome, sort_keys=True)
 
 
+def _search_chunks(markets):
+    for bids, dims in markets:
+        program = assemble_welfare(bids, dims)
+        zero = ContractGrid(np.zeros(dims.shape))
+        for agent, prices in ((None, None), *((a, zero) for a in range(len(bids)))):
+            try:
+                value, cell, _ = _best_cell(program, agent, prices)
+                yield (value, cell)
+            except StateMarketError as exc:
+                yield f"{type(exc).__name__}: {exc}"
+
+
 def _fixture_chunks(name: str, sweep: bool):
     with tempfile.TemporaryDirectory() as work:
         out = Path(work) / "out.json"
@@ -93,7 +113,7 @@ def _fixture_chunks(name: str, sweep: bool):
 
 
 def digests(random_lps=300, long_seeds=range(3), rungs=RUNGS, convex=range(100),
-            commitment=range(70), fixtures=FIXTURES):
+            commitment=range(70), flawed=range(20), fixtures=FIXTURES):
     """Yield (corpus name, SHA-256 hex digest); the arguments, seed ranges
     and counts, pick the slice."""
     rng = np.random.default_rng(83)
@@ -107,6 +127,10 @@ def digests(random_lps=300, long_seeds=range(3), rungs=RUNGS, convex=range(100),
            _digest(_clear_chunks(map(random_convex_market, convex))))
     yield (f"random_commitment_market {_span(commitment)}",
            _digest(_clear_chunks(map(random_commitment_market, commitment))))
+    flawed_markets = [make(seed) for make in (infeasible_commitment_market,
+                                              unbounded_commitment_market) for seed in flawed]
+    yield (f"infeasible and unbounded commitment markets {_span(flawed)}",
+           _digest(_search_chunks(flawed_markets)))
     for name in fixtures:
         for sweep in (False, True):
             mode = " --sweep-pi" if sweep else ""

@@ -7,7 +7,7 @@ import fingerprint
 
 def test_fingerprint_digests_a_small_slice_of_each_corpus():
     small = dict(random_lps=5, long_seeds=range(1), rungs=((8, 6, 2),), convex=range(2),
-                 commitment=range(2), fixtures=fingerprint.FIXTURES[:1])
+                 commitment=range(2), flawed=range(1), fixtures=fingerprint.FIXTURES[:1])
     first = list(fingerprint.digests(**small))
     assert [name for name, _ in first] == [
         "random_lp seed 83 x5",
@@ -15,6 +15,7 @@ def test_fingerprint_digests_a_small_slice_of_each_corpus():
         "ladder_lp 8x6x2",
         "random_convex_market 0-1",
         "random_commitment_market 0-1",
+        "infeasible and unbounded commitment markets 0-0",
         "clear bids_price_formation.json",
         "clear bids_price_formation.json --sweep-pi",
     ]
