@@ -29,29 +29,29 @@ basis nor the basic values, so under Bland's rule this gives the bits that
 flipping the columns one pivot at a time gives.
 
 Phase 1 starts from one artificial per row, a diagonal basis of signs that
-is its own inverse. After it the artificials are pinned at zero and those
-still basic are driven out: the artificial's row of Binv A names its first
-non-basic structural or slack column with an entry above 1e-7, which takes
-its place (the row's own slack always qualifies in exact arithmetic, so a
-redundant equality row ends with its fixed slack basic).
+is its own inverse. Phase 2 starts on phase 1's final basis with the
+artificials pinned at zero (Bazaraa, Jarvis & Sherali, Linear Programming
+and Network Flows): one still basic sits at zero, and phase 2's ratio test
+removes it as it removes any basic column, or it stays at zero in a
+redundant row.
 
-``Binv`` is the basis inverse from start to end. Every basis change, pivot
-or drive-out, is one rank-one (eta) update in ``_replace`` (Dantzig &
-Orchard-Hays 1954); a bound flip applies none. It is inverted afresh after
-every REFACTOR_EVERY basis changes and at the end of the hand-over, so phase
-2 starts on a fresh inverse however small a drive-out's pivot; no phase
-starts by inverting. A verdict ("optimal" or "unbounded") reached on an
-updated inverse is checked again on a fresh one, and only a verdict on a
-fresh inverse is returned, so rounding drift cannot end a phase early. The
-reported values, duals and reduced costs come from one fresh solve on the
-final basis. Designed for desk-scale instances (tens of rows).
+``Binv`` is the basis inverse from start to end. Every basis change is one
+rank-one (eta) update in ``_replace`` (Dantzig & Orchard-Hays 1954); a bound
+flip applies none. It is inverted afresh after every REFACTOR_EVERY basis
+changes, and no phase starts by inverting. A verdict ("optimal" or
+"unbounded") reached on an updated inverse is checked again on a fresh one,
+and only a verdict on a fresh inverse is returned, so rounding drift cannot
+end a phase early and phase 2 starts on the inverse that phase 1's verdict
+was confirmed on. The reported values, duals and reduced costs come from
+one fresh solve on the final basis. Designed for desk-scale instances (tens
+of rows).
 
 Each column's state is held once: set from the bounds at the start, then
-updated in place by every pivot, by the hand-over to phase 2 and by the
-setting of the columns that meet no row. A basic column has a position in
-``basis``, an index array, and holds 0 in ``nonbasic``. A nonbasic column
-holds there the finite bound it sits at (at first its lower bound if finite,
-else its upper), or 0 if it is free, which ``free`` then marks.
+updated in place by every pivot, by the pinning of the artificials and by
+the setting of the columns that meet no row. A basic column has a position
+in ``basis``, an index array, and holds 0 in ``nonbasic``. A nonbasic
+column holds there the finite bound it sits at (at first its lower bound if
+finite, else its upper), or 0 if it is free, which ``free`` then marks.
 ``improving`` holds its sign: -1 at its lower bound, +1 at its upper, 0 if
 basic or fixed. Each phase copies the bounds into Python float lists for the
 ratio test, a sequential scan in Python that at tens of rows is faster than
@@ -217,23 +217,6 @@ class _Simplex:
         self.Binv[pos] = row
         self.updates += 1
 
-    def hand_over(self) -> None:
-        """Pin the artificials at zero and drive out those still basic, as the
-        module docstring describes."""
-        real = self.n_struct + self.m
-        self.upper[real:] = 0.0
-        self.improving[real:] = 0.0
-        for pos in np.flatnonzero(self.basis >= real).tolist():
-            row = self.Binv[pos] @ self.A[:, :real]
-            row[self.basis[self.basis < real]] = 0.0
-            candidates = np.flatnonzero(np.abs(row) > 1e-7)
-            if candidates.size:  # empty only if rounding hides the row's own slack
-                col = int(candidates[0])
-                self._replace(pos, col, self.Binv @ self.A[:, col])
-        self._refactor()
-        if self.free is not None and not self.free.any():
-            self.free = None
-
     def _score(self, reduced: np.ndarray) -> np.ndarray:
         """Each column's gain per unit step, as the module docstring defines it."""
         score = self.improving * reduced
@@ -346,14 +329,13 @@ class _Simplex:
 def solve_lp(lp: LinearProgram) -> LPResult:
     """Solve to optimality and report primal values, row duals, reduced costs.
 
-    Two phases: phase 1 minimizes the sum of the artificials; the simplex
-    then hands over to phase 2, pinning them at zero and driving them out of
-    the basis, and phase 2 optimizes the user's objective; in between, the
-    columns that meet no row are set at their better bounds. Each phase may
-    take ``200 * (columns + 1)`` pivots; exceeding that raises NumericalFailure
-    naming the phase. ``iterations`` counts each phase's pivots, bound flips
-    and final pricing, but not the setting of the columns that meet no row.
-    The reported objective is c'x + constant. Duals follow the user's sense
+    Two phases: phase 1 minimizes the sum of the artificials; then they are
+    pinned at zero, the columns that meet no row are set at their better
+    bounds, and phase 2 optimizes the user's objective from phase 1's basis.
+    Each phase may take ``200 * (columns + 1)`` pivots; exceeding that raises
+    NumericalFailure naming the phase. ``iterations`` counts each phase's
+    pivots, bound flips and final pricing, but not the setting of the columns
+    that meet no row. The reported objective is c'x + constant. Duals follow the user's sense
     (derivative of the optimum w.r.t. the row rhs); complementary slackness
     is verified to FEAS_TOL before returning. Raises NumericalFailure instead
     of returning silently wrong answers.
@@ -368,7 +350,8 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     values = state.values()
     if float(np.abs(values[n + m :]).sum()) > FEAS_TOL * state.scale:
         return LPResult("infeasible", None, None, None, None, state.iterations)
-    state.hand_over()
+    state.upper[n + m :] = 0.0
+    state.improving[n + m :] = 0.0
 
     sign = -1.0 if lp.sense == "max" else 1.0
     cost = np.zeros(state.total)

@@ -200,27 +200,34 @@ def cmd_clear(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     if args.result is None and args.partition is None and args.payments is None:
         raise ValidationError("report needs --result, --partition, or --payments")
+    text = []  # printed once the partition and the result are read and agree
     if args.partition is not None:
         with reading(args.partition, "partition solution") as payload:
             solution = quantize.QuantizationSolution.from_dict(payload)
-        print(quantize.describe_states(solution), end="")
+        text.append(quantize.describe_states(solution))
     if args.result is not None:
         with reading(args.result, "clearing result") as payload:
-            results = [e["result"] for e in payload["sweep"]] if "sweep" in payload else [payload]
-            for entry in results:
+            sweep = "sweep" in payload
+            results = [e["result"] for e in payload["sweep"]] if sweep else [payload]
+            for i, entry in enumerate(results):
+                if args.partition is not None:
+                    states = number(entry["dimensions"]["states"])
+                    if states != solution.num_states:
+                        where = f" in sweep entry {i}" if sweep else ""
+                        raise ValidationError(f"{args.partition} has {solution.num_states} "
+                                              f"states but {args.result} has {states:g}{where}")
                 verification = entry["verification"]
-                print(f"welfare: {number(entry['welfare']):.9g}")
-                print(f"prices: {entry['prices']}")
-                print(
+                text.append(
+                    f"welfare: {number(entry['welfare']):.9g}\n"
+                    f"prices: {entry['prices']}\n"
                     f"balance residual {number(verification['balance_residual']):.3g}, "
                     f"budget residual {number(verification['budget_residual']):.3g}, "
-                    f"confirmed: {verification['confirmed']}"
+                    f"confirmed: {verification['confirmed']}\n"
                 )
                 for agent, surplus in sorted(entry["surplus"].items()):
-                    print(
-                        f"  {agent}: surplus {number(surplus):.6g}, "
-                        f"gap {number(verification['gaps'][agent]):.3g}"
-                    )
+                    text.append(f"  {agent}: surplus {number(surplus):.6g}, "
+                                f"gap {number(verification['gaps'][agent]):.3g}\n")
+    print("".join(text), end="")
     if args.payments is not None:
         with reading(args.payments, "payments") as payload:
             prices = ContractGrid(np.asarray(numbers(payload["prices"]), dtype=float))

@@ -440,7 +440,7 @@ def assemble_welfare(bids: Sequence[AgentBid], dims: MarketDimensions) -> Welfar
         for coord in sorted(bid.utilities):
             piece = bid.utilities[coord]
             state = coord[2]
-            state_offsets[state] += piece.value(piece.lower)
+            state_offsets[state] += piece.utilities[0]  # the value at piece.lower
             contract = (coord[0] * dims.periods + coord[1]) * dims.states + state  # flat
             deltas = []
             for width, slope in piece.segments():

@@ -2,7 +2,9 @@
 
 Run from the repository root as ``PYTHONPATH=src python tests/fingerprint.py``
 on two checkouts: equal lines mean the two codes give the same bits on that
-corpus. The corpora are
+corpus. With ``--instances`` it prints one digest per instance instead, named
+``<corpus> #<i>``, so a ``diff`` of two checkouts' output lists the instances
+that moved. The corpora are
 
 - the ``LPResult`` (status, x, objective, duals, reduced costs, iterations)
   of the seed-83 ``random_lp`` draws, ``long_lp`` seeds 0-2 and three rungs
@@ -21,6 +23,7 @@ corpus. The corpora are
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -65,36 +68,36 @@ def _digest(chunks) -> str:
     return h.hexdigest()
 
 
-def _lp_chunks(lps):
-    for lp in lps:
-        result = solve_lp(lp)
-        yield (result.status, result.objective, result.iterations)
-        for array in (result.x, result.duals, result.reduced_costs):
-            yield b"None" if array is None else array.tobytes()
+def _lp_chunks(lp):
+    result = solve_lp(lp)
+    yield (result.status, result.objective, result.iterations)
+    for array in (result.x, result.duals, result.reduced_costs):
+        yield b"None" if array is None else array.tobytes()
 
 
-def _clear_chunks(markets):
-    for bids, dims in markets:
+def _clear_chunks(market):
+    bids, dims = market
+    try:
+        outcome = clear(assemble_welfare(bids, dims)).to_dict()
+    except StateMarketError as exc:  # a typed error is part of the outcome
+        outcome = repr(exc)
+    yield json.dumps(outcome, sort_keys=True)
+
+
+def _search_chunks(market):
+    bids, dims = market
+    program = assemble_welfare(bids, dims)
+    zero = ContractGrid(np.zeros(dims.shape))
+    for agent, prices in ((None, None), *((a, zero) for a in range(len(bids)))):
         try:
-            outcome = clear(assemble_welfare(bids, dims)).to_dict()
-        except StateMarketError as exc:  # a typed error is part of the outcome
-            outcome = repr(exc)
-        yield json.dumps(outcome, sort_keys=True)
+            value, cell, _ = _best_cell(program, agent, prices)
+            yield (value, cell)
+        except StateMarketError as exc:
+            yield f"{type(exc).__name__}: {exc}"
 
 
-def _search_chunks(markets):
-    for bids, dims in markets:
-        program = assemble_welfare(bids, dims)
-        zero = ContractGrid(np.zeros(dims.shape))
-        for agent, prices in ((None, None), *((a, zero) for a in range(len(bids)))):
-            try:
-                value, cell, _ = _best_cell(program, agent, prices)
-                yield (value, cell)
-            except StateMarketError as exc:
-                yield f"{type(exc).__name__}: {exc}"
-
-
-def _fixture_chunks(name: str, sweep: bool):
+def _fixture_chunks(case):
+    name, sweep = case
     with tempfile.TemporaryDirectory() as work:
         out = Path(work) / "out.json"
         argv = ["clear", "--bids", str(cli.fixture_path(name)), "--out", str(out)]
@@ -112,33 +115,47 @@ def _fixture_chunks(name: str, sweep: bool):
         yield prices.read_bytes() if prices.exists() else b"None"
 
 
-def digests(random_lps=300, long_seeds=range(3), rungs=RUNGS, convex=range(100),
-            commitment=range(70), flawed=range(20), fixtures=FIXTURES):
-    """Yield (corpus name, SHA-256 hex digest); the arguments, seed ranges
-    and counts, pick the slice."""
+def _corpora(random_lps, long_seeds, rungs, convex, commitment, flawed, fixtures):
+    """Yield (corpus name, its instances, the chunks of one instance)."""
     rng = np.random.default_rng(83)
-    yield (f"random_lp seed 83 x{random_lps}",
-           _digest(_lp_chunks(random_lp(rng) for _ in range(random_lps))))
-    yield f"long_lp {_span(long_seeds)}", _digest(_lp_chunks(map(long_lp, long_seeds)))
+    yield (f"random_lp seed 83 x{random_lps}", (random_lp(rng) for _ in range(random_lps)),
+           _lp_chunks)
+    yield f"long_lp {_span(long_seeds)}", map(long_lp, long_seeds), _lp_chunks
     for rung in rungs:
-        name = "x".join(map(str, rung))
-        yield f"ladder_lp {name}", _digest(_lp_chunks([ladder_lp(*rung, 0)]))
-    yield (f"random_convex_market {_span(convex)}",
-           _digest(_clear_chunks(map(random_convex_market, convex))))
+        yield f"ladder_lp {'x'.join(map(str, rung))}", [ladder_lp(*rung, 0)], _lp_chunks
+    yield (f"random_convex_market {_span(convex)}", map(random_convex_market, convex),
+           _clear_chunks)
     yield (f"random_commitment_market {_span(commitment)}",
-           _digest(_clear_chunks(map(random_commitment_market, commitment))))
-    flawed_markets = [make(seed) for make in (infeasible_commitment_market,
-                                              unbounded_commitment_market) for seed in flawed]
-    yield (f"infeasible and unbounded commitment markets {_span(flawed)}",
-           _digest(_search_chunks(flawed_markets)))
+           map(random_commitment_market, commitment), _clear_chunks)
+    flawed_markets = (make(seed) for make in (infeasible_commitment_market,
+                                              unbounded_commitment_market) for seed in flawed)
+    yield (f"infeasible and unbounded commitment markets {_span(flawed)}", flawed_markets,
+           _search_chunks)
     for name in fixtures:
         for sweep in (False, True):
             mode = " --sweep-pi" if sweep else ""
-            yield f"clear {name}{mode}", _digest(_fixture_chunks(name, sweep))
+            yield f"clear {name}{mode}", [(name, sweep)], _fixture_chunks
+
+
+def digests(random_lps=300, long_seeds=range(3), rungs=RUNGS, convex=range(100),
+            commitment=range(70), flawed=range(20), fixtures=FIXTURES, instances=False):
+    """Yield (corpus name, SHA-256 hex digest), or with ``instances`` one
+    ("<corpus> #<i>", digest) per instance; the other arguments, seed ranges
+    and counts, pick the slice."""
+    for name, items, chunks in _corpora(random_lps, long_seeds, rungs, convex, commitment,
+                                        flawed, fixtures):
+        if instances:
+            for i, item in enumerate(items):
+                yield f"{name} #{i}", _digest(chunks(item))
+        else:
+            yield name, _digest(chunk for item in items for chunk in chunks(item))
 
 
 def main() -> None:
-    for name, digest in digests():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--instances", action="store_true",
+                        help="print one digest per instance instead of one per corpus")
+    for name, digest in digests(instances=parser.parse_args().instances):
         print(f"{digest}  {name}", flush=True)
 
 

@@ -539,6 +539,30 @@ def test_report_partition_and_result(tmp_path, capsys):
     assert "welfare: 50" in text
 
 
+def test_report_rejects_a_result_with_other_states_than_the_partition(tmp_path, capsys):
+    part, result, sweep = (tmp_path / name for name in ("part.json", "result.json", "sweep.json"))
+    run(["partition", "--scenarios", SCENARIOS, "--states", 3, "--out", part])
+    run(["clear", "--bids", PRICE_BIDS, "--out", result])
+    capsys.readouterr()
+    assert run(["report", "--partition", part, "--result", result]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {part} has 3 states but {result} has 2\n" in captured.err
+    # every sweep entry is checked, not only the first
+    run(["partition", "--scenarios", SCENARIOS, "--states", 2, "--out", part])
+    run(["clear", "--bids", PRICE_BIDS, "--sweep-pi", "--out", sweep])
+    payload = json.loads(sweep.read_text())
+    last = len(payload["sweep"]) - 1
+    payload["sweep"][last]["result"]["dimensions"]["states"] = 3
+    sweep.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run(["report", "--partition", part, "--result", sweep]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {part} has 2 states but {sweep} has 3 in sweep entry {last}\n" in (
+        captured.err)
+
+
 def test_report_rejects_tampered_partition(tmp_path, capsys):
     part = tmp_path / "part.json"
     run(["partition", "--scenarios", SCENARIOS, "--states", 2, "--out", part])

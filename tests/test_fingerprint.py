@@ -24,3 +24,21 @@ def test_fingerprint_digests_a_small_slice_of_each_corpus():
     assert list(fingerprint.digests(**small)) == first
     small["random_lps"] = 6
     assert next(fingerprint.digests(**small))[1] != first[0][1]
+
+
+def test_fingerprint_instances_split_each_corpus():
+    small = dict(random_lps=2, long_seeds=range(1), rungs=(), convex=range(1),
+                 commitment=range(0), flawed=range(0), fixtures=())
+    split = list(fingerprint.digests(instances=True, **small))
+    assert [name for name, _ in split] == [
+        "random_lp seed 83 x2 #0",
+        "random_lp seed 83 x2 #1",
+        "long_lp 0-0 #0",
+        "random_convex_market 0-0 #0",
+    ]
+    # a corpus of one instance has that instance's digest
+    whole = dict(fingerprint.digests(**small))
+    assert whole["long_lp 0-0"] == split[2][1]
+    assert whole["random_convex_market 0-0"] == split[3][1]
+    one = next(fingerprint.digests(**{**small, "random_lps": 1}))
+    assert one[1] == split[0][1]
