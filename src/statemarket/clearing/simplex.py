@@ -26,7 +26,8 @@ phase-1 cost is zero); after phase 1 has proved the LP feasible, each such
 column with an eligible cost is put at its better bound at once, and the LP
 is unbounded if that bound is infinite. A bound flip changes neither the
 basis nor the basic values, so under Bland's rule this gives the bits that
-flipping the columns one pivot at a time gives.
+flipping the columns one pivot at a time gives. An LP with no rows is
+solved by this step alone, without a phase (``_solve_rowless``).
 
 Phase 1 starts from one artificial per row, a diagonal basis of signs that
 is its own inverse. Phase 2 starts on phase 1's final basis with the
@@ -267,8 +268,6 @@ class _Simplex:
         y = cost[self.basis] @ self.Binv
         reduced = cost - self.A.T @ y  # a transposed copy may change BLAS's summation order
         score = self._score(reduced)
-        if not score.size:  # an LP without variables or rows
-            return "optimal"
         best = score.item(score.argmax())  # a Python float: cheaper arithmetic below
         if best <= tol:
             return "optimal"
@@ -338,8 +337,13 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     that meet no row. The reported objective is c'x + constant. Duals follow the user's sense
     (derivative of the optimum w.r.t. the row rhs); complementary slackness
     is verified to FEAS_TOL before returning. Raises NumericalFailure instead
-    of returning silently wrong answers.
+    of returning silently wrong answers. An LP without rows is answered by
+    ``_solve_rowless``, with the bits of the two phases.
     """
+    return (_solve_two_phase if lp.rhs.size else _solve_rowless)(lp)
+
+
+def _solve_two_phase(lp: LinearProgram) -> LPResult:
     state = _Simplex(lp)
     n, m = state.n_struct, state.m
 
@@ -370,6 +374,30 @@ def solve_lp(lp: LinearProgram) -> LPResult:
 
     _validate_solution(lp, state, x, reduced_user)
     return LPResult("optimal", x, objective, duals, reduced_user, state.iterations)
+
+
+def _solve_rowless(lp: LinearProgram) -> LPResult:
+    """An LP without rows: every column meets no row, so ``set_rowless``
+    alone solves it from the start values.
+
+    The two phases would give the same bits. The basis is empty, so phase 1
+    prices all-zero reduced costs once and is optimal and feasible; phase 2
+    prices once after ``set_rowless`` and finds nothing eligible, so the
+    iterations are 2, or 1 when ``set_rowless`` finds the LP unbounded. The
+    values are the nonbasic ones, and the reduced costs are the cost less
+    the product of an empty dual vector, ``cost - 0.0``, which is the cost
+    with its signed zeros.
+    """
+    state = _Simplex(lp)
+    sign = -1.0 if lp.sense == "max" else 1.0
+    cost = sign * lp.objective
+    if not state.set_rowless(cost):
+        return LPResult("unbounded", None, None, None, None, 1)
+    x = state.nonbasic
+    reduced_user = sign * cost
+    objective = float(lp.objective @ x) + lp.constant
+    _validate_solution(lp, state, x, reduced_user)
+    return LPResult("optimal", x, objective, np.zeros(0), reduced_user, 2)
 
 
 def _validate_solution(lp, state, x, reduced_user) -> None:

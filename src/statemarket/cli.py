@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime as dt
+import functools
 import json
 import os
 import sys
@@ -263,7 +264,11 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later ``main``
+    call in the process; ``parse_args`` returns a new namespace each call and
+    writes nothing into the parser."""
     parser = _Parser(
         prog="statemarket",
         description="State-contingent day-ahead market pipeline",

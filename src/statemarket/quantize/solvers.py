@@ -19,6 +19,8 @@ center coordinates, so equal optima produce identical partitions.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..errors import DimensionNotOne, InstanceTooLarge, SExceedsSupport
@@ -101,19 +103,24 @@ def _subset_costs(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return cost
 
 
-def _submask_tables(bits: int):
-    """Yield ``(p, masks, blocks)`` for the masks over ``bits`` points with
+@functools.cache
+def _submask_tables(bits: int) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+    """The ``(p, masks, blocks)`` of the masks over ``bits`` points with
     p = 2..bits bits set, in that order.
 
     ``blocks`` is an ``(n, 2^(p-1))`` table: a mask's lowest bit OR-ed with
     every submask of the rest, in descending ``(sub - 1) & rest`` order. It
     is filled from the right by doubling over the rest's bits from the lowest
     up, which keeps that order: the submasks holding the new bit come first.
+    The tables depend on ``bits`` alone, so they are built once per process
+    and made read-only: 0.72 MB at ``bits = EXACT_LIMIT - 1``, 1.1 MB for all
+    bit counts up to it.
     """
     masks = np.arange(1 << bits, dtype=np.int64)
     counts = np.zeros(1 << bits, dtype=np.int64)
     for l in range(bits):
         counts[1 << l:2 << l] = counts[:1 << l] + 1
+    tables = []
     for p in range(2, bits + 1):
         group = masks[counts == p]
         width = 1 << (p - 1)
@@ -127,7 +134,9 @@ def _submask_tables(bits: int):
                 blocks[:, width - filled:], bit[:, None],
                 out=blocks[:, width - 2 * filled:width - filled],
             )
-        yield p, group, blocks
+        group.flags.writeable = blocks.flags.writeable = False
+        tables.append((p, group, blocks))
+    return tuple(tables)
 
 
 def _optimal_blocks(points: np.ndarray, weights: np.ndarray, num_states: int) -> list[int]:
@@ -324,6 +333,8 @@ def solve_lloyd(
     _check_states(scenarios, num_states)
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     points, weights = scenarios.points, scenarios.weights
     best = None
     for restart in range(restarts):

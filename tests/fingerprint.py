@@ -18,7 +18,15 @@ that moved. The corpora are
   order;
 - for each bid fixture, with and without ``--sweep-pi``: the exit code and
   stdout of ``statemarket clear``, its JSON outside ``metadata`` and its
-  ``.prices.csv``.
+  ``.prices.csv``;
+- ``solve_exact(...).to_dict()`` on seeded instances with L = 2..12 points
+  in k = 1..3 dimensions, uniform with random weights and on an integer grid
+  full of ties with equal weights, for every S up to min(L, 6) and the
+  distinct support;
+- two ``statemarket partition --solver exact --states 4 --svg`` runs on
+  seeded 12-point, 2-D scenario files, one after the other in this process:
+  the exit code, stdout, JSON outside ``metadata``, ``.states.txt`` and SVG
+  of each.
 """
 
 from __future__ import annotations
@@ -48,6 +56,9 @@ from statemarket.clearing import clear, solve_lp
 from statemarket.clearing.core import _best_cell
 from statemarket.errors import StateMarketError
 from statemarket.market import ContractGrid, assemble_welfare
+from statemarket.quantize import solve_exact
+from statemarket.quantize.solvers import _distinct_support
+from statemarket.scenarios import ScenarioSet, write_scenarios_csv
 
 RUNGS = ((8, 6, 2), (8, 8, 4), (16, 8, 4))
 FIXTURES = (
@@ -115,7 +126,43 @@ def _fixture_chunks(case):
         yield prices.read_bytes() if prices.exists() else b"None"
 
 
-def _corpora(random_lps, long_seeds, rungs, convex, commitment, flawed, fixtures):
+def _exact_instance(count, dim, grid):
+    rng = np.random.default_rng([87, count, dim, grid])
+    if grid:
+        return ScenarioSet(rng.integers(0, 3, (count, dim)).astype(float),
+                           np.full(count, 1.0 / count))
+    raw = rng.random(count) + 0.1
+    return ScenarioSet(rng.uniform(0.0, 1.0, (count, dim)), raw / raw.sum())
+
+
+def _exact_chunks(scen):
+    for states in range(1, min(6, _distinct_support(scen.points)) + 1):
+        yield json.dumps(solve_exact(scen, states).to_dict(), sort_keys=True)
+
+
+def _partition_chunks(seed):
+    rng = np.random.default_rng([88, seed])
+    scen = ScenarioSet(rng.uniform(0.0, 20.0, (12, 2)), np.full(12, 1.0 / 12))
+    with tempfile.TemporaryDirectory() as work:
+        csv_path, out, svg = Path(work) / "s.csv", Path(work) / "p.json", Path(work) / "p.svg"
+        write_scenarios_csv(scen, csv_path)
+        argv = ["partition", "--scenarios", str(csv_path), "--solver", "exact", "--states",
+                "4", "--svg", str(svg), "--out", str(out)]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), open(os.devnull, "w") as sink, \
+                contextlib.redirect_stderr(sink):
+            code = cli.main(argv)
+        yield code
+        yield stdout.getvalue().replace(work, "<work>")
+        payload = json.loads(out.read_text())
+        payload.pop("metadata")
+        yield json.dumps(payload, sort_keys=True)
+        yield out.with_suffix(".states.txt").read_bytes()
+        yield svg.read_bytes()
+
+
+def _corpora(random_lps, long_seeds, rungs, convex, commitment, flawed, fixtures, exact_counts,
+             partitions):
     """Yield (corpus name, its instances, the chunks of one instance)."""
     rng = np.random.default_rng(83)
     yield (f"random_lp seed 83 x{random_lps}", (random_lp(rng) for _ in range(random_lps)),
@@ -135,15 +182,20 @@ def _corpora(random_lps, long_seeds, rungs, convex, commitment, flawed, fixtures
         for sweep in (False, True):
             mode = " --sweep-pi" if sweep else ""
             yield f"clear {name}{mode}", [(name, sweep)], _fixture_chunks
+    exact = (_exact_instance(count, dim, grid) for count in exact_counts
+             for dim in (1, 2, 3) for grid in (False, True))
+    yield f"solve_exact L {_span(exact_counts)}", exact, _exact_chunks
+    yield f"partition --solver exact {_span(partitions)}", partitions, _partition_chunks
 
 
 def digests(random_lps=300, long_seeds=range(3), rungs=RUNGS, convex=range(100),
-            commitment=range(70), flawed=range(20), fixtures=FIXTURES, instances=False):
+            commitment=range(70), flawed=range(20), fixtures=FIXTURES,
+            exact_counts=range(2, 13), partitions=range(2), instances=False):
     """Yield (corpus name, SHA-256 hex digest), or with ``instances`` one
     ("<corpus> #<i>", digest) per instance; the other arguments, seed ranges
     and counts, pick the slice."""
     for name, items, chunks in _corpora(random_lps, long_seeds, rungs, convex, commitment,
-                                        flawed, fixtures):
+                                        flawed, fixtures, exact_counts, partitions):
         if instances:
             for i, item in enumerate(items):
                 yield f"{name} #{i}", _digest(chunks(item))

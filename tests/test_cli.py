@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import requests
 
-from statemarket.cli import fixture_path, main
+from statemarket.cli import build_parser, fixture_path, main
 from statemarket.market import assemble_welfare, load_bids_json
 from statemarket.quantize import solve_exact
 from statemarket.scenarios import ScenarioSet, fetch_ensemble
@@ -243,6 +243,13 @@ def test_partition_single_state_objective_is_variance(tmp_path, capsys):
     assert payload["objective"] == pytest.approx(
         size_of_state(scen, range(scen.num_scenarios)), abs=1e-12
     )
+
+
+def test_partition_rejects_a_negative_seed_naming_it(tmp_path, capsys):
+    out = tmp_path / "p.json"
+    assert run(["partition", "--scenarios", SCENARIOS, "--seed", -1, "--out", out]) == 1
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_partition_text_has_one_decimal_centers(tmp_path):
@@ -765,3 +772,23 @@ def test_usage_errors_are_validation_exit_code(args, capsys):
     # exit 2 means solver failure, so argparse's own exit 2 must not leak out
     assert run(args) == 1
     assert "usage:" in capsys.readouterr().err
+
+
+def test_the_parser_is_built_once_and_keeps_nothing_between_calls(tmp_path, capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    assert run(["partition", "--solver", "bogus", "--scenarios", SCENARIOS,
+                "--out", tmp_path / "p.json"]) == 1
+    assert run(["ingest", "--scenarios", SCENARIOS, "--out", tmp_path / "s.csv"]) == 0
+    fetched = []
+
+    def fetch(endpoint, locations, target_time, *, cache_dir):
+        fetched.append(locations)
+        return ScenarioSet(np.ones((2, len(locations))), np.full(2, 0.5))
+
+    monkeypatch.setattr("statemarket.cli.scenarios.fetch_ensemble", fetch)
+    ingest = ["ingest", "--endpoint", ENDPOINT, "--target-time", TARGET_TIME,
+              "--cache-dir", tmp_path / "cache"]
+    assert run(ingest + ["--location", "52.0,2.0", "--location", "54.0,7.0",
+                         "--out", tmp_path / "two.csv"]) == 0
+    assert run(ingest + ["--location", "56.0,3.0", "--out", tmp_path / "one.csv"]) == 0
+    assert fetched == [((52.0, 2.0), (54.0, 7.0)), ((56.0, 3.0),)]

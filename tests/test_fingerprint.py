@@ -7,7 +7,8 @@ import fingerprint
 
 def test_fingerprint_digests_a_small_slice_of_each_corpus():
     small = dict(random_lps=5, long_seeds=range(1), rungs=((8, 6, 2),), convex=range(2),
-                 commitment=range(2), flawed=range(1), fixtures=fingerprint.FIXTURES[:1])
+                 commitment=range(2), flawed=range(1), fixtures=fingerprint.FIXTURES[:1],
+                 exact_counts=range(2, 4), partitions=range(1))
     first = list(fingerprint.digests(**small))
     assert [name for name, _ in first] == [
         "random_lp seed 83 x5",
@@ -18,6 +19,8 @@ def test_fingerprint_digests_a_small_slice_of_each_corpus():
         "infeasible and unbounded commitment markets 0-0",
         "clear bids_price_formation.json",
         "clear bids_price_formation.json --sweep-pi",
+        "solve_exact L 2-3",
+        "partition --solver exact 0-0",
     ]
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for _, digest in first)
     assert len({digest for _, digest in first}) == len(first)
@@ -28,7 +31,8 @@ def test_fingerprint_digests_a_small_slice_of_each_corpus():
 
 def test_fingerprint_instances_split_each_corpus():
     small = dict(random_lps=2, long_seeds=range(1), rungs=(), convex=range(1),
-                 commitment=range(0), flawed=range(0), fixtures=())
+                 commitment=range(0), flawed=range(0), fixtures=(), exact_counts=range(0),
+                 partitions=range(0))
     split = list(fingerprint.digests(instances=True, **small))
     assert [name for name, _ in split] == [
         "random_lp seed 83 x2 #0",

@@ -317,9 +317,11 @@ def refactoring_run(self, cost):
 
 
 def solve_lp_refactoring(lp):
+    """The two phases with a fresh inverse at every pivot, also on LPs
+    without rows, which solve_lp answers without a phase."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simplex._Simplex, "run", refactoring_run)
-        return solve_lp(lp)
+        return simplex._solve_two_phase(lp)
 
 
 def same_bits(a, b):
@@ -545,6 +547,8 @@ def test_a_rowless_column_toward_infinity_is_unbounded_only_if_feasible():
 
 
 def test_an_expectation_agents_best_response_takes_one_phase_2_iteration(monkeypatch):
+    """Such an LP has no rows: the two phases price once each, and solve_lp
+    reports their bits and their two iterations without pricing at all."""
     phases = []
     pivot = simplex._Simplex._pivot
 
@@ -562,8 +566,14 @@ def test_an_expectation_agents_best_response_takes_one_phase_2_iteration(monkeyp
             continue
         phases.clear()
         result = solve_lp(lp)
-        assert result.status == "optimal" and result.iterations == 2
+        assert phases == []
+        reference = simplex._solve_two_phase(lp)
         assert phases == [1, 2]
+        assert result.status == reference.status == "optimal"
+        assert result.iterations == reference.iterations == 2
+        assert repr(result.objective) == repr(reference.objective)
+        for field in ("x", "duals", "reduced_costs"):
+            assert same_bits(getattr(result, field), getattr(reference, field)), field
         checked += 1
     assert checked == 4
 
@@ -571,16 +581,18 @@ def test_an_expectation_agents_best_response_takes_one_phase_2_iteration(monkeyp
 def test_setting_rowless_columns_keeps_the_bits_of_the_bland_loop(monkeypatch):
     """Bland's rule from the first pivot, with and without the row-less
     columns set before phase 2, over random_lp draws that have a column
-    outside every row; LPs with no rows at all give the same bits under the
-    default rule too, as their phase 2 only prices."""
+    outside every row. On LPs with no rows at all, the two phases give the
+    same bits under the default rule too, as their phase 2 only prices, and
+    so does solve_lp, which answers them by setting the row-less columns
+    alone, with the loop's iterations."""
     rng = np.random.default_rng(86)
     lps = [lp for lp in (random_lp(rng) for _ in range(400)) if not np.all(lp.matrix.any(axis=0))]
     lps += [random_lp(rng, max_rows=0) for _ in range(40)]
     with monkeypatch.context() as patch:
         patch.setattr(simplex, "DEGENERATE_LIMIT", 0)
-        bland = [solve_lp(lp) for lp in lps]
+        bland = [simplex._solve_two_phase(lp) for lp in lps]
         patch.setattr(simplex._Simplex, "set_rowless", lambda self, cost: True)
-        one_flip_each = [solve_lp(lp) for lp in lps]
+        one_flip_each = [simplex._solve_two_phase(lp) for lp in lps]
     statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
     fewer_with_rows = 0
     for lp, reference, flipped in zip(lps, bland, one_flip_each):
@@ -588,10 +600,13 @@ def test_setting_rowless_columns_keeps_the_bits_of_the_bland_loop(monkeypatch):
         has_rows = lp.matrix.shape[0] > 0
         assert reference.iterations <= flipped.iterations
         fewer_with_rows += has_rows and reference.iterations < flipped.iterations
-        for other in (flipped,) if has_rows else (flipped, solve_lp(lp)):
+        others = (flipped,) if has_rows else (flipped, simplex._solve_two_phase(lp), solve_lp(lp))
+        for other in others:
             assert reference.status == other.status
             for field in ("x", "duals", "reduced_costs"):
                 assert same_bits(getattr(reference, field), getattr(other, field)), field
+        if not has_rows:
+            assert solve_lp(lp).iterations == reference.iterations
     assert min(statuses.values()) >= 10, statuses
     assert fewer_with_rows >= 20
 

@@ -154,6 +154,16 @@ def test_optimal_blocks_keep_the_bottom_up_tie_rule_at_the_limit(kind, count, di
         ), (points.tolist(), states)
 
 
+def test_the_cached_submask_tables_are_read_only():
+    solve_exact(random_set(np.random.default_rng(7), 6, 2), 3)  # warms the 5-bit tables
+    tables = solvers._submask_tables(5)
+    assert solvers._submask_tables(5) is tables
+    for _, masks, blocks in tables:
+        for table in (masks, blocks):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+
+
 def test_exact_instance_too_large():
     rng = np.random.default_rng(6)
     scen = random_set(rng, 13, 2)
@@ -237,6 +247,12 @@ def test_lloyd_single_state_is_mean():
     scen = random_set(rng, 9, 2)
     solution = solve_lloyd(scen, 1, restarts=1, seed=0)
     assert np.allclose(solution.partition.centers[0], scen.mean(), atol=1e-12)
+
+
+def test_lloyd_rejects_a_negative_seed():
+    scen = random_set(np.random.default_rng(14), 6, 2)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        solve_lloyd(scen, 2, restarts=1, seed=-1)
 
 
 def test_lloyd_deterministic_for_fixed_seed():
