@@ -72,12 +72,26 @@ def _finalize(
 
 
 def _cell_barycentres(points, weights, assignment, num_states):
+    """The weighted barycentre of each state's cell, shape (S, k).
+
+    One stable sort of the assignment lines up every cell's members in
+    ascending index order; numpy radix-sorts it once it is cast to the
+    narrowest unsigned type that holds S - 1. One ``np.take`` then gathers
+    the points and weights in that order, and each center is
+    ``(w @ P) / w.sum()`` on its cell's contiguous slice. This keeps the
+    bits of a scan per state: each cell sends the same members, in the same
+    order, to the same BLAS call.
+    """
+    order = np.argsort(assignment.astype(np.min_scalar_type(num_states - 1)), kind="stable")
+    ends = np.cumsum(np.bincount(assignment, minlength=num_states)).tolist()
+    sorted_points = np.take(points, order, axis=0)
+    sorted_weights = np.take(weights, order)
     centers = np.empty((num_states, points.shape[1]))
-    for s in range(num_states):
-        members = np.flatnonzero(assignment == s)
-        w = weights[members]
-        # np.take gathers the same rows as points[members], several times faster
-        centers[s] = (w @ np.take(points, members, axis=0)) / w.sum()
+    start = 0
+    for s, end in enumerate(ends):
+        w = sorted_weights[start:end]
+        centers[s] = (w @ sorted_points[start:end]) / w.sum()
+        start = end
     return centers
 
 
@@ -273,15 +287,18 @@ def _weighted_draw(rng: np.random.Generator, mass: np.ndarray) -> int:
 def _seed_centers(
     points: np.ndarray, weights: np.ndarray, num_states: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Weighted k-means++ seeding: sampling mass = weight * distance^2."""
-    coordinates = points.T
+    """Weighted k-means++ seeding: sampling mass = weight * distance^2.
+
+    Returns the chosen points as a fresh (S, k) array.
+    """
+    coordinates = np.ascontiguousarray(points.T)
     chosen = [_weighted_draw(rng, weights)]
     d2 = _squared_distances_to(coordinates, points[chosen[0]])
     while len(chosen) < num_states:
         index = _weighted_draw(rng, weights * d2)
         chosen.append(index)
         np.minimum(d2, _squared_distances_to(coordinates, points[index]), out=d2)
-    return points[chosen].astype(float).copy()
+    return points[chosen]
 
 
 def _assign_with_repair(points, centers, num_states):

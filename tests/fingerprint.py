@@ -26,7 +26,14 @@ that moved. The corpora are
 - two ``statemarket partition --solver exact --states 4 --svg`` runs on
   seeded 12-point, 2-D scenario files, one after the other in this process:
   the exit code, stdout, JSON outside ``metadata``, ``.states.txt`` and SVG
-  of each.
+  of each;
+- the centers, assignment and objective of ``solve_lloyd`` with seed 0 on
+  the 39x2 North Sea fixture for S = 2..6 with 64 restarts, on seeded
+  bimodal 2-D measures (L = 2 000, S = 8, 8 restarts) and on integer tie
+  grids in k = 1..3 (S = 2..4, 8 restarts).
+
+``--only PREFIX`` prints just the corpora whose name starts with PREFIX, so
+an A/B check of one solver need not run the others.
 """
 
 from __future__ import annotations
@@ -56,9 +63,9 @@ from statemarket.clearing import clear, solve_lp
 from statemarket.clearing.core import _best_cell
 from statemarket.errors import StateMarketError
 from statemarket.market import ContractGrid, assemble_welfare
-from statemarket.quantize import solve_exact
+from statemarket.quantize import solve_exact, solve_lloyd
 from statemarket.quantize.solvers import _distinct_support
-from statemarket.scenarios import ScenarioSet, write_scenarios_csv
+from statemarket.scenarios import ScenarioSet, load_scenarios_csv, write_scenarios_csv
 
 RUNGS = ((8, 6, 2), (8, 8, 4), (16, 8, 4))
 FIXTURES = (
@@ -69,7 +76,7 @@ FIXTURES = (
 
 
 def _span(seeds: range) -> str:
-    return f"{seeds.start}-{seeds.stop - 1}"
+    return f"{seeds.start}-{seeds.stop - 1}" if seeds else "none"
 
 
 def _digest(chunks) -> str:
@@ -161,8 +168,40 @@ def _partition_chunks(seed):
         yield svg.read_bytes()
 
 
+def _bimodal_measure(seed):
+    """A calm and a windy mode on two correlated sites, L = 2 000."""
+    rng = np.random.default_rng([89, seed])
+    windy = rng.random(2000) < 0.5
+    means = np.where(windy[:, None], [11.0, 12.5], [3.0, 4.0])
+    points = np.abs(means + rng.standard_normal((2000, 2)) @ [[1.6, 1.1], [0.0, 1.2]])
+    raw = rng.random(2000) + 0.5
+    return ScenarioSet(points, raw / raw.sum())
+
+
+def _tie_grid(dim):
+    """60 equal-weight points on {0..3}^k, many of them equidistant from two centers."""
+    rng = np.random.default_rng([90, dim])
+    return ScenarioSet(rng.integers(0, 4, (60, dim)).astype(float), np.full(60, 1.0 / 60))
+
+
+def _lloyd_cases(lloyd_states, bimodal, grid_dims):
+    """(measure, S, restarts) for the ``solve_lloyd`` corpus."""
+    fixture = load_scenarios_csv(cli.fixture_path("scenarios_northsea_39x2.csv"))
+    yield from ((fixture, states, 64) for states in lloyd_states)
+    yield from ((_bimodal_measure(seed), 8, 8) for seed in bimodal)
+    yield from ((_tie_grid(dim), states, 8) for dim in grid_dims for states in (2, 3, 4))
+
+
+def _lloyd_chunks(case):
+    scen, states, restarts = case
+    solution = solve_lloyd(scen, states, restarts=restarts, seed=0)
+    yield solution.partition.centers.tobytes()
+    yield solution.assignment.tobytes()
+    yield solution.objective
+
+
 def _corpora(random_lps, long_seeds, rungs, convex, commitment, flawed, fixtures, exact_counts,
-             partitions):
+             partitions, lloyd_states, bimodal, grid_dims):
     """Yield (corpus name, its instances, the chunks of one instance)."""
     rng = np.random.default_rng(83)
     yield (f"random_lp seed 83 x{random_lps}", (random_lp(rng) for _ in range(random_lps)),
@@ -186,16 +225,24 @@ def _corpora(random_lps, long_seeds, rungs, convex, commitment, flawed, fixtures
              for dim in (1, 2, 3) for grid in (False, True))
     yield f"solve_exact L {_span(exact_counts)}", exact, _exact_chunks
     yield f"partition --solver exact {_span(partitions)}", partitions, _partition_chunks
+    yield (f"solve_lloyd fixture S {_span(lloyd_states)}, bimodal {_span(bimodal)}, "
+           f"grids k {_span(grid_dims)}", _lloyd_cases(lloyd_states, bimodal, grid_dims),
+           _lloyd_chunks)
 
 
 def digests(random_lps=300, long_seeds=range(3), rungs=RUNGS, convex=range(100),
             commitment=range(70), flawed=range(20), fixtures=FIXTURES,
-            exact_counts=range(2, 13), partitions=range(2), instances=False):
+            exact_counts=range(2, 13), partitions=range(2), lloyd_states=range(2, 7),
+            bimodal=range(8), grid_dims=range(1, 4), instances=False, only=""):
     """Yield (corpus name, SHA-256 hex digest), or with ``instances`` one
-    ("<corpus> #<i>", digest) per instance; the other arguments, seed ranges
-    and counts, pick the slice."""
+    ("<corpus> #<i>", digest) per instance, for the corpora whose name starts
+    with ``only``; the other arguments, seed ranges and counts, pick the
+    slice."""
     for name, items, chunks in _corpora(random_lps, long_seeds, rungs, convex, commitment,
-                                        flawed, fixtures, exact_counts, partitions):
+                                        flawed, fixtures, exact_counts, partitions,
+                                        lloyd_states, bimodal, grid_dims):
+        if not name.startswith(only):
+            continue
         if instances:
             for i, item in enumerate(items):
                 yield f"{name} #{i}", _digest(chunks(item))
@@ -203,11 +250,14 @@ def digests(random_lps=300, long_seeds=range(3), rungs=RUNGS, convex=range(100),
             yield name, _digest(chunk for item in items for chunk in chunks(item))
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--instances", action="store_true",
                         help="print one digest per instance instead of one per corpus")
-    for name, digest in digests(instances=parser.parse_args().instances):
+    parser.add_argument("--only", default="", metavar="PREFIX",
+                        help="print only the corpora whose name starts with PREFIX")
+    args = parser.parse_args(argv)
+    for name, digest in digests(instances=args.instances, only=args.only):
         print(f"{digest}  {name}", flush=True)
 
 

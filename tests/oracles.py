@@ -5,8 +5,9 @@ arithmetic) than the package paths they verify: literal set-partition
 enumeration against the subset-DP exact solver, and basic-solution
 enumeration and scipy's HiGHS (a dev-only dependency) against the simplex.
 A pure-Python bottom-up subset DP is the tie-rule reference for the
-vectorised DP of ``_optimal_blocks``, and cell enumeration the reference
-for the branch and bound over commitments.
+vectorised DP of ``_optimal_blocks``, a scan per state the bit reference
+for the sorted barycentres of ``_cell_barycentres``, and cell enumeration
+the reference for the branch and bound over commitments.
 """
 
 from __future__ import annotations
@@ -80,6 +81,18 @@ def weighted_mean(points, weights, subset) -> list[float]:
     dim = len(points[0])
     mass = sum(weights[l] for l in subset)
     return [sum(weights[l] * points[l][j] for l in subset) / mass for j in range(dim)]
+
+
+def scan_barycentres(points, weights, assignment, num_states):
+    """Each state's weighted barycentre from a scan of the assignment per
+    state: its members in ascending order, gathered and sent to one BLAS
+    call. The bit reference for ``_cell_barycentres``."""
+    centers = np.empty((num_states, points.shape[1]))
+    for s in range(num_states):
+        members = np.flatnonzero(assignment == s)
+        w = weights[members]
+        centers[s] = (w @ np.take(points, members, axis=0)) / w.sum()
+    return centers
 
 
 # --- bottom-up subset DP: tie-rule reference ----------------------------------

@@ -144,6 +144,17 @@ def test_nearest_center_matches_dense_kernel_bitwise(dim, states):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("states", [257, 607])
+def test_nearest_center_past_256_centers_matches_dense_kernel_bitwise(dim, states):
+    # indices above 255 need the running index wider than uint8
+    rng = np.random.default_rng(10 * dim + states)
+    points = rng.normal(size=(2000, dim))
+    centers = rng.normal(size=(states, dim))
+    assignment = assert_matches_dense_kernel(points, centers)
+    assert assignment.max() > 255
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_nearest_center_ties_go_to_smallest_index(dim):
     unit = np.eye(dim)
     far = np.full((1, dim), 50.0)

@@ -27,7 +27,12 @@ from statemarket.quantize.solvers import (
 )
 from statemarket.scenarios import ScenarioSet, barycentre, load_scenarios_csv
 
-from oracles import best_partition_bruteforce, blocks_cost, optimal_blocks_bottom_up
+from oracles import (
+    best_partition_bruteforce,
+    blocks_cost,
+    optimal_blocks_bottom_up,
+    scan_barycentres,
+)
 
 
 def equal_weight_set(points) -> ScenarioSet:
@@ -387,6 +392,47 @@ def test_cell_barycentres_match_boolean_mask_version_bitwise(dim):
         centers = _cell_barycentres(scen.points, scen.weights, assignment, states)
         expected = masked_barycentres(scen.points, scen.weights, assignment, states)
         assert np.array_equal(centers, expected)
+
+
+def assert_matches_scan(points, weights, assignment, num_states):
+    centers = _cell_barycentres(points, weights, assignment, num_states)
+    assert centers.tobytes() == scan_barycentres(points, weights, assignment, num_states).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_cell_barycentres_match_the_scan_per_state_bitwise(dim):
+    rng = np.random.default_rng(80 + dim)
+    for _ in range(40):
+        count, states = int(rng.integers(1, 3000)), int(rng.integers(1, 41))
+        states = min(states, count)
+        scen = random_set(rng, count, dim)
+        points = scen.points * 10.0 ** int(rng.integers(-3, 4))
+        # every state occupied, the rest of the labels at random
+        assignment = rng.integers(0, states, count)
+        assignment[rng.permutation(count)[:states]] = np.arange(states)
+        assert_matches_scan(points, scen.weights, assignment, states)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cell_barycentres_match_the_scan_per_state_on_tie_grids(dim):
+    # the cells nearest_center draws on an integer grid, whose ties the
+    # smallest index wins, with equal weights
+    rng = np.random.default_rng(85 + dim)
+    for states in (2, 5, 12, 40):
+        grid = rng.integers(-4, 5, (900, dim)).astype(float)
+        centers = rng.permutation(np.unique(grid, axis=0))[:states]
+        assignment, _ = nearest_center(grid, centers)
+        weights = np.full(grid.shape[0], 1.0 / grid.shape[0])
+        assert_matches_scan(grid, weights, assignment, centers.shape[0])
+
+
+def test_cell_barycentres_match_the_scan_per_state_past_256_states():
+    # more labels than uint8 holds: the sort key widens to uint16
+    rng = np.random.default_rng(89)
+    points = rng.normal(size=(3000, 1))
+    assignment = rng.integers(0, 607, 3000)
+    assignment[:607] = np.arange(607)
+    assert_matches_scan(points, rng.random(3000) + 0.1, assignment, 607)
 
 
 def einsum_seed_centers(points, weights, num_states, rng):
