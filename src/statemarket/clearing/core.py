@@ -5,7 +5,8 @@ depth-first branch and bound (Land & Doig 1960), whose rules ``_best_cell``
 states. Each assignment of the binaries, a cell, yields an LP whose optimum,
 objective constant included, is the cell's welfare and whose balance-row
 duals are the candidate contract prices. The search dives toward the
-rounding of each relaxation it solves and drops only subtrees in which no
+rounding of each relaxation it solves, warm-starting each relaxation below
+the root from the basis of one above, and drops only subtrees in which no
 cell could have won, so the winner and its LP are those that enumerating
 every cell would give, exact ties going to the lexicographically smallest
 binary vector. For purely convex programs the outcome is a Walrasian
@@ -30,7 +31,7 @@ from ..market import (
     payment,
     valuation,
 )
-from .simplex import PIVOT_TOL, LinearProgram, LPResult, solve_lp
+from .simplex import PIVOT_TOL, ColumnState, LinearProgram, LPResult, solve_lp
 
 MAX_BINARIES = 20
 DEFAULT_TOL = 1e-6
@@ -149,28 +150,52 @@ class _Search:
                     if agent is None or a == agent]
         self.cell = [0] * len(program.binaries)
         self.best: tuple[float, tuple[int, ...], LPResult] | None = None
+        self.root: LinearProgram | None = None  # the root relaxation
+        # starts[d]: the final state of the nearest relaxation solved to
+        # optimality above depth d, or None
+        self.starts: list[ColumnState | None] = [None] * (len(self.own) + 2)
 
     def run(self) -> tuple[float, tuple[int, ...], LPResult] | None:
         self.node(0, None)
         return self.best
 
-    def relax(self, free: list[int]) -> tuple[bool, Bound | None]:
-        """(infeasible, bound) of the relaxation freeing ``free`` below the
-        current cell; the bound is None unless the relaxation is optimal."""
+    def relax(self, depth: int) -> tuple[bool, Bound | None]:
+        """(infeasible, bound) of the relaxation freeing the binaries from
+        ``depth`` on below the current cell; the bound is None unless the
+        relaxation is optimal, and then its state starts those below it."""
+        free, start = self.own[depth:], self.starts[depth]
         try:
-            outcome = solve_lp(build_lp(self.program, self.cell, self.agent, self.prices, free))
+            if start is None:
+                lp = build_lp(self.program, self.cell, self.agent, self.prices, free)
+                if depth == 0:
+                    self.root = lp
+                outcome = solve_lp(lp)
+            else:
+                outcome = solve_lp(self.fixed(depth), start=start)
         except NumericalFailure:
             return False, None
         if outcome.status != "optimal":
             return outcome.status == "infeasible", None
+        self.starts[depth + 1] = outcome.state
         return False, (outcome.objective, outcome.x[-len(free):])
+
+    def fixed(self, depth: int) -> LinearProgram:
+        """The root relaxation with the binaries set above ``depth`` fixed at
+        their values by their columns' bounds, so the root's basis, and that
+        of any relaxation between, is a basis of it."""
+        first = self.root.num_vars - len(self.own)
+        lower, upper = self.root.lower.copy(), self.root.upper.copy()
+        lower[first:first + depth] = upper[first:first + depth] = [
+            self.cell[b] for b in self.own[:depth]]
+        return replace(self.root, lower=lower, upper=upper)
 
     def node(self, depth: int, bound: Bound | None) -> None:
         """Search the cells below the first ``depth`` branches of ``self.cell``,
         given the bound inherited from the nearest agreeing relaxation."""
         free = self.own[depth:]
+        self.starts[depth + 1] = self.starts[depth]
         if bound is None and len(free) >= 2:
-            infeasible, bound = self.relax(free)
+            infeasible, bound = self.relax(depth)
             if infeasible:
                 return
         best = self.best
@@ -218,7 +243,8 @@ def _best_cell(
     LP's optimum, and a cell replaces the best when its value is greater, or
     equal and the cell lexicographically smaller, so ties keep the
     lex-smallest cell in whatever order the search meets them. A node's
-    relaxation is ``build_lp`` with its free binaries ``free``.
+    relaxation is ``build_lp`` with its free binaries ``free``, or in the
+    form of rule 4.
 
     1. A node inherits (value, relaxed binaries) from the nearest relaxation
        above it whose relaxed binaries equal every branch taken since. That
@@ -232,9 +258,23 @@ def _best_cell(
        relaxation rounds that binary to (1 from 0.5 up), and to 0 first when
        it has no bound. So the search dives toward the relaxation's rounding,
        and an integral root relaxation names the first cell solved.
+    4. The root relaxation and every cell's LP are solved cold. Once the
+       root relaxation is optimal with a final ``state`` (it has rows), each
+       relaxation below it is the root's LP with the set binaries' columns
+       fixed by their bounds at their values, instead of moved into the
+       rhs, and is warm-started (``solve_lp``'s ``start``) from the final
+       state of the nearest relaxation solved to optimality above it.
+       Otherwise every relaxation is built by ``build_lp`` and solved cold.
 
     A pruned cell's value is below a solved cell's, so it could not have
-    won, and the result is the one enumerating every cell gives. A numerical
+    won, and the result is the one enumerating every cell gives. A warm
+    relaxation keeps this: it is the node's relaxation, so its optimum
+    bounds every cell below the node and differs from the cold optimum only
+    by rounding, far inside PRUNE_MARGIN; its "infeasible" is a row that no
+    column can bring within bounds, so no cell below is feasible; and its
+    failure, like any, prunes nothing. A relaxation decides only what is
+    pruned and the branch order, never a cell's LP, so every solved cell,
+    the winner's LP included, keeps the bits of a cold solve. A numerical
     failure, or an unbounded LP, in a cell met by the search is raised
     naming the cell, the LP and its size.
     """

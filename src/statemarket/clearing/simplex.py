@@ -1,4 +1,5 @@
-"""Dense bounded-variable two-phase primal simplex.
+"""Dense bounded-variable two-phase primal simplex, with a bounded dual
+simplex to re-optimise from an optimal basis when bounds are tightened.
 
 Small, deterministic LP solver for welfare maximization and price
 extraction. Row duals are reported in the user's optimization sense, as the
@@ -47,10 +48,11 @@ was confirmed on. The reported values, duals and reduced costs come from
 one fresh solve on the final basis. Designed for desk-scale instances (tens
 of rows).
 
-Each column's state is held once: set from the bounds at the start, then
-updated in place by every pivot, by the pinning of the artificials and by
-the setting of the columns that meet no row. A basic column has a position
-in ``basis``, an index array, and holds 0 in ``nonbasic``. A nonbasic
+Each column's state is held once: set from the bounds at the start (and
+from a warm start's basis and sides, ``_read``), then updated in place by
+every pivot, by the pinning of the artificials and by the setting of the
+columns that meet no row. A basic column has a position in ``basis``, an
+index array, and holds 0 in ``nonbasic``. A nonbasic
 column holds there the finite bound it sits at (at first its lower bound if
 finite, else its upper), or 0 if it is free, which ``free`` then marks.
 ``improving`` holds its sign: -1 at its lower bound, +1 at its upper, 0 if
@@ -59,6 +61,30 @@ ratio test, a sequential scan in Python that at tens of rows is faster than
 a vectorised one. Signs and values are exact, negation is exact, and Python
 floats round as numpy's do, so the pivots and every bit of the result are
 those of recomputing the state from the bounds and the basis at each pivot.
+
+A warm start (``solve_lp(lp, start)``) takes the final ``ColumnState`` of
+an optimal solve of an LP with the same matrix, senses, rhs and objective,
+whose structural bounds may differ. The basis is inverted once and each
+nonbasic column is put at the bound on the side it sat on (the other if
+that one is now infinite), with the artificials pinned as in phase 2. If
+the bounds were only tightened, every reduced cost keeps its sign, so the
+basis is dual feasible and only basic values may be out of bounds. A
+bounded dual simplex (Fourer 1994; Koberstein 2005) then pivots until each
+is within FEAS_TOL * scale of its bounds, the tolerance at which phase 1
+calls an LP infeasible. The basic column with the largest violation leaves
+for the bound it violates, the smallest position on ties. The entering
+column is the one whose reduced cost reaches zero first as the leaving
+one's moves off zero: among the columns that can move the leaving value
+toward its bound, with |alpha| above PIVOT_TOL in its row ``alpha`` of
+``Binv @ A``, those whose ratio |reduced cost| / |alpha| is within
+PIVOT_TOL of the least; the largest |alpha| among them, then the smallest
+index. A row that no column can move proves the LP infeasible. Phase 2's
+primal simplex then runs from the feasible basis, normally for one pricing,
+so an optimum is certified, valued and checked as a cold one is. The dual
+simplex follows the same inverse rules: eta updates, a fresh inverse every
+REFACTOR_EVERY basis changes, and a verdict ("feasible" or "infeasible")
+returned only on a fresh inverse. It has no anti-cycling rule; a run past
+its pivot limit raises NumericalFailure.
 """
 
 from __future__ import annotations
@@ -143,6 +169,16 @@ class LinearProgram:
 
 
 @dataclass(frozen=True)
+class ColumnState:
+    """An optimal solve's final basis and the side each nonbasic column sits
+    on (``improving``: -1 at its lower bound, +1 at its upper, 0 if basic or
+    fixed); the values and the free mask follow from these and the bounds."""
+
+    basis: np.ndarray
+    improving: np.ndarray
+
+
+@dataclass(frozen=True)
 class LPResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None
@@ -150,13 +186,14 @@ class LPResult:
     duals: np.ndarray | None
     reduced_costs: np.ndarray | None
     iterations: int
+    state: ColumnState | None = None  # an optimum's, to start ``solve_lp`` on a tighter LP
 
 
 class _Simplex:
     """Computational form: minimize c'v, A v = b, lo <= v <= hi, with the
-    columns ordered structural, slack, artificial (the start basis)."""
+    columns ordered structural, slack, artificial (the cold start basis)."""
 
-    def __init__(self, lp: LinearProgram):
+    def __init__(self, lp: LinearProgram, start: ColumnState | None = None):
         struct = np.ascontiguousarray(lp.matrix)
         self.b = b = lp.rhs
         m, n = struct.shape
@@ -166,28 +203,42 @@ class _Simplex:
         senses = lp.senses
         slack_lo = np.where(senses == ">=", -np.inf, 0.0)
         slack_hi = np.where(senses == "<=", np.inf, 0.0)
+        # a warm start begins where phase 2 does, with the artificials pinned
+        artificial_hi = np.full(m, np.inf) if start is None else np.zeros(m)
         self.lower = np.concatenate([lp.lower, slack_lo, np.zeros(m)])
-        self.upper = np.concatenate([lp.upper, slack_hi, np.full(m, np.inf)])
-
-        self.basis = np.arange(n + m, self.total, dtype=np.intp)
-        finite_lower, finite_upper = np.isfinite(self.lower), np.isfinite(self.upper)
-        # an artificial's lower bound, 0, is also what a basic column holds
-        self.nonbasic = np.where(finite_lower, self.lower,
-                                 np.where(finite_upper, self.upper, 0.0))
-        self.improving = np.where(finite_lower, -1.0, np.where(finite_upper, 1.0, 0.0))
-        self.improving[self.lower == self.upper] = 0.0
-        self.improving[n + m :] = 0.0
-        free = ~(finite_lower | finite_upper)
-        self.free = free if free.any() else None
+        self.upper = np.concatenate([lp.upper, slack_hi, artificial_hi])
+        if start is None:
+            self._read(np.arange(n + m, self.total, dtype=np.intp), np.zeros(self.total, bool))
+        else:
+            self._read(start.basis.copy(), start.improving > 0)
         residual = b - struct @ self.nonbasic[:n] - self.nonbasic[n : n + m]
         sign = np.where(residual >= 0, 1.0, -1.0)
         self.A = np.hstack([struct, np.eye(m), np.diag(sign)])
-        self.Binv = np.diag(sign)  # the inverse of the all-artificial start basis
         self.updates = 0  # basis changes applied to Binv since it was inverted
+        # the all-artificial start basis is its own inverse; a warm one is inverted
+        self.Binv = np.diag(sign) if start is None else self._solve_basis(np.eye(m))
         self.iterations = 0
         self.phase = 0  # 1 during phase 1, 2 during phase 2
         self.scale = max(1.0, float(np.max(np.abs(b))) if m else 1.0)
         self.tol = PIVOT_TOL * self.scale  # a column is eligible if its score exceeds it
+
+    def _read(self, basis: np.ndarray, at_upper_side: np.ndarray) -> None:
+        """Set the column state from ``basis`` and the bounds: a nonbasic
+        column sits at its upper bound where ``at_upper_side`` holds or its
+        lower bound is infinite, else at its lower bound, and is free if both
+        are infinite."""
+        self.basis = basis
+        basic = np.zeros(self.total, dtype=bool)
+        basic[basis] = True
+        finite_lower, finite_upper = np.isfinite(self.lower), np.isfinite(self.upper)
+        at_upper = finite_upper & (at_upper_side | ~finite_lower)
+        at_lower = finite_lower & ~at_upper
+        self.nonbasic = np.where(at_lower, self.lower, np.where(at_upper, self.upper, 0.0))
+        self.nonbasic[basic] = 0.0
+        self.improving = np.where(at_lower, -1.0, np.where(at_upper, 1.0, 0.0))
+        self.improving[basic | (self.lower == self.upper)] = 0.0
+        free = ~(basic | finite_lower | finite_upper)
+        self.free = free if free.any() else None
 
     def _solve_basis(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
         matrix = self.A[:, self.basis]
@@ -251,17 +302,64 @@ class _Simplex:
         movable = self.lower < self.upper
         self.lower_list = self.lower.tolist()
         self.upper_list = self.upper.tolist()
-        limit = 200 * (self.total + 1)
         self.degenerate = 0  # zero-step basis changes since the last positive step
+        return self._loop(lambda: self._pivot(cost, tol, movable), f"phase {self.phase}")
+
+    def run_dual(self, cost: np.ndarray) -> str:
+        """Bounded dual simplex from a dual feasible basis until every basic
+        value is within FEAS_TOL * scale of its bounds; returns 'feasible'
+        or 'infeasible'. See ``_dual_pivot``."""
+        return self._loop(lambda: self._dual_pivot(cost), "the dual simplex")
+
+    def _loop(self, step, where: str) -> str:
+        """Repeat ``step`` until it returns a verdict on a fresh inverse."""
+        limit = 200 * (self.total + 1)
         for _ in range(limit):
             self.iterations += 1
-            verdict = self._pivot(cost, tol, movable)
+            verdict = step()
             if verdict is not None and self.updates:
                 self._refactor()
-                verdict = self._pivot(cost, tol, movable)
+                verdict = step()
             if verdict is not None:
                 return verdict
-        raise NumericalFailure(f"simplex exceeded {limit} iterations in phase {self.phase}")
+        raise NumericalFailure(f"simplex exceeded {limit} iterations in {where}")
+
+    def _dual_pivot(self, cost: np.ndarray) -> str | None:
+        """One dual pivot by the module docstring's rules; returns a verdict
+        instead when every basic value is within bounds or the leaving row
+        has no entering column."""
+        basis = self.basis
+        x_basic = self.Binv @ (self.b - self.A @ self.nonbasic)
+        below = self.lower[basis] - x_basic
+        above = x_basic - self.upper[basis]
+        violation = np.maximum(below, above)
+        pos = int(violation.argmax())
+        if violation[pos] <= FEAS_TOL * self.scale:
+            return "feasible"
+        to_upper = bool(above[pos] > below[pos])
+        # s * alpha: the rate at which a column's increase moves the leaving
+        # value toward its bound
+        toward = (1.0 if to_upper else -1.0) * (self.Binv[pos] @ self.A)
+        eligible = (self.improving * toward < 0) & (np.abs(toward) > PIVOT_TOL)
+        if self.free is not None:
+            eligible |= self.free & (np.abs(toward) > PIVOT_TOL)
+        candidates = np.flatnonzero(eligible)
+        if not candidates.size:
+            return "infeasible"
+        y = cost[basis] @ self.Binv
+        reduced = cost[candidates] - self.A[:, candidates].T @ y
+        ratios = np.maximum(reduced / toward[candidates], 0.0)
+        size = np.where(ratios <= ratios.min() + PIVOT_TOL, np.abs(toward[candidates]), -1.0)
+        entering = int(candidates[size.argmax()])
+
+        leaving = int(basis[pos])
+        self._replace(pos, entering, self.Binv @ self.A[:, entering])
+        self.nonbasic[leaving] = self.upper[leaving] if to_upper else self.lower[leaving]
+        if self.lower[leaving] < self.upper[leaving]:
+            self.improving[leaving] = 1.0 if to_upper else -1.0
+        if self.updates == REFACTOR_EVERY:
+            self._refactor()
+        return None
 
     def _pivot(self, cost: np.ndarray, tol: float, movable: np.ndarray) -> str | None:
         """One pivot or bound flip; returns a verdict instead when no pivot exists."""
@@ -325,7 +423,7 @@ class _Simplex:
         return None
 
 
-def solve_lp(lp: LinearProgram) -> LPResult:
+def solve_lp(lp: LinearProgram, start: ColumnState | None = None) -> LPResult:
     """Solve to optimality and report primal values, row duals, reduced costs.
 
     Two phases: phase 1 minimizes the sum of the artificials; then they are
@@ -339,8 +437,20 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     is verified to FEAS_TOL before returning. Raises NumericalFailure instead
     of returning silently wrong answers. An LP without rows is answered by
     ``_solve_rowless``, with the bits of the two phases.
+
+    ``start`` is the ``state`` of an optimal result of an LP with the same
+    matrix, senses, rhs and objective; only the structural bounds may
+    differ. The solve then skips phase 1 and the artificials: a bounded dual
+    simplex re-optimises from that basis and phase 2 finishes, as the module
+    docstring sets out (``_solve_warm``). It may take ``200 * (columns + 1)``
+    dual pivots, and ``iterations`` counts them too. Its "infeasible" is a
+    row that no column can bring within bounds, checked on a fresh inverse.
+    An LP without rows ignores ``start``, and its result has no ``state``;
+    every other optimal result carries its own.
     """
-    return (_solve_two_phase if lp.rhs.size else _solve_rowless)(lp)
+    if not lp.rhs.size:
+        return _solve_rowless(lp)
+    return _solve_two_phase(lp) if start is None else _solve_warm(lp, start)
 
 
 def _solve_two_phase(lp: LinearProgram) -> LPResult:
@@ -357,23 +467,45 @@ def _solve_two_phase(lp: LinearProgram) -> LPResult:
     state.upper[n + m :] = 0.0
     state.improving[n + m :] = 0.0
 
-    sign = -1.0 if lp.sense == "max" else 1.0
-    cost = np.zeros(state.total)
-    cost[:n] = sign * lp.objective
+    cost = _phase_2_cost(lp, state)
     status = state.run(cost) if state.set_rowless(cost) else "unbounded"
+    return _phase_2_result(lp, state, cost, status)
+
+
+def _solve_warm(lp: LinearProgram, start: ColumnState) -> LPResult:
+    """Re-optimise from ``start`` by the dual simplex, then phase 2; see the
+    module docstring."""
+    state = _Simplex(lp, start)
+    cost = _phase_2_cost(lp, state)
+    if state.run_dual(cost) == "infeasible":
+        return LPResult("infeasible", None, None, None, None, state.iterations)
+    state.phase = 1  # the primal simplex that follows is phase 2
+    return _phase_2_result(lp, state, cost, state.run(cost))
+
+
+def _phase_2_cost(lp: LinearProgram, state: _Simplex) -> np.ndarray:
+    """The user's objective as a cost to minimize over all columns."""
+    cost = np.zeros(state.total)
+    cost[: state.n_struct] = (-1.0 if lp.sense == "max" else 1.0) * lp.objective
+    return cost
+
+
+def _phase_2_result(lp: LinearProgram, state: _Simplex, cost: np.ndarray,
+                    status: str) -> LPResult:
     if status == "unbounded":
         return LPResult("unbounded", None, None, None, None, state.iterations)
-
+    sign = -1.0 if lp.sense == "max" else 1.0
     values = state.values()
-    x = values[:n]
+    x = values[: state.n_struct]
     y = state._solve_basis(cost[state.basis], transpose=True)
     reduced = cost - state.A.T @ y
     duals = sign * y
-    reduced_user = sign * reduced[:n]
+    reduced_user = sign * reduced[: state.n_struct]
     objective = float(lp.objective @ x) + lp.constant
 
     _validate_solution(lp, state, x, reduced_user)
-    return LPResult("optimal", x, objective, duals, reduced_user, state.iterations)
+    return LPResult("optimal", x, objective, duals, reduced_user, state.iterations,
+                    ColumnState(state.basis, state.improving))
 
 
 def _solve_rowless(lp: LinearProgram) -> LPResult:

@@ -73,6 +73,11 @@ def nearest_center(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray,
     ``intp``. This keeps the bits: every distance comes from the same lanes
     in the same order, and the comparison, the minimum and the max of small
     integers are exact whatever the dtype of the index.
+
+    The distances read the points one coordinate per row, a contiguous copy
+    of ``points.T``. For points in Fortran order that is ``points.T`` itself,
+    so a caller that assigns the same points many times passes them in that
+    order and no copy is made.
     """
     coordinates = np.ascontiguousarray(points.T)
     label = np.min_scalar_type(centers.shape[0] - 1).type

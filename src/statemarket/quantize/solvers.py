@@ -320,12 +320,16 @@ def _lloyd_single_run(points, weights, num_states, rng):
     Terminates on an assignment fixed point, which exists because the
     objective strictly decreases until the assignment repeats.
     """
-    centers = _seed_centers(points, weights, num_states, rng)
-    assignment, d2, centers = _assign_with_repair(points, centers, num_states)
+    # in Fortran order the coordinate rows that nearest_center and
+    # _seed_centers read are a view, not a copy per call; the barycentres
+    # gather whole points, which is faster in C order
+    by_coordinate = np.asfortranarray(points)
+    centers = _seed_centers(by_coordinate, weights, num_states, rng)
+    assignment, d2, centers = _assign_with_repair(by_coordinate, centers, num_states)
     history = [float(weights @ d2)]
     for _ in range(LLOYD_MAX_ITERATIONS):
         centers = _cell_barycentres(points, weights, assignment, num_states)
-        new_assignment, d2, centers = _assign_with_repair(points, centers, num_states)
+        new_assignment, d2, centers = _assign_with_repair(by_coordinate, centers, num_states)
         history.append(float(weights @ d2))
         if np.array_equal(new_assignment, assignment):
             break
@@ -360,9 +364,10 @@ def solve_lloyd(
         if best is None or history[-1] < best[0]:
             best = (history[-1], centers)
     centers = best[1]
+    by_coordinate = np.asfortranarray(points)  # as in _lloyd_single_run
     for _ in range(LLOYD_MAX_ITERATIONS):
         centers = centers[np.lexsort(centers.T[::-1])]
-        assignment, _, centers = _assign_with_repair(points, centers, num_states)
+        assignment, _, centers = _assign_with_repair(by_coordinate, centers, num_states)
         updated = _cell_barycentres(points, weights, assignment, num_states)
         if np.array_equal(updated, centers):
             break

@@ -1,6 +1,7 @@
 """LP solver: golden duals, oracle cross-checks (vertex enumeration, the
 refactor-every-pivot loop, HiGHS), degeneracy, status detection."""
 
+import dataclasses
 import math
 import re
 
@@ -823,3 +824,71 @@ def test_lp_rejects_malformed_input(change, message):
     fields.update(change)
     with pytest.raises(ValueError, match=message):
         LinearProgram(**fields)
+
+
+# --- warm starts --------------------------------------------------------------
+
+def tightened(rng, lp, x):
+    """``lp`` with random columns tightened to a point or a sub-box of their
+    bounds, drawn within 3 of ``x`` where a bound is infinite."""
+    lower, upper = lp.lower.copy(), lp.upper.copy()
+    for j in rng.choice(lp.num_vars, size=int(rng.integers(1, lp.num_vars + 1)), replace=False):
+        low = lower[j] if np.isfinite(lower[j]) else x[j] - 3.0
+        high = upper[j] if np.isfinite(upper[j]) else x[j] + 3.0
+        a, b = sorted(rng.uniform(low, high, 2).round(1))
+        lower[j], upper[j] = (a, a) if rng.random() < 0.5 else (a, b)
+    return dataclasses.replace(lp, lower=lower, upper=upper)
+
+
+def warm_cases():
+    """(start, child LP) pairs: children of the optimal seed-83 ``random_lp``
+    draws with rows, and a grandchild of each optimal child, started from
+    its parent's final state."""
+    rng, draw = np.random.default_rng(83), np.random.default_rng(84)
+    for lp in (random_lp(rng) for _ in range(300)):
+        parent = solve_lp(lp)
+        if parent.status != "optimal" or not lp.rhs.size:
+            continue
+        for _ in range(10):
+            child = tightened(draw, lp, parent.x)
+            yield parent.state, child
+            outcome = solve_lp(child, start=parent.state)
+            if outcome.status == "optimal":
+                yield outcome.state, tightened(draw, child, outcome.x)
+
+
+def test_a_warm_start_agrees_with_a_cold_solve_on_tightened_lps():
+    statuses = {}
+    for start, lp in warm_cases():
+        cold, warm = solve_lp(lp), solve_lp(lp, start=start)
+        assert warm.status == cold.status
+        statuses[warm.status] = statuses.get(warm.status, 0) + 1
+        if warm.status == "optimal":
+            scale = max(1.0, float(np.max(np.abs(lp.rhs))))
+            assert abs(warm.objective - cold.objective) <= simplex.FEAS_TOL * scale
+    assert statuses.keys() == {"optimal", "infeasible"}
+    assert min(statuses.values()) >= 100, statuses
+
+
+def test_column_state_holds_after_every_dual_pivot(monkeypatch):
+    """The state also holds as read from the start, and the dual simplex's
+    last verdict is reached on a fresh inverse."""
+    calls = []  # (verdict, basis changes since the last inversion)
+    dual_pivot = simplex._Simplex._dual_pivot
+
+    def spy(self, cost):
+        assert_column_state(self)
+        verdict = dual_pivot(self, cost)
+        assert_column_state(self)
+        calls.append((verdict, self.updates))
+        return verdict
+
+    monkeypatch.setattr(simplex._Simplex, "_dual_pivot", spy)
+    pivots = 0
+    for start, lp in warm_cases():
+        calls.clear()
+        solve_lp(lp, start=start)
+        verdict, updates = calls[-1]
+        assert verdict in ("feasible", "infeasible") and updates == 0
+        pivots += sum(verdict is None for verdict, _ in calls)
+    assert pivots > 100
