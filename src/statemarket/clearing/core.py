@@ -4,11 +4,12 @@ Binary commitments (at most MAX_BINARIES) are cleared by an exact
 depth-first branch and bound (Land & Doig 1960), whose rules ``_best_cell``
 states. Each assignment of the binaries, a cell, yields an LP whose optimum,
 objective constant included, is the cell's welfare and whose balance-row
-duals are the candidate contract prices. The search dives toward the
-rounding of each relaxation it solves, warm-starting each relaxation below
-the root from the basis of one above, and drops only subtrees in which no
-cell could have won, so the winner and its LP are those that enumerating
-every cell would give, exact ties going to the lexicographically smallest
+duals are the candidate contract prices. Every relaxation is the root
+relaxation with the set binaries fixed by bounds, warm-started from the
+nearest optimal relaxation above it. The search dives toward the rounding
+of each relaxation it solves and drops only subtrees in which no cell could
+have won, so the winner and its LP are those that enumerating every cell
+would give, exact ties going to the lexicographically smallest
 binary vector. For purely convex programs the outcome is a Walrasian
 equilibrium; with binaries the verification report surfaces any agent that
 could deviate profitably at the posted prices.
@@ -150,52 +151,45 @@ class _Search:
                     if agent is None or a == agent]
         self.cell = [0] * len(program.binaries)
         self.best: tuple[float, tuple[int, ...], LPResult] | None = None
-        self.root: LinearProgram | None = None  # the root relaxation
-        # starts[d]: the final state of the nearest relaxation solved to
-        # optimality above depth d, or None
-        self.starts: list[ColumnState | None] = [None] * (len(self.own) + 2)
+        self.root: LinearProgram | None = None  # the root relaxation, once needed
 
     def run(self) -> tuple[float, tuple[int, ...], LPResult] | None:
-        self.node(0, None)
+        self.node(0, None, None)
         return self.best
 
-    def relax(self, depth: int) -> tuple[bool, Bound | None]:
-        """(infeasible, bound) of the relaxation freeing the binaries from
-        ``depth`` on below the current cell; the bound is None unless the
-        relaxation is optimal, and then its state starts those below it."""
-        free, start = self.own[depth:], self.starts[depth]
+    def relax(self, depth: int, start: ColumnState | None
+              ) -> tuple[bool, Bound | None, ColumnState | None]:
+        """(infeasible, bound, start below) of the relaxation freeing the binaries
+        from ``depth`` on below the current cell, solved from ``start``; unless it
+        is optimal, the bound is None and ``start`` is passed on."""
+        if self.root is None:
+            self.root = build_lp(self.program, self.cell, self.agent, self.prices, self.own)
         try:
-            if start is None:
-                lp = build_lp(self.program, self.cell, self.agent, self.prices, free)
-                if depth == 0:
-                    self.root = lp
-                outcome = solve_lp(lp)
-            else:
-                outcome = solve_lp(self.fixed(depth), start=start)
+            outcome = solve_lp(self.fixed(depth), start=start)
         except NumericalFailure:
-            return False, None
+            return False, None, start
         if outcome.status != "optimal":
-            return outcome.status == "infeasible", None
-        self.starts[depth + 1] = outcome.state
-        return False, (outcome.objective, outcome.x[-len(free):])
+            return outcome.status == "infeasible", None, start
+        return False, (outcome.objective, outcome.x[depth - len(self.own):]), outcome.state
 
     def fixed(self, depth: int) -> LinearProgram:
         """The root relaxation with the binaries set above ``depth`` fixed at
         their values by their columns' bounds, so the root's basis, and that
-        of any relaxation between, is a basis of it."""
+        of any relaxation between, is a basis of it; ``fixed(0)`` is the root."""
+        if not depth:
+            return self.root
         first = self.root.num_vars - len(self.own)
         lower, upper = self.root.lower.copy(), self.root.upper.copy()
         lower[first:first + depth] = upper[first:first + depth] = [
             self.cell[b] for b in self.own[:depth]]
         return replace(self.root, lower=lower, upper=upper)
 
-    def node(self, depth: int, bound: Bound | None) -> None:
+    def node(self, depth: int, bound: Bound | None, start: ColumnState | None) -> None:
         """Search the cells below the first ``depth`` branches of ``self.cell``,
-        given the bound inherited from the nearest agreeing relaxation."""
+        given the nearest agreeing relaxation's bound and nearest optimal one's state."""
         free = self.own[depth:]
-        self.starts[depth + 1] = self.starts[depth]
         if bound is None and len(free) >= 2:
-            infeasible, bound = self.relax(depth)
+            infeasible, bound, start = self.relax(depth, start)
             if infeasible:
                 return
         best = self.best
@@ -209,7 +203,7 @@ class _Search:
         for value in (first, 1 - first):
             self.cell[free[0]] = value
             agrees = bound is not None and bound[1][0] == value
-            self.node(depth + 1, (bound[0], bound[1][1:]) if agrees else None)
+            self.node(depth + 1, (bound[0], bound[1][1:]) if agrees else None, start)
         self.cell[free[0]] = 0
 
     def leaf(self) -> None:
@@ -243,8 +237,8 @@ def _best_cell(
     LP's optimum, and a cell replaces the best when its value is greater, or
     equal and the cell lexicographically smaller, so ties keep the
     lex-smallest cell in whatever order the search meets them. A node's
-    relaxation is ``build_lp`` with its free binaries ``free``, or in the
-    form of rule 4.
+    relaxation is the LP of rule 4, whose optimum is that of ``build_lp``
+    with the node's free binaries ``free``.
 
     1. A node inherits (value, relaxed binaries) from the nearest relaxation
        above it whose relaxed binaries equal every branch taken since. That
@@ -258,25 +252,25 @@ def _best_cell(
        relaxation rounds that binary to (1 from 0.5 up), and to 0 first when
        it has no bound. So the search dives toward the relaxation's rounding,
        and an integral root relaxation names the first cell solved.
-    4. The root relaxation and every cell's LP are solved cold. Once the
-       root relaxation is optimal with a final ``state`` (it has rows), each
-       relaxation below it is the root's LP with the set binaries' columns
-       fixed by their bounds at their values, instead of moved into the
-       rhs, and is warm-started (``solve_lp``'s ``start``) from the final
-       state of the nearest relaxation solved to optimality above it.
-       Otherwise every relaxation is built by ``build_lp`` and solved cold.
+    4. Every cell's LP is solved cold. Every relaxation is the root's LP,
+       ``build_lp`` with all the search's binaries free, with the set ones'
+       columns fixed at their values by bounds instead of moved into the
+       rhs. It is warm-started (``solve_lp``'s ``start``) from the ``state``
+       of the nearest relaxation solved to optimality above it, or solved
+       cold when there is none: the root, and below a root that is
+       unbounded, fails or has no rows.
 
     A pruned cell's value is below a solved cell's, so it could not have
-    won, and the result is the one enumerating every cell gives. A warm
-    relaxation keeps this: it is the node's relaxation, so its optimum
-    bounds every cell below the node and differs from the cold optimum only
-    by rounding, far inside PRUNE_MARGIN; its "infeasible" is a row that no
-    column can bring within bounds, so no cell below is feasible; and its
-    failure, like any, prunes nothing. A relaxation decides only what is
-    pruned and the branch order, never a cell's LP, so every solved cell,
-    the winner's LP included, keeps the bits of a cold solve. A numerical
-    failure, or an unbounded LP, in a cell met by the search is raised
-    naming the cell, the LP and its size.
+    won, and the result is the one enumerating every cell gives. Rule 4's
+    form keeps this: it is the node's relaxation, so its optimum bounds
+    every cell below the node and differs from ``build_lp``'s only by
+    rounding, far inside PRUNE_MARGIN; its "infeasible" (phase 1's, or a
+    warm solve's row that no column can bring within bounds) means no cell
+    below is feasible; and its failure, like any, prunes nothing. A
+    relaxation decides only what is pruned and the branch order, never a
+    cell's LP, so every solved cell, the winner's LP included, keeps the
+    bits of a cold solve. A numerical failure, or an unbounded LP, in a cell
+    met by the search is raised naming the cell, the LP and its size.
     """
     best = _Search(program, agent, prices).run()
     if best is None:

@@ -50,17 +50,22 @@ of rows).
 
 Each column's state is held once: set from the bounds at the start (and
 from a warm start's basis and sides, ``_read``), then updated in place by
-every pivot, by the pinning of the artificials and by the setting of the
-columns that meet no row. A basic column has a position in ``basis``, an
-index array, and holds 0 in ``nonbasic``. A nonbasic
-column holds there the finite bound it sits at (at first its lower bound if
-finite, else its upper), or 0 if it is free, which ``free`` then marks.
-``improving`` holds its sign: -1 at its lower bound, +1 at its upper, 0 if
-basic or fixed. Each phase copies the bounds into Python float lists for the
-ratio test, a sequential scan in Python that at tens of rows is faster than
-a vectorised one. Signs and values are exact, negation is exact, and Python
-floats round as numpy's do, so the pivots and every bit of the result are
-those of recomputing the state from the bounds and the basis at each pivot.
+every basis change, by a bound flip, by the pinning of the artificials and
+by the setting of the columns that meet no row. A basic column has a
+position in ``basis``, an index array, and holds 0 in ``nonbasic``. A
+nonbasic column holds there the finite bound it sits at (at first its lower
+bound if finite, else its upper), or 0 if it is free, which ``free`` then
+marks. ``improving`` holds its sign: -1 at its lower bound, +1 at its
+upper, 0 if basic or fixed. A primal and a dual pivot both end in one
+``_replace``, which makes the entering column basic, puts the leaving one
+at the bound it reached with that side's sign (none if it is fixed),
+updates ``Binv`` and inverts afresh on the REFACTOR_EVERY cadence. Each
+phase, and the dual simplex, copies the bounds into Python float lists for
+``_replace`` and the ratio test, a sequential scan in Python that at tens
+of rows is faster than a vectorised one. Signs and values are exact,
+negation is exact, and Python floats round as numpy's do, so the pivots and
+every bit of the result are those of recomputing the state from the bounds
+and the basis at each pivot.
 
 A warm start (``solve_lp(lp, start)``) takes the final ``ColumnState`` of
 an optimal solve of an LP with the same matrix, senses, rhs and objective,
@@ -84,7 +89,9 @@ so an optimum is certified, valued and checked as a cold one is. The dual
 simplex follows the same inverse rules: eta updates, a fresh inverse every
 REFACTOR_EVERY basis changes, and a verdict ("feasible" or "infeasible")
 returned only on a fresh inverse. It has no anti-cycling rule; a run past
-its pivot limit raises NumericalFailure.
+its pivot limit raises NumericalFailure. Branch and bound (``clearing.core``)
+solves every relaxation as its root's LP with the set binaries fixed by
+bounds: warm from the nearest optimal relaxation above, else cold.
 """
 
 from __future__ import annotations
@@ -256,18 +263,27 @@ class _Simplex:
         self.Binv = self._solve_basis(np.eye(self.m))
         self.updates = 0
 
-    def _replace(self, pos: int, col: int, w: np.ndarray) -> None:
-        """Make ``col`` basic at position ``pos``; ``w`` is ``Binv @ A[:, col]``."""
+    def _replace(self, pos: int, col: int, w: np.ndarray, to_upper: bool) -> None:
+        """Make ``col`` basic at position ``pos`` and the column leaving it
+        nonbasic at the bound it reached, its upper if ``to_upper``; ``w`` is
+        ``Binv @ A[:, col]``. Refactors every REFACTOR_EVERY basis changes."""
+        leaving = self.basis.item(pos)
         self.basis[pos] = col
         self.nonbasic[col] = 0.0
         self.improving[col] = 0.0
         if self.free is not None:
             self.free[col] = False
+        lower, upper = self.lower_list[leaving], self.upper_list[leaving]
+        self.nonbasic[leaving] = upper if to_upper else lower
+        if lower < upper:
+            self.improving[leaving] = 1.0 if to_upper else -1.0
         # eta update: B_new^-1 = E B^-1, pivoting w onto unit vector pos
         row = self.Binv[pos] / w[pos]
         self.Binv -= w[:, None] * row
         self.Binv[pos] = row
         self.updates += 1
+        if self.updates == REFACTOR_EVERY:
+            self._refactor()
 
     def _score(self, reduced: np.ndarray) -> np.ndarray:
         """Each column's gain per unit step, as the module docstring defines it."""
@@ -299,11 +315,8 @@ class _Simplex:
         """
         self.phase += 1
         tol = self.tol
-        movable = self.lower < self.upper
-        self.lower_list = self.lower.tolist()
-        self.upper_list = self.upper.tolist()
         self.degenerate = 0  # zero-step basis changes since the last positive step
-        return self._loop(lambda: self._pivot(cost, tol, movable), f"phase {self.phase}")
+        return self._loop(lambda: self._pivot(cost, tol), f"phase {self.phase}")
 
     def run_dual(self, cost: np.ndarray) -> str:
         """Bounded dual simplex from a dual feasible basis until every basic
@@ -313,6 +326,7 @@ class _Simplex:
 
     def _loop(self, step, where: str) -> str:
         """Repeat ``step`` until it returns a verdict on a fresh inverse."""
+        self.lower_list, self.upper_list = self.lower.tolist(), self.upper.tolist()
         limit = 200 * (self.total + 1)
         for _ in range(limit):
             self.iterations += 1
@@ -351,17 +365,10 @@ class _Simplex:
         ratios = np.maximum(reduced / toward[candidates], 0.0)
         size = np.where(ratios <= ratios.min() + PIVOT_TOL, np.abs(toward[candidates]), -1.0)
         entering = int(candidates[size.argmax()])
-
-        leaving = int(basis[pos])
-        self._replace(pos, entering, self.Binv @ self.A[:, entering])
-        self.nonbasic[leaving] = self.upper[leaving] if to_upper else self.lower[leaving]
-        if self.lower[leaving] < self.upper[leaving]:
-            self.improving[leaving] = 1.0 if to_upper else -1.0
-        if self.updates == REFACTOR_EVERY:
-            self._refactor()
+        self._replace(pos, entering, self.Binv @ self.A[:, entering], to_upper)
         return None
 
-    def _pivot(self, cost: np.ndarray, tol: float, movable: np.ndarray) -> str | None:
+    def _pivot(self, cost: np.ndarray, tol: float) -> str | None:
         """One pivot or bound flip; returns a verdict instead when no pivot exists."""
         y = cost[self.basis] @ self.Binv
         reduced = cost - self.A.T @ y  # a transposed copy may change BLAS's summation order
@@ -414,12 +421,7 @@ class _Simplex:
             self.nonbasic[entering] = upper[entering] if to_upper else lower[entering]
             return None
         self.degenerate = 0 if best_delta > PIVOT_TOL else self.degenerate + 1
-        self._replace(leaving_pos, entering, w)
-        if movable[leaving_col]:
-            self.improving[leaving_col] = 1.0 if hit_upper else -1.0
-        self.nonbasic[leaving_col] = upper[leaving_col] if hit_upper else lower[leaving_col]
-        if self.updates == REFACTOR_EVERY:
-            self._refactor()
+        self._replace(leaving_pos, entering, w, hit_upper)
         return None
 
 

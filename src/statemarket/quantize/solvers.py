@@ -71,8 +71,9 @@ def _finalize(
     return QuantizationSolution(partition, lower_bound, provenance)
 
 
-def _cell_barycentres(points, weights, assignment, num_states):
-    """The weighted barycentre of each state's cell, shape (S, k).
+def _cell_barycentres(points, weights, assignment, counts):
+    """The weighted barycentre of each state's cell, shape (S, k), where
+    ``counts`` is the assignment's ``np.bincount`` over the S states.
 
     One stable sort of the assignment lines up every cell's members in
     ascending index order; numpy radix-sorts it once it is cast to the
@@ -82,11 +83,11 @@ def _cell_barycentres(points, weights, assignment, num_states):
     bits of a scan per state: each cell sends the same members, in the same
     order, to the same BLAS call.
     """
-    order = np.argsort(assignment.astype(np.min_scalar_type(num_states - 1)), kind="stable")
-    ends = np.cumsum(np.bincount(assignment, minlength=num_states)).tolist()
+    order = np.argsort(assignment.astype(np.min_scalar_type(counts.size - 1)), kind="stable")
+    ends = np.cumsum(counts).tolist()
     sorted_points = np.take(points, order, axis=0)
     sorted_weights = np.take(weights, order)
-    centers = np.empty((num_states, points.shape[1]))
+    centers = np.empty((counts.size, points.shape[1]))
     start = 0
     for s, end in enumerate(ends):
         w = sorted_weights[start:end]
@@ -217,9 +218,8 @@ def solve_exact(scenarios: ScenarioSet, num_states: int) -> QuantizationSolution
         )
     blocks = np.array(_optimal_blocks(scenarios.points, scenarios.weights, num_states))
     assignment = (blocks[:, None] >> np.arange(length) & 1).argmax(axis=0)
-    centers = _cell_barycentres(
-        scenarios.points, scenarios.weights, assignment, num_states
-    )
+    centers = _cell_barycentres(scenarios.points, scenarios.weights, assignment,
+                                np.bincount(assignment, minlength=num_states))
     return _finalize(scenarios, centers, "oracle", certified=True)
 
 
@@ -270,9 +270,8 @@ def solve_dp_1d(scenarios: ScenarioSet, num_states: int) -> QuantizationSolution
         j = i
     assignment = np.empty(length, dtype=int)
     assignment[order] = assignment_sorted
-    centers = _cell_barycentres(
-        scenarios.points, scenarios.weights, assignment, num_states
-    )
+    centers = _cell_barycentres(scenarios.points, scenarios.weights, assignment,
+                                np.bincount(assignment, minlength=num_states))
     return _finalize(scenarios, centers, "dp1d", certified=True)
 
 
@@ -302,14 +301,15 @@ def _seed_centers(
 
 
 def _assign_with_repair(points, centers, num_states):
-    """Nearest-center assignment; empty states are repaired by relocating the
-    center onto the worst-served point, which strictly lowers the objective."""
+    """Nearest-center assignment and state counts; empty states are repaired by
+    relocating the center onto the worst-served point, which strictly lowers
+    the objective."""
     while True:
         assignment, d2 = nearest_center(points, centers)
-        occupied = np.bincount(assignment, minlength=num_states) > 0
-        if occupied.all():
-            return assignment, d2, centers
-        empty = int(np.flatnonzero(~occupied)[0])
+        counts = np.bincount(assignment, minlength=num_states)
+        if counts.all():
+            return assignment, d2, centers, counts
+        empty = int(np.flatnonzero(counts == 0)[0])
         centers = centers.copy()
         centers[empty] = points[int(np.argmax(d2))]
 
@@ -325,15 +325,15 @@ def _lloyd_single_run(points, weights, num_states, rng):
     # gather whole points, which is faster in C order
     by_coordinate = np.asfortranarray(points)
     centers = _seed_centers(by_coordinate, weights, num_states, rng)
-    assignment, d2, centers = _assign_with_repair(by_coordinate, centers, num_states)
+    assignment, d2, centers, counts = _assign_with_repair(by_coordinate, centers, num_states)
     history = [float(weights @ d2)]
     for _ in range(LLOYD_MAX_ITERATIONS):
-        centers = _cell_barycentres(points, weights, assignment, num_states)
-        new_assignment, d2, centers = _assign_with_repair(by_coordinate, centers, num_states)
+        centers = _cell_barycentres(points, weights, assignment, counts)
+        previous = assignment
+        assignment, d2, centers, counts = _assign_with_repair(by_coordinate, centers, num_states)
         history.append(float(weights @ d2))
-        if np.array_equal(new_assignment, assignment):
+        if np.array_equal(assignment, previous):
             break
-        assignment = new_assignment
     return centers, assignment, history
 
 
@@ -367,8 +367,8 @@ def solve_lloyd(
     by_coordinate = np.asfortranarray(points)  # as in _lloyd_single_run
     for _ in range(LLOYD_MAX_ITERATIONS):
         centers = centers[np.lexsort(centers.T[::-1])]
-        assignment, _, centers = _assign_with_repair(by_coordinate, centers, num_states)
-        updated = _cell_barycentres(points, weights, assignment, num_states)
+        assignment, _, centers, counts = _assign_with_repair(by_coordinate, centers, num_states)
+        updated = _cell_barycentres(points, weights, assignment, counts)
         if np.array_equal(updated, centers):
             break
         centers = updated

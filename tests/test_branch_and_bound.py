@@ -103,21 +103,15 @@ def test_a_relaxation_that_fails_numerically_prunes_nothing(monkeypatch):
     program = assemble_welfare(*random_commitment_market(6))
     expected = best_cell_by_enumeration(program)
     relaxations, leaves = [], []
-    build, solve = core.build_lp, core.solve_lp
+    solve = core.solve_lp
 
-    def build_and_record(program, cell, agent=None, prices=None, free=()):
-        lp = build(program, cell, agent, prices, free)
-        if len(free):
+    def fail_on_relaxations(lp, start=None):
+        if lp.num_vars > program.objective.size:  # a relaxation has binary columns
             relaxations.append(lp)
-        return lp
-
-    def fail_on_relaxations(lp):
-        if any(lp is relaxed for relaxed in relaxations):
             raise NumericalFailure("singular basis: test")
         leaves.append(lp)
-        return solve(lp)
+        return solve(lp, start=start)
 
-    monkeypatch.setattr(core, "build_lp", build_and_record)
     monkeypatch.setattr(core, "solve_lp", fail_on_relaxations)
     found = _best_cell(program)
     assert relaxations
@@ -154,7 +148,7 @@ def test_an_inherited_bound_is_the_nodes_own_relaxation(monkeypatch):
     node = core._Search.node
     inherited = []
 
-    def check_bound(search, depth, bound):
+    def check_bound(search, depth, bound, start):
         if bound is not None:
             lp = core.build_lp(search.program, search.cell, search.agent, search.prices,
                                search.own[depth:])
@@ -162,7 +156,7 @@ def test_an_inherited_bound_is_the_nodes_own_relaxation(monkeypatch):
             assert own.status == "optimal"
             assert abs(own.objective - bound[0]) <= PRUNE_MARGIN * max(1.0, abs(bound[0]))
             inherited.append(depth > 0)
-        return node(search, depth, bound)
+        return node(search, depth, bound, start)
 
     monkeypatch.setattr(core._Search, "node", check_bound)
     for market in MARKETS.values():
@@ -238,10 +232,8 @@ def test_clearing_the_random_corpus_solves_fewer_lps(monkeypatch):
     assert len(calls) <= 2114
 
 
-def test_clearing_the_random_corpus_takes_fewer_iterations(monkeypatch):
-    """The simplex iterations of the searches above: 59 811 with every
-    relaxation solved cold, 31 428 since each relaxation below the root
-    starts from the basis of the nearest one solved above it."""
+def iterations_taken(monkeypatch) -> list[int]:
+    """The iterations of each LP ``core`` solves from now on."""
     iterations = []
     solve = core.solve_lp
 
@@ -251,9 +243,66 @@ def test_clearing_the_random_corpus_takes_fewer_iterations(monkeypatch):
         return outcome
 
     monkeypatch.setattr(core, "solve_lp", counted)
+    return iterations
+
+
+def test_clearing_the_random_corpus_takes_fewer_iterations(monkeypatch):
+    """The simplex iterations of the searches above: 59 811 with every
+    relaxation solved cold, 31 428 since each relaxation below the root
+    starts from the basis of the nearest one solved above it."""
+    iterations = iterations_taken(monkeypatch)
     for seed in range(70):
         clear(assemble_welfare(*random_commitment_market(seed)))
     assert sum(iterations) <= 31428
+
+
+@pytest.mark.parametrize(
+    "make, error, lps, iterations",
+    [(infeasible_commitment_market, Infeasible, 20, 1377),
+     (unbounded_commitment_market, Unbounded, 128, 6819)],
+    ids=["infeasible", "unbounded"],
+)
+def test_clearing_a_flawed_corpus_takes_no_more_work(monkeypatch, make, error, lps, iterations):
+    """The LPs and iterations of clearing seeds 0-19 up to the typed error."""
+    taken = iterations_taken(monkeypatch)
+    for seed in range(20):
+        with pytest.raises(error):
+            clear(assemble_welfare(*make(seed)))
+    assert len(taken) <= lps
+    assert sum(taken) <= iterations
+
+
+def test_build_lp_frees_binaries_only_for_a_searchs_root(monkeypatch):
+    """Every relaxation is the root's LP with the set binaries fixed by
+    bounds, below an unbounded root too, so ``build_lp`` frees binaries only
+    for a search's root, once per search over two or more: 20 calls on the
+    unbounded corpus, whose welfare searches raise, and 140 on the random
+    one. Building each relaxation below a root with no optimal state made
+    108 on the unbounded corpus."""
+    build, run = core.build_lp, core._Search.run
+    started, roots = [], []
+
+    def run_and_record(search):
+        started.append(search)
+        return run(search)
+
+    def build_and_record(program, cell, agent=None, prices=None, free=()):
+        if len(free):
+            search = started[-1]
+            assert not any(cell) and list(free) == search.own
+            roots.append(search)
+        return build(program, cell, agent, prices, free)
+
+    monkeypatch.setattr(core._Search, "run", run_and_record)
+    monkeypatch.setattr(core, "build_lp", build_and_record)
+    for seed in range(20):
+        with pytest.raises(Unbounded):
+            clear(assemble_welfare(*unbounded_commitment_market(seed)))
+    assert len(roots) == 20
+    for seed in range(70):
+        clear(assemble_welfare(*random_commitment_market(seed)))
+    assert roots == [search for search in started if len(search.own) >= 2]
+    assert len(roots) == 160
 
 
 @pytest.mark.parametrize(

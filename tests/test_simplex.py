@@ -371,9 +371,9 @@ def test_updated_inverse_matches_refactoring_loop_on_bound_flips(monkeypatch):
     flips = []
     pivot = simplex._Simplex._pivot
 
-    def spy(self, cost, tol, movable):
+    def spy(self, cost, tol):
         basis = self.basis.copy()
-        verdict = pivot(self, cost, tol, movable)
+        verdict = pivot(self, cost, tol)
         flips.append(verdict is None and np.array_equal(basis, self.basis))
         return verdict
 
@@ -485,7 +485,7 @@ def test_bland_enters_after_three_zero_steps_and_yields_after_a_positive_one(mon
     run = {"phase": None, "zero_steps": 0}  # holds the state, so no id is reused
     pivot = simplex._Simplex._pivot
 
-    def spy(self, cost, tol, movable):
+    def spy(self, cost, tol):
         y = cost[self.basis] @ self.Binv
         reduced = cost - self.A.T @ y
         score = self.improving * reduced
@@ -493,7 +493,7 @@ def test_bland_enters_after_three_zero_steps_and_yields_after_a_positive_one(mon
             score[self.free] = np.abs(reduced[self.free])
         eligible = np.flatnonzero(score > tol)
         before, basis, nonbasic = self.values(), self.basis.copy(), self.nonbasic.copy()
-        verdict = pivot(self, cost, tol, movable)
+        verdict = pivot(self, cost, tol)
         if verdict is not None:
             return verdict
         changed = np.flatnonzero(basis != self.basis)
@@ -553,9 +553,9 @@ def test_an_expectation_agents_best_response_takes_one_phase_2_iteration(monkeyp
     phases = []
     pivot = simplex._Simplex._pivot
 
-    def spy(self, cost, tol, movable):
+    def spy(self, cost, tol):
         phases.append(self.phase)
-        return pivot(self, cost, tol, movable)
+        return pivot(self, cost, tol)
 
     program = assemble_welfare(*random_convex_market(1))
     prices = clear(program).prices
@@ -633,8 +633,8 @@ def test_column_state_holds_after_every_pivot_and_the_pin(monkeypatch):
     phases, artificial_basic = [], []  # phases: one entry per pivot
     pivot, set_rowless = simplex._Simplex._pivot, simplex._Simplex.set_rowless
 
-    def spy_pivot(self, cost, tol, movable):
-        verdict = pivot(self, cost, tol, movable)
+    def spy_pivot(self, cost, tol):
+        verdict = pivot(self, cost, tol)
         assert_column_state(self)
         assert self.lower_list == self.lower.tolist()
         assert self.upper_list == self.upper.tolist()
@@ -673,8 +673,8 @@ def test_each_basis_change_keeps_binv_the_inverse(monkeypatch):
     changes = []
     replace = simplex._Simplex._replace
 
-    def spy_replace(self, pos, col, w):
-        replace(self, pos, col, w)
+    def spy_replace(self, pos, col, w, to_upper):
+        replace(self, pos, col, w, to_upper)
         identity = self.Binv @ self.A[:, self.basis]
         assert np.abs(identity - np.eye(self.m)).max() <= 1e-10
         changes.append(pos)
@@ -713,8 +713,8 @@ def test_phase_2_solves_the_row_x0_minus_x1(lower, upper, matrix, x):
 def test_pivot_limit_names_the_phase_and_the_cell(monkeypatch, phase):
     pivot = simplex._Simplex._pivot
 
-    def stalled(self, cost, tol, movable):
-        return None if self.phase == phase else pivot(self, cost, tol, movable)
+    def stalled(self, cost, tol):
+        return None if self.phase == phase else pivot(self, cost, tol)
 
     monkeypatch.setattr(simplex._Simplex, "_pivot", stalled)
     program = assemble_welfare(*commitment_bids("expectation"))
@@ -739,9 +739,9 @@ def test_inverse_is_rebuilt_on_cadence_and_before_each_verdict(monkeypatch):
         log.append("invert")
         refactor(self)
 
-    def spy_pivot(self, cost, tol, movable):
+    def spy_pivot(self, cost, tol):
         log.append("pivot")
-        return pivot(self, cost, tol, movable)
+        return pivot(self, cost, tol)
 
     def spy_run(self, cost):
         log.append("run")

@@ -303,10 +303,10 @@ def test_assignment_repair_moves_an_idle_center_onto_the_worst_served_point():
     before, d2_before = nearest_center(points, centers)
     assert 1 not in before
     worst = int(np.argmax(d2_before))
-    assignment, d2, repaired = _assign_with_repair(points, centers, 3)
+    assignment, d2, repaired, counts = _assign_with_repair(points, centers, 3)
     assert np.array_equal(repaired[1], points[worst])
     assert np.array_equal(np.delete(repaired, 1, axis=0), np.delete(centers, 1, axis=0))
-    assert (np.bincount(assignment, minlength=3) > 0).all()
+    assert np.array_equal(counts, np.bincount(assignment, minlength=3)) and counts.all()
     assert weights @ d2 <= weights @ d2_before
     assert centers[1].tolist() == [50.0, 50.0]  # the caller's centers are not modified
 
@@ -389,13 +389,15 @@ def test_cell_barycentres_match_boolean_mask_version_bitwise(dim):
         states = int(assignment.max()) + 1
         assert np.bincount(assignment).min() >= 1
         scen = random_set(rng, assignment.shape[0], dim)
-        centers = _cell_barycentres(scen.points, scen.weights, assignment, states)
+        centers = _cell_barycentres(scen.points, scen.weights, assignment,
+                                    np.bincount(assignment, minlength=states))
         expected = masked_barycentres(scen.points, scen.weights, assignment, states)
         assert np.array_equal(centers, expected)
 
 
 def assert_matches_scan(points, weights, assignment, num_states):
-    centers = _cell_barycentres(points, weights, assignment, num_states)
+    centers = _cell_barycentres(points, weights, assignment,
+                                np.bincount(assignment, minlength=num_states))
     assert centers.tobytes() == scan_barycentres(points, weights, assignment, num_states).tobytes()
 
 
