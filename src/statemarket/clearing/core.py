@@ -12,11 +12,14 @@ have won, so the winner and its LP are those that enumerating every cell
 would give, exact ties going to the lexicographically smallest
 binary vector. For purely convex programs the outcome is a Walrasian
 equilibrium; with binaries the verification report surfaces any agent that
-could deviate profitably at the posted prices.
+could deviate profitably at the posted prices. The report bounds each
+agent's best response from the winning LP's duals by weak duality, and
+solves the agent's LP only where that bound does not confirm (``_verify``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 from typing import Mapping, Sequence
 
@@ -139,21 +142,25 @@ def build_lp(
 
 
 Bound = tuple[float, np.ndarray]  # a relaxation's optimum and its free binaries' values
+Incumbent = tuple[float, tuple[int, ...]]  # a cell and an upper bound on its value
 
 
 class _Search:
     """Depth-first branch and bound over one search's binaries; see ``_best_cell``."""
 
     def __init__(self, program: WelfareProgram, agent: int | None,
-                 prices: ContractGrid | None):
+                 prices: ContractGrid | None, incumbent: Incumbent | None = None):
         self.program, self.agent, self.prices = program, agent, prices
         self.own = [b for b, (a, _) in enumerate(program.binaries)
                     if agent is None or a == agent]
         self.cell = [0] * len(program.binaries)
-        self.best: tuple[float, tuple[int, ...], LPResult] | None = None
+        self.best: tuple[float, tuple[int, ...], LPResult | None] | None = None
+        self.known = None  # the incumbent's cell, whose LP is not solved
+        if incumbent is not None:
+            self.best, self.known = (*incumbent, None), incumbent[1]
         self.root: LinearProgram | None = None  # the root relaxation, once needed
 
-    def run(self) -> tuple[float, tuple[int, ...], LPResult] | None:
+    def run(self) -> tuple[float, tuple[int, ...], LPResult | None] | None:
         self.node(0, None, None)
         return self.best
 
@@ -175,14 +182,15 @@ class _Search:
     def fixed(self, depth: int) -> LinearProgram:
         """The root relaxation with the binaries set above ``depth`` fixed at
         their values by their columns' bounds, so the root's basis, and that
-        of any relaxation between, is a basis of it; ``fixed(0)`` is the root."""
+        of any relaxation between, is a basis of it; ``fixed(0)`` is the root.
+        Only the fixed columns' bounds are checked again."""
         if not depth:
             return self.root
         first = self.root.num_vars - len(self.own)
         lower, upper = self.root.lower.copy(), self.root.upper.copy()
         lower[first:first + depth] = upper[first:first + depth] = [
             self.cell[b] for b in self.own[:depth]]
-        return replace(self.root, lower=lower, upper=upper)
+        return self.root._rebounded(lower, upper, slice(first, first + depth))
 
     def node(self, depth: int, bound: Bound | None, start: ColumnState | None) -> None:
         """Search the cells below the first ``depth`` branches of ``self.cell``,
@@ -208,6 +216,8 @@ class _Search:
 
     def leaf(self) -> None:
         cell = tuple(self.cell)
+        if cell == self.known:
+            return
         lp = build_lp(self.program, self.cell, self.agent, self.prices)
         try:
             outcome = solve_lp(lp)
@@ -229,7 +239,8 @@ def _best_cell(
     program: WelfareProgram,
     agent: int | None = None,
     prices: ContractGrid | None = None,
-) -> tuple[float, tuple[int, ...], LPResult]:
+    incumbent: Incumbent | None = None,
+) -> tuple[float, tuple[int, ...], LPResult | None]:
     """Best (value, binary cell, LP solution) of ``build_lp``'s cells.
 
     Searches every binary, or with ``agent`` set only that agent's own (the
@@ -271,8 +282,13 @@ def _best_cell(
     cell's LP, so every solved cell, the winner's LP included, keeps the
     bits of a cold solve. A numerical failure, or an unbounded LP, in a cell
     met by the search is raised naming the cell, the LP and its size.
+
+    An ``incumbent`` (value, cell) starts the search as its best, with no LP
+    solution, and that cell's LP is not solved; every other cell is searched
+    and pruned against it as above. Where its value is an upper bound on its
+    cell's, the result's value is one on every cell's.
     """
-    best = _Search(program, agent, prices).run()
+    best = _Search(program, agent, prices, incumbent).run()
     if best is None:
         if agent is None:
             raise Infeasible("no binary assignment admits a feasible allocation")
@@ -286,8 +302,10 @@ def clear(program: WelfareProgram, tol: float = DEFAULT_TOL) -> ClearingResult:
     Prices are the balance-row duals of the winning fixed-commitment LP;
     contracts nobody can trade are priced at zero, and so is a dual within
     PIVOT_TOL * max(1, max |objective coefficient|) of zero, which is the
-    simplex's rounding residue. The verification report is populated by
-    re-solving each agent's best response at the posted prices.
+    simplex's rounding residue. The verification report takes each agent's
+    best response from the winning LP's row duals where their weak-duality
+    certificate confirms it, and from ``best_response_value`` elsewhere;
+    see ``_verify``.
     """
     if len(program.binaries) > MAX_BINARIES:
         raise TooManyBinaries(f"{len(program.binaries)} binary decisions exceed the "
@@ -321,7 +339,7 @@ def clear(program: WelfareProgram, tol: float = DEFAULT_TOL) -> ClearingResult:
         decisions[bid.agent_id] = z
         surplus[bid.agent_id] = valuation(bid, allocation, z) - payment(prices, allocation)
 
-    verification = _verify(program, allocations, prices, surplus, tol)
+    verification = _verify(program, allocations, prices, surplus, tol, outcome.duals, cell)
     return ClearingResult(
         dims=dims,
         agent_ids=tuple(b.agent_id for b in program.bids),
@@ -335,14 +353,69 @@ def clear(program: WelfareProgram, tol: float = DEFAULT_TOL) -> ClearingResult:
 
 
 def best_response_value(
-    program: WelfareProgram, agent: int, prices: ContractGrid
+    program: WelfareProgram, agent: int, prices: ContractGrid, *,
+    incumbent: Incumbent | None = None,
 ) -> float:
     """max valuation - payment for one agent at fixed prices.
 
     Searches the agent's own binaries; each cell is a small LP over the
-    agent's block only (no balance rows).
+    agent's block only (no balance rows). An ``incumbent`` (value, cell),
+    one of the agent's cells and an upper bound on its value, starts the
+    search as its best (``_best_cell``): that cell's LP is not solved, and
+    the result is an upper bound on the best response, which is the LP
+    optimum wherever another cell wins.
     """
-    return float(_best_cell(program, agent, prices)[0])
+    return float(_best_cell(program, agent, prices, incumbent)[0])
+
+
+def _certificate(program: WelfareProgram, agent: int, cell: Sequence[int],
+                 prices: ContractGrid, duals: np.ndarray) -> float:
+    """Upper bound on ``agent``'s value in its ``cell`` at ``prices``, from
+    row multipliers on its rows taken from ``duals``, a welfare LP's row
+    duals; +inf where it proves nothing.
+
+    Weak duality (the pricing argument of Dantzig & Wolfe 1960). The agent's
+    LP, ``build_lp(program, cell, agent, prices)``, maximizes c'x + k subject
+    to A x (senses) b and l <= x <= u. Take y >= 0 on its "<=" rows, y <= 0
+    on its ">=" rows and any sign on "=" rows. Then y'(b - A x) >= 0 for
+    every feasible x, so
+
+        c'x + k <= k + b'y + d'x <= k + b'y + sum_j d_j side_j,
+
+    with d = c - A'y and side_j the bound that d_j's sign prefers: u_j where
+    d_j > 0, l_j where d_j < 0, and no term where d_j = 0. The side is
+    picked before the product, so no infinite bound meets a zero d_j, and an
+    infinite side makes the bound +inf. y is ``duals`` on the agent's rows,
+    each clipped to its row's sign, so the bound holds whatever the duals
+    are: a wrong dual only loosens it. At the welfare LP's optimum, d is its
+    reduced cost of the agent's columns less the rounding in the posted
+    prices, so complementary slackness makes the bound the agent's achieved
+    value, up to rounding.
+
+    A worst-case agent's block starts with its epigraph column, free, with
+    objective 1 and a 1 in each of its first S rows (one per state) only. Its
+    d is 1 - (the sum of those rows' multipliers), and any nonzero d makes
+    the bound +inf. So y is divided by that sum, which keeps every sign where
+    the sum is positive (+inf is returned where it is not). The exact
+    quotients' state multipliers sum to 1, so the column's d is 0 for them;
+    the floats differ from them by one rounding each, as every other term
+    of the bound does, and the column's term is dropped.
+    """
+    lp = build_lp(program, cell, agent, prices)
+    y = duals[program.agent_rows[agent]]
+    y = np.where(lp.senses == "<=", np.maximum(y, 0.0),
+                 np.where(lp.senses == ">=", np.minimum(y, 0.0), y))
+    worst_case = program.bids[agent].risk == "worst_case"
+    if worst_case:
+        total = float(y[:program.dims.states].sum())
+        if not total > 0.0:
+            return math.inf
+        y = y / total
+    d = lp.objective - lp.matrix.T @ y
+    if worst_case:
+        d[0] = 0.0
+    side = np.where(d > 0.0, lp.upper, np.where(d < 0.0, lp.lower, 0.0))
+    return lp.constant + float(lp.rhs @ y) + float((d * side).sum())
 
 
 def _verify(
@@ -351,7 +424,26 @@ def _verify(
     prices: ContractGrid,
     surplus: Mapping[str, float],
     tol: float,
+    duals: np.ndarray | None = None,
+    cell: Sequence[int] = (),
 ) -> VerificationReport:
+    """Residuals, and each agent's best response at ``prices``, its gap over
+    the achieved ``surplus`` and the verdict that every gap is within ``tol``.
+
+    Without ``duals``, each best response is ``best_response_value``'s LP
+    optimum. ``clear`` passes the winning LP's row ``duals`` and binary
+    ``cell``; then each agent's value in its cleared cell (its own binaries
+    as in ``cell``, the others 0) is first bounded by ``_certificate``. That
+    bound is at least the best response over that cell, and it confirms
+    where it is within ``tol`` of the achieved surplus. Then an agent
+    without binaries reports it as its best response, with no LP, and an
+    agent with binaries searches its other cells with it as the incumbent,
+    so the cleared cell's LP is not solved. Any other agent's best response
+    is the LP optimum. So ``best_responses`` holds, for each agent, an upper
+    bound that a certificate proves, or the LP optimum where none confirms,
+    and ``confirmed`` is the LP route's verdict: a confirmed certificate's
+    gap is within ``tol``, and it is at least the LP's gap up to rounding.
+    """
     dims = program.dims
     net = np.zeros(dims.shape)
     payments_total = 0.0
@@ -363,9 +455,18 @@ def _verify(
     gaps: dict[str, float] = {}
     best_responses: dict[str, float] = {}
     achieved: dict[str, float] = {}
+    owners = [a for a, _ in program.binaries]
     for a, bid in enumerate(program.bids):
-        best = best_response_value(program, a, prices)
         got = surplus[bid.agent_id]
+        best = None
+        if duals is not None:
+            own = tuple(v if owner == a else 0 for owner, v in zip(owners, cell))
+            bound = _certificate(program, a, own, prices, duals)
+            if bound - got <= tol:
+                best = (bound if a not in owners else
+                        best_response_value(program, a, prices, incumbent=(bound, own)))
+        if best is None:
+            best = best_response_value(program, a, prices)
         gaps[bid.agent_id] = best - got
         best_responses[bid.agent_id] = best
         achieved[bid.agent_id] = got
@@ -386,7 +487,9 @@ def _verify(
 def verify_equilibrium(
     result: ClearingResult, program: WelfareProgram, tol: float = DEFAULT_TOL
 ) -> VerificationReport:
-    """Re-run the equilibrium diagnostics for an existing result."""
+    """Re-run the equilibrium diagnostics for an existing result. A result
+    carries no duals, so every best response is ``best_response_value``'s
+    LP optimum."""
     return _verify(program, result.allocations, result.prices, result.surplus, tol)
 
 
@@ -397,8 +500,14 @@ def welfare_equivalence_check(
 
     True iff the verification is confirmed, the market balances, and the
     welfare equals the sum of the agents' best responses at the posted prices.
-    Any balanced allocation's welfare is at most that sum (payments cancel),
-    so equality certifies optimality without re-solving the central program.
+    Each reported best response is at least the agent's true one: a
+    weak-duality bound (``_certificate``) or an LP optimum. Any balanced
+    allocation's welfare is at most the sum of the true ones (payments
+    cancel), so equality certifies optimality without re-solving the central
+    program. Where ``clear`` certified every agent, as on a convex market
+    whose certificates all confirm, the check is the strong-duality
+    statement itself: the welfare LP's duals price a bound that its optimum
+    meets.
     """
     report = result.verification
     total = sum(report.best_responses.values())

@@ -162,6 +162,20 @@ class LinearProgram:
         if unknown.size:
             raise ValueError(f"unknown row sense {str(unknown[0])!r}")
 
+    def _rebounded(self, lower: np.ndarray, upper: np.ndarray, changed: slice
+                   ) -> LinearProgram:
+        """This LP with the bounds ``lower`` and ``upper``, float arrays that
+        differ from its own only on the columns ``changed``. The rest was
+        checked when this LP was made, so only ``lower <= upper`` on those
+        columns is checked again, and ``__post_init__`` does not run."""
+        crossed = np.flatnonzero(~(lower[changed] <= upper[changed]))
+        if crossed.size:
+            j = range(self.num_vars)[changed][crossed[0]]
+            raise ValueError(f"column {j}: lower bound exceeds its upper bound")
+        lp = object.__new__(LinearProgram)
+        lp.__dict__.update(self.__dict__, lower=lower, upper=upper)
+        return lp
+
     @property
     def num_vars(self) -> int:
         return self.objective.shape[0]

@@ -320,8 +320,10 @@ class WelfareProgram:
     coord) to that lower end and the segment columns. ``rhs`` has every binary
     at 0, and setting binary b to 1 subtracts column b of ``binary_matrix``.
     ``column_contract`` is the flat price-grid index a segment column trades,
-    -1 elsewhere. ``rows`` (labels) and ``variables`` (owning agent of each
-    column) are kept for the benchmark harness.
+    -1 elsewhere. A worst-case agent's block starts with its epigraph column
+    and its S per-state rows, in state order. ``rows`` (labels) and
+    ``variables`` (owning agent of each column) are kept for the benchmark
+    harness.
     """
 
     bids: tuple[AgentBid, ...]

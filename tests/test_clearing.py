@@ -1,6 +1,8 @@
 """Market clearing: golden tables, equilibrium verification, auction facts."""
 
 import itertools
+import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,9 +16,11 @@ from statemarket.market import (
     MarketDimensions,
     PiecewiseUtility,
     assemble_welfare,
+    load_bids_json,
     payment,
     valuation,
 )
+from statemarket.cli import fixture_path
 from statemarket.clearing import core
 from statemarket.clearing import (
     best_response_value,
@@ -459,3 +463,144 @@ def test_numerical_failure_names_the_agent_cell(monkeypatch):
     assert str(caught.value) == (
         f"cell (1,), agent 'thermal_plant' LP {m}x{n}: singular basis: test"
     )
+
+
+# --- best responses certified by the welfare LP's duals -----------------------
+
+BID_FIXTURES = ("bids_price_formation.json", "bids_commitment_expectation.json",
+                "bids_commitment_worst_case.json")
+CORPORA = {
+    "random_convex_market 0-99": lambda: [random_convex_market(seed) for seed in range(100)],
+    "random_commitment_market 0-69": lambda: [random_commitment_market(seed)
+                                              for seed in range(70)],
+    "bid fixtures": lambda: [load_bids_json(fixture_path(name)) for name in BID_FIXTURES],
+}
+
+
+def _without_best_responses(result):
+    payload = result.to_dict()
+    best, gaps = (payload["verification"].pop(key) for key in ("best_responses", "gaps"))
+    return payload, best, gaps
+
+
+@pytest.mark.parametrize("corpus", CORPORA.keys())
+def test_certified_best_responses_bound_the_lp_route(monkeypatch, corpus):
+    """Each reported best response is at least the LP route's less 1e-9
+    relative, and everything else, the verdict included, keeps its bits."""
+    programs = [assemble_welfare(*market) for market in CORPORA[corpus]()]
+    certified = [clear(program) for program in programs]
+    monkeypatch.setattr(core, "_certificate", lambda *args: np.inf)
+    for program, result in zip(programs, certified):
+        by_lp = clear(program)
+        payload, best, gaps = _without_best_responses(result)
+        lp_payload, lp_best, _ = _without_best_responses(by_lp)
+        assert json.dumps(payload, sort_keys=True) == json.dumps(lp_payload, sort_keys=True)
+        assert by_lp.verification == verify_equilibrium(result, program)
+        for agent, value in lp_best.items():
+            assert best[agent] >= value - 1e-9 * max(1.0, abs(value)), agent
+            assert gaps[agent] == best[agent] - result.surplus[agent]
+
+
+def test_a_convex_market_is_verified_without_an_lp(monkeypatch):
+    """Every agent's certificate confirms, so the welfare LP is the only one."""
+    markets = [random_convex_market(seed) for seed in range(100)]
+    markets += [reserving_market(seed, risk) for seed in range(4)
+                for risk in ("expectation", "worst_case")]
+    markets += [price_formation_bids(pi1) for pi1 in PRICE_FORMATION_TABLE]
+    calls = []
+    solve = core.solve_lp
+    monkeypatch.setattr(core, "solve_lp", lambda lp, start=None: calls.append(lp) or
+                        solve(lp, start=start))
+    for bids, dims in markets:
+        program = assemble_welfare(bids, dims)
+        assert not program.binaries
+        calls.clear()
+        result = clear(program)
+        assert len(calls) == 1
+        assert result.verification.confirmed
+
+
+def test_a_confirmed_cleared_cell_is_not_solved_again(monkeypatch):
+    """In a commitment market, an agent whose certificate confirms searches
+    only its other cells: its cleared cell's LP is built once, for the
+    certificate, and never solved."""
+    build = core.build_lp
+    built = []
+
+    def recorded(program, cell, agent=None, prices=None, free=()):
+        if agent is not None and not len(free):
+            built.append((agent, tuple(cell)))
+        return build(program, cell, agent, prices, free)
+
+    monkeypatch.setattr(core, "build_lp", recorded)
+    seeded = 0
+    for seed in range(70):
+        program = assemble_welfare(*random_commitment_market(seed))
+        built.clear()
+        result = clear(program)
+        made = list(built)
+        _, cell, outcome = core._best_cell(program)
+        for a, bid in enumerate(program.bids):
+            own = tuple(v if owner == a else 0 for (owner, _), v in zip(program.binaries, cell))
+            bound = core._certificate(program, a, own, result.prices, outcome.duals)
+            confirms = bound - result.surplus[bid.agent_id] <= result.verification.tolerance
+            if all(owner != a for owner, _ in program.binaries):
+                assert confirms and made.count((a, own)) == 1
+                continue
+            assert made.count((a, own)) == (1 if confirms else 2)
+            seeded += confirms
+    assert seeded == 366  # every unit of the corpus
+
+
+def _all_worst_case(market):
+    """The market with every agent worst case, so that every agent has rows
+    and every certificate depends on the duals."""
+    bids, dims = market
+    return [replace(bid, risk="worst_case") for bid in bids], dims
+
+
+@pytest.mark.parametrize("tamper", ["negated", "zero", "noise"])
+def test_wrong_duals_fall_back_to_the_lp_route(monkeypatch, tamper):
+    """Wrong duals only loosen each certificate. Negated or zero duals leave
+    every state row without a positive multiplier, so every agent falls back
+    to its LP and the report is the LP route's, bit for bit. Noise may land
+    on other multipliers that prove the same value where the agent's dual is
+    not unique (3 of the 120 agents here); such an agent keeps a bound at
+    least its LP optimum, and every other agent falls back."""
+    markets = [_all_worst_case(random_convex_market(seed)) for seed in range(10)]
+    markets += [_all_worst_case(random_commitment_market(seed)) for seed in range(10)]
+    markets += [_all_worst_case(commitment_bids("expectation"))]
+    rng = np.random.default_rng(5)
+    searched = []
+    best_response = core.best_response_value
+
+    def recorded(program, agent, prices, *, incumbent=None):
+        searched.append((agent, incumbent))
+        return best_response(program, agent, prices, incumbent=incumbent)
+
+    monkeypatch.setattr(core, "best_response_value", recorded)
+    agents = certified = 0
+    for bids, dims in markets:
+        program = assemble_welfare(bids, dims)
+        result = clear(program)
+        _, cell, outcome = core._best_cell(program)
+        duals = {"negated": -outcome.duals, "zero": np.zeros_like(outcome.duals),
+                 "noise": outcome.duals + rng.normal(0.0, 5.0, outcome.duals.shape)}[tamper]
+        searched.clear()
+        report = core._verify(program, result.allocations, result.prices, result.surplus,
+                              core.DEFAULT_TOL, duals, cell)
+        fallen_back = {a for a, incumbent in searched if incumbent is None}
+        by_lp = verify_equilibrium(result, program)
+        for a, bid in enumerate(bids):
+            best, lp_best = report.best_responses[bid.agent_id], by_lp.best_responses[bid.agent_id]
+            if a in fallen_back:
+                assert repr(best) == repr(lp_best)
+            else:
+                assert best >= lp_best - 1e-9 * max(1.0, abs(lp_best))
+        if len(fallen_back) == len(bids):
+            assert report == by_lp
+        assert report.confirmed == by_lp.confirmed
+        agents += len(bids)
+        certified += len(bids) - len(fallen_back)
+    assert certified == (3 if tamper == "noise" else 0)
+    assert agents == 120

@@ -218,15 +218,28 @@ def test_welfare_is_the_sum_of_valuations_at_the_allocation(market):
         )
     assert result.welfare == pytest.approx(sum(values.values()), abs=1e-7 * scale)
     assert result.verification.balance_residual <= 1e-9 * scale
-    # every search's value is its solution's value through valuation(), and
-    # each search over two or more binaries picked enumeration's cell, bit for bit
+    # every search's value is its solution's value through valuation(), or
+    # the incumbent's bound where an agent's search kept it; each unseeded
+    # search over two or more binaries picked enumeration's cell, bit for bit.
+    # A seeded search starts from a certified bound instead of its cell's LP
+    # bits, so among cells that tie up to rounding another may win: it keeps
+    # enumeration's value, at least that value less 1e-9 relative
     for args, found in searches:
         agent = args[1] if len(args) > 1 else None
-        rebuilt = value_through_valuation(program, found, *args[1:])
-        assert found[0] == pytest.approx(rebuilt, abs=1e-7 * max(1.0, abs(rebuilt))), agent
+        incumbent = args[3] if len(args) > 3 else None
+        if found[2] is None:
+            assert found[:2] == incumbent
+        else:
+            rebuilt = value_through_valuation(program, found, *args[1:3])
+            assert found[0] == pytest.approx(rebuilt, abs=1e-7 * max(1.0, abs(rebuilt))), agent
+        if incumbent is not None:
+            value = best_cell_by_enumeration(*args[:3])[0]
+            assert found[0] >= value - 1e-9 * max(1.0, abs(value)), agent
+            assert found[0] == pytest.approx(value, abs=1e-7 * max(1.0, abs(value))), agent
+            continue
         if sum(agent is None or a == agent for a, _ in program.binaries) < 2:
             continue  # one or no binary: the search solves enumeration's LPs
-        expected = best_cell_by_enumeration(*args)
+        expected = best_cell_by_enumeration(*args[:3])
         assert found[:2] == expected[:2]
         assert np.array_equal(found[2].x, expected[2].x)
         assert np.array_equal(found[2].duals, expected[2].duals)
