@@ -263,24 +263,24 @@ def _best_cell(
        relaxation rounds that binary to (1 from 0.5 up), and to 0 first when
        it has no bound. So the search dives toward the relaxation's rounding,
        and an integral root relaxation names the first cell solved.
-    4. Every cell's LP is solved cold. Every relaxation is the root's LP,
-       ``build_lp`` with all the search's binaries free, with the set ones'
-       columns fixed at their values by bounds instead of moved into the
-       rhs. It is warm-started (``solve_lp``'s ``start``) from the ``state``
-       of the nearest relaxation solved to optimality above it, or solved
-       cold when there is none: the root, and below a root that is
-       unbounded, fails or has no rows.
+    4. Every cell's LP is solved from the slack basis. Every relaxation is
+       the root's LP, ``build_lp`` with all the search's binaries free, with
+       the set ones' columns fixed at their values by bounds instead of
+       moved into the rhs. It starts (``solve_lp``'s ``start``) from the
+       ``state`` of the nearest relaxation solved to optimality above it,
+       or from the slack basis when there is none: the root, and below a
+       root that is unbounded or fails.
 
     A pruned cell's value is below a solved cell's, so it could not have
     won, and the result is the one enumerating every cell gives. Rule 4's
     form keeps this: it is the node's relaxation, so its optimum bounds
     every cell below the node and differs from ``build_lp``'s only by
-    rounding, far inside PRUNE_MARGIN; its "infeasible" (phase 1's, or a
-    warm solve's row that no column can bring within bounds) means no cell
-    below is feasible; and its failure, like any, prunes nothing. A
-    relaxation decides only what is pruned and the branch order, never a
-    cell's LP, so every solved cell, the winner's LP included, keeps the
-    bits of a cold solve. A numerical failure, or an unbounded LP, in a cell
+    rounding, far inside PRUNE_MARGIN; its "infeasible" (a row that no
+    column can bring within bounds) means no cell below is feasible; and
+    its failure, like any, prunes nothing. A relaxation decides only what
+    is pruned and the branch order, never a cell's LP, so every solved
+    cell, the winner's LP included, keeps the bits of a solve from the
+    slack basis. A numerical failure, or an unbounded LP, in a cell
     met by the search is raised naming the cell, the LP and its size.
 
     An ``incumbent`` (value, cell) starts the search as its best, with no LP

@@ -1,97 +1,97 @@
-"""Dense bounded-variable two-phase primal simplex, with a bounded dual
-simplex to re-optimise from an optimal basis when bounds are tightened.
+"""Dense bounded-variable simplex: a bounded dual simplex reaches a feasible
+basis, and the primal simplex then optimizes from it.
 
 Small, deterministic LP solver for welfare maximization and price
 extraction. Row duals are reported in the user's optimization sense, as the
 derivative of the optimal objective with respect to the row's rhs.
 
-A nonbasic column scores sign * reduced cost (see ``improving`` below), or
-|reduced cost| if it is free, and is eligible when its score exceeds the
-tolerance. The column with the largest score enters (Dantzig 1963). Scores
-within the tolerance of the largest tie (within one unit in the last place
-of the largest, where that is wider), and the smallest index among them
-enters, so the last bits of a reduced cost do not choose the pivot. After
-DEGENERATE_LIMIT basis changes in a row with a zero step (at most PIVOT_TOL)
-the smallest eligible index enters instead (Bland 1977), until a pivot or a
-bound flip moves by a positive step; each phase starts on the largest score.
-The smallest index among the minimum-ratio candidates always leaves. No
-pivot makes the objective worse and a positive step makes it better, so a
-basis can recur only within a run of zero steps, and such a run is under
-Bland's rule after its first DEGENERATE_LIMIT pivots, which cannot cycle:
-every phase ends. The largest score alone does cycle on Chvatal's example
-(Linear Programming, 1983), which the tests keep.
+The computational form minimizes c'v subject to A v = b, lo <= v <= hi, with
+the structural columns first and then one slack per row: in [0, inf) for a
+"<=" row, in (-inf, 0] for a ">=" row and fixed at 0 for an "=" row. Every
+solve starts from a basis and the side each nonbasic column sits on, a
+``ColumnState``: the one ``solve_lp`` is given, or else the slack basis,
+whose inverse is the identity, with each structural column at the bound its
+cost prefers (its upper bound if its cost is negative). A column whose
+preferred bound is infinite sits at its other bound, or at 0 if it is free,
+and starts with a reduced cost of the wrong sign (dual infeasible); a
+worst-case agent's free epigraph column is one. Where every preferred bound
+is finite the slack start is dual feasible (Fourer 1994; Koberstein 2005).
 
-A structural column that meets no row keeps its cost as its reduced cost at
-every basis, and no basic column blocks it. Phase 1 never moves it (its
-phase-1 cost is zero); after phase 1 has proved the LP feasible, each such
-column with an eligible cost is put at its better bound at once, and the LP
-is unbounded if that bound is infinite. A bound flip changes neither the
-basis nor the basic values, so under Bland's rule this gives the bits that
-flipping the columns one pivot at a time gives. An LP with no rows is
-solved by this step alone, without a phase (``_solve_rowless``).
+The dual simplex pivots until every basic value is within FEAS_TOL * scale
+of its bounds. The basic column with the largest violation leaves for the
+bound it violates; violations within the tolerance of the largest tie, and
+the smallest position among them leaves, so the last bits of a basic value
+do not choose the pivot. The entering column is the one whose reduced cost
+reaches zero first as the leaving one's moves off its bound: among the
+columns that can move the leaving value toward its bound, with |alpha|
+above PIVOT_TOL in its row ``alpha`` of ``Binv @ A``, those whose ratio
+reduced cost / alpha, clipped at 0, is within PIVOT_TOL of the least; the
+largest |alpha| among them, then the smallest index. A dual infeasible
+column's ratio is below 0 and clipped to 0, the least there is. A row that
+no column can move proves the LP infeasible: each nonbasic column sits at a
+bound and can move only away from it, so the row's value cannot reach its
+bound; the proof needs no dual feasibility. The dual simplex has no
+anti-cycling rule: a run past its pivot limit raises NumericalFailure
+naming "the dual simplex".
 
-Phase 1 starts from one artificial per row, a diagonal basis of signs that
-is its own inverse. Phase 2 starts on phase 1's final basis with the
-artificials pinned at zero (Bazaraa, Jarvis & Sherali, Linear Programming
-and Network Flows): one still basic sits at zero, and phase 2's ratio test
-removes it as it removes any basic column, or it stays at zero in a
-redundant row.
+The primal simplex then runs from the feasible basis. A nonbasic column
+scores sign * reduced cost (see ``improving`` below), or |reduced cost| if
+it is free, and is eligible when its score exceeds the tolerance. The column
+with the largest score enters (Dantzig 1963). Scores within the tolerance of
+the largest tie (within one unit in the last place of the largest, where
+that is wider), and the smallest index among them enters, so the last bits
+of a reduced cost do not choose the pivot. After DEGENERATE_LIMIT basis
+changes in a row with a zero step (at most PIVOT_TOL) the smallest eligible
+index enters instead (Bland 1977), until a pivot or a bound flip moves by a
+positive step; each run starts on the largest score. The smallest index
+among the minimum-ratio candidates always leaves. No pivot makes the
+objective worse and a positive step makes it better, so a basis can recur
+only within a run of zero steps, and such a run is under Bland's rule after
+its first DEGENERATE_LIMIT pivots, which cannot cycle: the primal simplex
+ends. The largest score alone does cycle on Chvatal's example (Linear
+Programming, 1983), which the tests keep. An eligible column that no basic
+column blocks and whose bound in its direction is infinite proves the LP
+unbounded; a column that meets no row and whose cost prefers an infinite
+side is one.
 
 ``Binv`` is the basis inverse from start to end. Every basis change is one
 rank-one (eta) update in ``_replace`` (Dantzig & Orchard-Hays 1954); a bound
 flip applies none. It is inverted afresh after every REFACTOR_EVERY basis
-changes, and no phase starts by inverting. A verdict ("optimal" or
-"unbounded") reached on an updated inverse is checked again on a fresh one,
-and only a verdict on a fresh inverse is returned, so rounding drift cannot
-end a phase early and phase 2 starts on the inverse that phase 1's verdict
-was confirmed on. The reported values, duals and reduced costs come from
-one fresh solve on the final basis. Designed for desk-scale instances (tens
-of rows).
+changes, and only a start from a given state inverts at the start. A
+verdict ("feasible" or "infeasible" of the dual simplex, "optimal" or
+"unbounded" of the primal) reached on an updated inverse is checked again
+on a fresh one, and only a verdict on a fresh inverse is returned, so
+rounding drift cannot end a loop early and the primal simplex starts on the
+inverse that the dual simplex's verdict was confirmed on. The reported
+values, duals and reduced costs come from one fresh solve on the final
+basis. Designed for desk-scale instances (tens of rows).
 
-Each column's state is held once: set from the bounds at the start (and
-from a warm start's basis and sides, ``_read``), then updated in place by
-every basis change, by a bound flip, by the pinning of the artificials and
-by the setting of the columns that meet no row. A basic column has a
-position in ``basis``, an index array, and holds 0 in ``nonbasic``. A
-nonbasic column holds there the finite bound it sits at (at first its lower
-bound if finite, else its upper), or 0 if it is free, which ``free`` then
-marks. ``improving`` holds its sign: -1 at its lower bound, +1 at its
-upper, 0 if basic or fixed. A primal and a dual pivot both end in one
-``_replace``, which makes the entering column basic, puts the leaving one
-at the bound it reached with that side's sign (none if it is fixed),
-updates ``Binv`` and inverts afresh on the REFACTOR_EVERY cadence. Each
-phase, and the dual simplex, copies the bounds into Python float lists for
-``_replace`` and the ratio test, a sequential scan in Python that at tens
-of rows is faster than a vectorised one. Signs and values are exact,
-negation is exact, and Python floats round as numpy's do, so the pivots and
-every bit of the result are those of recomputing the state from the bounds
-and the basis at each pivot.
+Each column's state is held once: set from the bounds and the starting
+basis and sides (``_read``), then updated in place by every basis change
+and bound flip. A basic column has a position in ``basis``, an index array,
+and holds 0 in ``nonbasic``. A nonbasic column holds there the finite bound
+it sits at, or 0 if it is free, which ``free`` then marks. ``improving``
+holds its sign: -1 at its lower bound, +1 at its upper, 0 if basic or
+fixed. A primal and a dual pivot both end in one ``_replace``, which makes
+the entering column basic, puts the leaving one at the bound it reached
+with that side's sign (none if it is fixed), updates ``Binv`` and inverts
+afresh on the REFACTOR_EVERY cadence. Each loop copies the bounds into
+Python float lists for ``_replace`` and the ratio test, a sequential scan in
+Python that at tens of rows is faster than a vectorised one. Signs and
+values are exact, negation is exact, and Python floats round as numpy's do,
+so the pivots and every bit of the result are those of recomputing the
+state from the bounds and the basis at each pivot.
 
-A warm start (``solve_lp(lp, start)``) takes the final ``ColumnState`` of
-an optimal solve of an LP with the same matrix, senses, rhs and objective,
-whose structural bounds may differ. The basis is inverted once and each
+A given start (``solve_lp(lp, start)``) is the final ``ColumnState`` of an
+optimal solve of an LP with the same matrix, senses, rhs and objective,
+whose structural bounds may differ. Its basis is inverted once and each
 nonbasic column is put at the bound on the side it sat on (the other if
-that one is now infinite), with the artificials pinned as in phase 2. If
-the bounds were only tightened, every reduced cost keeps its sign, so the
-basis is dual feasible and only basic values may be out of bounds. A
-bounded dual simplex (Fourer 1994; Koberstein 2005) then pivots until each
-is within FEAS_TOL * scale of its bounds, the tolerance at which phase 1
-calls an LP infeasible. The basic column with the largest violation leaves
-for the bound it violates, the smallest position on ties. The entering
-column is the one whose reduced cost reaches zero first as the leaving
-one's moves off zero: among the columns that can move the leaving value
-toward its bound, with |alpha| above PIVOT_TOL in its row ``alpha`` of
-``Binv @ A``, those whose ratio |reduced cost| / |alpha| is within
-PIVOT_TOL of the least; the largest |alpha| among them, then the smallest
-index. A row that no column can move proves the LP infeasible. Phase 2's
-primal simplex then runs from the feasible basis, normally for one pricing,
-so an optimum is certified, valued and checked as a cold one is. The dual
-simplex follows the same inverse rules: eta updates, a fresh inverse every
-REFACTOR_EVERY basis changes, and a verdict ("feasible" or "infeasible")
-returned only on a fresh inverse. It has no anti-cycling rule; a run past
-its pivot limit raises NumericalFailure. Branch and bound (``clearing.core``)
-solves every relaxation as its root's LP with the set binaries fixed by
-bounds: warm from the nearest optimal relaxation above, else cold.
+that one is now infinite). If the bounds were only tightened, every reduced
+cost keeps its sign, so the basis is dual feasible and only basic values
+may be out of bounds, and the primal simplex normally prices once. Branch
+and bound (``clearing.core``) solves every relaxation as its root's LP with
+the set binaries fixed by bounds, from the nearest optimal relaxation
+above, else from the slack basis.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ import numpy as np
 from ..errors import NumericalFailure
 
 PIVOT_TOL = 1e-9
-FEAS_TOL = 1e-7
+FEAS_TOL = 1e-7  # a basic value this close to its bounds, times scale, is feasible
 REFACTOR_EVERY = 50  # basis changes between fresh inversions
 DEGENERATE_LIMIT = 3  # zero-step basis changes in a row before Bland's rule
 
@@ -191,9 +191,10 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class ColumnState:
-    """An optimal solve's final basis and the side each nonbasic column sits
-    on (``improving``: -1 at its lower bound, +1 at its upper, 0 if basic or
-    fixed); the values and the free mask follow from these and the bounds."""
+    """A basis and the side each nonbasic column sits on, over the n
+    structural columns and then the m slacks (``improving``, length n + m:
+    -1 at its lower bound, +1 at its upper, 0 if basic or fixed); the values
+    and the free mask follow from these and the bounds."""
 
     basis: np.ndarray
     improving: np.ndarray
@@ -211,36 +212,31 @@ class LPResult:
 
 
 class _Simplex:
-    """Computational form: minimize c'v, A v = b, lo <= v <= hi, with the
-    columns ordered structural, slack, artificial (the cold start basis)."""
+    """Computational form: minimize ``cost @ v``, A v = b, lo <= v <= hi,
+    with the columns ordered structural, slack; see the module docstring."""
 
     def __init__(self, lp: LinearProgram, start: ColumnState | None = None):
         struct = np.ascontiguousarray(lp.matrix)
-        self.b = b = lp.rhs
+        self.b = lp.rhs
         m, n = struct.shape
         self.m, self.n_struct = m, n
-        self.total = n + 2 * m
+        self.total = n + m
 
         senses = lp.senses
-        slack_lo = np.where(senses == ">=", -np.inf, 0.0)
-        slack_hi = np.where(senses == "<=", np.inf, 0.0)
-        # a warm start begins where phase 2 does, with the artificials pinned
-        artificial_hi = np.full(m, np.inf) if start is None else np.zeros(m)
-        self.lower = np.concatenate([lp.lower, slack_lo, np.zeros(m)])
-        self.upper = np.concatenate([lp.upper, slack_hi, artificial_hi])
-        if start is None:
-            self._read(np.arange(n + m, self.total, dtype=np.intp), np.zeros(self.total, bool))
+        self.lower = np.concatenate([lp.lower, np.where(senses == ">=", -np.inf, 0.0)])
+        self.upper = np.concatenate([lp.upper, np.where(senses == "<=", np.inf, 0.0)])
+        self.cost = np.zeros(self.total)
+        self.cost[:n] = (-1.0 if lp.sense == "max" else 1.0) * lp.objective
+        self.A = np.hstack([struct, np.eye(m)])
+        self.updates = 0  # basis changes applied to Binv since it was inverted
+        if start is None:  # the slack basis is its own inverse
+            self._read(np.arange(n, self.total, dtype=np.intp), self.cost < 0)
+            self.Binv = np.eye(m)
         else:
             self._read(start.basis.copy(), start.improving > 0)
-        residual = b - struct @ self.nonbasic[:n] - self.nonbasic[n : n + m]
-        sign = np.where(residual >= 0, 1.0, -1.0)
-        self.A = np.hstack([struct, np.eye(m), np.diag(sign)])
-        self.updates = 0  # basis changes applied to Binv since it was inverted
-        # the all-artificial start basis is its own inverse; a warm one is inverted
-        self.Binv = np.diag(sign) if start is None else self._solve_basis(np.eye(m))
+            self.Binv = self._solve_basis(np.eye(m))
         self.iterations = 0
-        self.phase = 0  # 1 during phase 1, 2 during phase 2
-        self.scale = max(1.0, float(np.max(np.abs(b))) if m else 1.0)
+        self.scale = max(1.0, float(np.max(np.abs(self.b), initial=0.0)))
         self.tol = PIVOT_TOL * self.scale  # a column is eligible if its score exceeds it
 
     def _read(self, basis: np.ndarray, at_upper_side: np.ndarray) -> None:
@@ -299,44 +295,17 @@ class _Simplex:
         if self.updates == REFACTOR_EVERY:
             self._refactor()
 
-    def _score(self, reduced: np.ndarray) -> np.ndarray:
-        """Each column's gain per unit step, as the module docstring defines it."""
-        score = self.improving * reduced
-        if self.free is not None:
-            score[self.free] = np.abs(reduced[self.free])
-        return score
-
-    def set_rowless(self, cost: np.ndarray) -> bool:
-        """Put each structural column that meets no row and has an eligible
-        cost at its better bound; False if that bound is infinite."""
-        n = self.n_struct
-        rowless = ~self.A[:, :n].any(axis=0)
-        moving = np.flatnonzero(rowless & (self._score(cost)[:n] > self.tol))
-        if not moving.size:
-            return True
-        to_upper = cost[moving] < 0
-        target = np.where(to_upper, self.upper[moving], self.lower[moving])
-        if not np.all(np.isfinite(target)):
-            return False
-        self.nonbasic[moving] = target
-        self.improving[moving] = np.where(to_upper, 1.0, -1.0)
-        return True
-
-    def run(self, cost: np.ndarray) -> str:
-        """Minimize cost over the current basis; returns 'optimal' or 'unbounded'.
-
-        Fixed variables (pinned artificials included) never enter.
-        """
-        self.phase += 1
-        tol = self.tol
+    def run(self) -> str:
+        """The primal simplex from a feasible basis; returns 'optimal' or
+        'unbounded'. Fixed columns never enter."""
         self.degenerate = 0  # zero-step basis changes since the last positive step
-        return self._loop(lambda: self._pivot(cost, tol), f"phase {self.phase}")
+        return self._loop(self._pivot, "the primal simplex")
 
-    def run_dual(self, cost: np.ndarray) -> str:
-        """Bounded dual simplex from a dual feasible basis until every basic
-        value is within FEAS_TOL * scale of its bounds; returns 'feasible'
-        or 'infeasible'. See ``_dual_pivot``."""
-        return self._loop(lambda: self._dual_pivot(cost), "the dual simplex")
+    def run_dual(self) -> str:
+        """The bounded dual simplex until every basic value is within
+        FEAS_TOL * scale of its bounds; returns 'feasible' or 'infeasible'.
+        See ``_dual_pivot``."""
+        return self._loop(self._dual_pivot, "the dual simplex")
 
     def _loop(self, step, where: str) -> str:
         """Repeat ``step`` until it returns a verdict on a fresh inverse."""
@@ -352,18 +321,21 @@ class _Simplex:
                 return verdict
         raise NumericalFailure(f"simplex exceeded {limit} iterations in {where}")
 
-    def _dual_pivot(self, cost: np.ndarray) -> str | None:
+    def _dual_pivot(self) -> str | None:
         """One dual pivot by the module docstring's rules; returns a verdict
         instead when every basic value is within bounds or the leaving row
         has no entering column."""
         basis = self.basis
+        if not basis.size:
+            return "feasible"
         x_basic = self.Binv @ (self.b - self.A @ self.nonbasic)
         below = self.lower[basis] - x_basic
         above = x_basic - self.upper[basis]
         violation = np.maximum(below, above)
-        pos = int(violation.argmax())
-        if violation[pos] <= FEAS_TOL * self.scale:
+        largest = violation.max()
+        if largest <= FEAS_TOL * self.scale:
             return "feasible"
+        pos = int((violation >= largest - self.tol).argmax())  # the first of the near-largest
         to_upper = bool(above[pos] > below[pos])
         # s * alpha: the rate at which a column's increase moves the leaving
         # value toward its bound
@@ -374,20 +346,23 @@ class _Simplex:
         candidates = np.flatnonzero(eligible)
         if not candidates.size:
             return "infeasible"
-        y = cost[basis] @ self.Binv
-        reduced = cost[candidates] - self.A[:, candidates].T @ y
+        y = self.cost[basis] @ self.Binv
+        reduced = self.cost[candidates] - self.A[:, candidates].T @ y
         ratios = np.maximum(reduced / toward[candidates], 0.0)
         size = np.where(ratios <= ratios.min() + PIVOT_TOL, np.abs(toward[candidates]), -1.0)
         entering = int(candidates[size.argmax()])
         self._replace(pos, entering, self.Binv @ self.A[:, entering], to_upper)
         return None
 
-    def _pivot(self, cost: np.ndarray, tol: float) -> str | None:
+    def _pivot(self) -> str | None:
         """One pivot or bound flip; returns a verdict instead when no pivot exists."""
+        cost, tol = self.cost, self.tol
         y = cost[self.basis] @ self.Binv
         reduced = cost - self.A.T @ y  # a transposed copy may change BLAS's summation order
-        score = self._score(reduced)
-        best = score.item(score.argmax())  # a Python float: cheaper arithmetic below
+        score = self.improving * reduced  # each column's gain per unit step
+        if self.free is not None:
+            score[self.free] = np.abs(reduced[self.free])
+        best = float(score.max(initial=0.0))  # a Python float (cheaper below); 0 if no columns
         if best <= tol:
             return "optimal"
         # below best even where best - tol rounds to best, so best clears it
@@ -407,14 +382,10 @@ class _Simplex:
         hit_upper = False
         for pos, (col, w_pos, value) in enumerate(zip(self.basis.tolist(), w.tolist(), x_basic)):
             rate = -direction * w_pos
-            if rate > PIVOT_TOL:
-                bound = upper[col]
-                hits_upper = True
-            elif rate < -PIVOT_TOL:
-                bound = lower[col]
-                hits_upper = False
-            else:
+            if not abs(rate) > PIVOT_TOL:
                 continue
+            hits_upper = rate > 0
+            bound = upper[col] if hits_upper else lower[col]
             if not isfinite(bound):
                 continue
             ratio = max((bound - value) / rate, 0.0)
@@ -442,110 +413,35 @@ class _Simplex:
 def solve_lp(lp: LinearProgram, start: ColumnState | None = None) -> LPResult:
     """Solve to optimality and report primal values, row duals, reduced costs.
 
-    Two phases: phase 1 minimizes the sum of the artificials; then they are
-    pinned at zero, the columns that meet no row are set at their better
-    bounds, and phase 2 optimizes the user's objective from phase 1's basis.
-    Each phase may take ``200 * (columns + 1)`` pivots; exceeding that raises
-    NumericalFailure naming the phase. ``iterations`` counts each phase's
-    pivots, bound flips and final pricing, but not the setting of the columns
-    that meet no row. The reported objective is c'x + constant. Duals follow the user's sense
-    (derivative of the optimum w.r.t. the row rhs); complementary slackness
-    is verified to FEAS_TOL before returning. Raises NumericalFailure instead
-    of returning silently wrong answers. An LP without rows is answered by
-    ``_solve_rowless``, with the bits of the two phases.
+    The solve starts from ``start``, or else from the slack basis with each
+    column at the bound its cost prefers; the dual simplex reaches a
+    feasible basis and the primal simplex optimizes from it, as the module
+    docstring sets out. Each may take ``200 * (columns + rows + 1)`` pivots;
+    exceeding that raises NumericalFailure naming "the dual simplex" or "the
+    primal simplex". ``iterations`` counts the dual pivots, the primal
+    pivots and bound flips, and each loop's final pricing. "infeasible" is a
+    row that no column can bring within its bounds, checked on a fresh
+    inverse. The reported objective is c'x + constant. Duals follow the
+    user's sense (derivative of the optimum w.r.t. the row rhs);
+    complementary slackness is verified to FEAS_TOL before returning.
+    Raises NumericalFailure instead of returning silently wrong answers.
 
     ``start`` is the ``state`` of an optimal result of an LP with the same
     matrix, senses, rhs and objective; only the structural bounds may
-    differ. The solve then skips phase 1 and the artificials: a bounded dual
-    simplex re-optimises from that basis and phase 2 finishes, as the module
-    docstring sets out (``_solve_warm``). It may take ``200 * (columns + 1)``
-    dual pivots, and ``iterations`` counts them too. Its "infeasible" is a
-    row that no column can bring within bounds, checked on a fresh inverse.
-    An LP without rows ignores ``start``, and its result has no ``state``;
-    every other optimal result carries its own.
+    differ. Every optimal result carries its own.
     """
-    if not lp.rhs.size:
-        return _solve_rowless(lp)
-    return _solve_two_phase(lp) if start is None else _solve_warm(lp, start)
-
-
-def _solve_two_phase(lp: LinearProgram) -> LPResult:
-    state = _Simplex(lp)
-    n, m = state.n_struct, state.m
-
-    phase1_cost = np.zeros(state.total)
-    phase1_cost[n + m :] = 1.0
-    if state.run(phase1_cost) != "optimal":
-        raise NumericalFailure("phase 1 cannot be unbounded; numerical trouble")
-    values = state.values()
-    if float(np.abs(values[n + m :]).sum()) > FEAS_TOL * state.scale:
-        return LPResult("infeasible", None, None, None, None, state.iterations)
-    state.upper[n + m :] = 0.0
-    state.improving[n + m :] = 0.0
-
-    cost = _phase_2_cost(lp, state)
-    status = state.run(cost) if state.set_rowless(cost) else "unbounded"
-    return _phase_2_result(lp, state, cost, status)
-
-
-def _solve_warm(lp: LinearProgram, start: ColumnState) -> LPResult:
-    """Re-optimise from ``start`` by the dual simplex, then phase 2; see the
-    module docstring."""
     state = _Simplex(lp, start)
-    cost = _phase_2_cost(lp, state)
-    if state.run_dual(cost) == "infeasible":
+    if state.run_dual() == "infeasible":
         return LPResult("infeasible", None, None, None, None, state.iterations)
-    state.phase = 1  # the primal simplex that follows is phase 2
-    return _phase_2_result(lp, state, cost, state.run(cost))
-
-
-def _phase_2_cost(lp: LinearProgram, state: _Simplex) -> np.ndarray:
-    """The user's objective as a cost to minimize over all columns."""
-    cost = np.zeros(state.total)
-    cost[: state.n_struct] = (-1.0 if lp.sense == "max" else 1.0) * lp.objective
-    return cost
-
-
-def _phase_2_result(lp: LinearProgram, state: _Simplex, cost: np.ndarray,
-                    status: str) -> LPResult:
-    if status == "unbounded":
+    if state.run() == "unbounded":
         return LPResult("unbounded", None, None, None, None, state.iterations)
     sign = -1.0 if lp.sense == "max" else 1.0
-    values = state.values()
-    x = values[: state.n_struct]
-    y = state._solve_basis(cost[state.basis], transpose=True)
-    reduced = cost - state.A.T @ y
-    duals = sign * y
-    reduced_user = sign * reduced[: state.n_struct]
-    objective = float(lp.objective @ x) + lp.constant
-
+    x = state.values()[: state.n_struct]
+    y = state._solve_basis(state.cost[state.basis], transpose=True)
+    reduced_user = sign * (state.cost - state.A.T @ y)[: state.n_struct]
     _validate_solution(lp, state, x, reduced_user)
-    return LPResult("optimal", x, objective, duals, reduced_user, state.iterations,
-                    ColumnState(state.basis, state.improving))
-
-
-def _solve_rowless(lp: LinearProgram) -> LPResult:
-    """An LP without rows: every column meets no row, so ``set_rowless``
-    alone solves it from the start values.
-
-    The two phases would give the same bits. The basis is empty, so phase 1
-    prices all-zero reduced costs once and is optimal and feasible; phase 2
-    prices once after ``set_rowless`` and finds nothing eligible, so the
-    iterations are 2, or 1 when ``set_rowless`` finds the LP unbounded. The
-    values are the nonbasic ones, and the reduced costs are the cost less
-    the product of an empty dual vector, ``cost - 0.0``, which is the cost
-    with its signed zeros.
-    """
-    state = _Simplex(lp)
-    sign = -1.0 if lp.sense == "max" else 1.0
-    cost = sign * lp.objective
-    if not state.set_rowless(cost):
-        return LPResult("unbounded", None, None, None, None, 1)
-    x = state.nonbasic
-    reduced_user = sign * cost
-    objective = float(lp.objective @ x) + lp.constant
-    _validate_solution(lp, state, x, reduced_user)
-    return LPResult("optimal", x, objective, np.zeros(0), reduced_user, 2)
+    return LPResult("optimal", x, float(lp.objective @ x) + lp.constant, sign * y,
+                    reduced_user, state.iterations, ColumnState(state.basis, state.improving))
 
 
 def _validate_solution(lp, state, x, reduced_user) -> None:

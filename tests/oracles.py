@@ -214,6 +214,22 @@ def lp_vertex_oracle(lp) -> float:
 
 def highs_optimum(lp):
     """(objective, x) of ``lp`` by HiGHS, or None when it is infeasible."""
+    res, better = _highs(lp)
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return -better * res.fun, res.x
+
+
+def highs_verdict(lp):
+    """(status, objective) of ``lp`` by HiGHS, status "optimal",
+    "infeasible" or "unbounded"; the objective is None unless optimal."""
+    res, better = _highs(lp)
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
+    return status, (-better * res.fun + lp.constant if res.status == 0 else None)
+
+
+def _highs(lp):
     from scipy.optimize import linprog
 
     a_eq, b_eq, a_ub, b_ub = [], [], [], []
@@ -236,10 +252,7 @@ def highs_optimum(lp):
                 for lo, hi in zip(lp.lower, lp.upper)],
         method="highs",
     )
-    if res.status == 2:
-        return None
-    assert res.status == 0, res.message
-    return -better * res.fun, res.x
+    return res, better
 
 
 # --- commitment cells: enumerate every one -------------------------------------
