@@ -109,6 +109,14 @@ def build_lp(
     plus its set binaries' terms, less the payment on its pinned lower ends
     when ``prices`` is set. So the optimum is the cell's value; with ``free``,
     it bounds every cell that fixes those binaries.
+
+    The program was checked when it was made (``WelfareProgram``), so the
+    LP is made unchecked (``LinearProgram._unchecked``): its bounds are the
+    program's or [0, 1], its senses and matrix entries the program's. Only
+    what is computed here from other data can fail, and is checked with
+    ``LinearProgram``'s messages: the objective and constant, which take the
+    prices and the binaries' summed gains, and the rhs, which takes the
+    binary shift; a sum or difference of finite floats can overflow.
     """
     rows = columns = slice(None)
     if agent is not None:
@@ -137,8 +145,12 @@ def build_lp(
         lower = np.concatenate([lower, np.zeros(k)])
         upper = np.concatenate([upper, np.ones(k)])
         matrix = np.hstack([matrix, program.binary_matrix[rows][:, free]])
-    return LinearProgram(objective, lower, upper, matrix, program.senses[rows], rhs, "max",
-                         constant)
+    if not (np.all(np.isfinite(objective)) and math.isfinite(constant)):
+        raise ValueError("objective coefficients must be finite")
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("row coefficients must be finite")
+    return LinearProgram._unchecked(objective, lower, upper, matrix, program.senses[rows], rhs,
+                                    "max", constant)
 
 
 Bound = tuple[float, np.ndarray]  # a relaxation's optimum and its free binaries' values
@@ -183,14 +195,15 @@ class _Search:
         """The root relaxation with the binaries set above ``depth`` fixed at
         their values by their columns' bounds, so the root's basis, and that
         of any relaxation between, is a basis of it; ``fixed(0)`` is the root.
-        Only the fixed columns' bounds are checked again."""
+        Nothing is checked again: the root is ``build_lp``'s, and each fixed
+        column's bounds are one 0 or 1, finite and not crossed."""
         if not depth:
             return self.root
         first = self.root.num_vars - len(self.own)
         lower, upper = self.root.lower.copy(), self.root.upper.copy()
         lower[first:first + depth] = upper[first:first + depth] = [
             self.cell[b] for b in self.own[:depth]]
-        return self.root._rebounded(lower, upper, slice(first, first + depth))
+        return LinearProgram._unchecked(**vars(self.root) | {"lower": lower, "upper": upper})
 
     def node(self, depth: int, bound: Bound | None, start: ColumnState | None) -> None:
         """Search the cells below the first ``depth`` branches of ``self.cell``,
@@ -435,10 +448,10 @@ def _verify(
     ``cell``; then each agent's value in its cleared cell (its own binaries
     as in ``cell``, the others 0) is first bounded by ``_certificate``. That
     bound is at least the best response over that cell, and it confirms
-    where it is within ``tol`` of the achieved surplus. Then an agent
-    without binaries reports it as its best response, with no LP, and an
-    agent with binaries searches its other cells with it as the incumbent,
-    so the cleared cell's LP is not solved. Any other agent's best response
+    where it is within ``tol`` of the achieved surplus. Then the agent's
+    search (``best_response_value``) takes it as the incumbent, so the
+    cleared cell's LP is not solved; an agent without binaries has no other
+    cell, and reports the bound with no LP. Any other agent's best response
     is the LP optimum. So ``best_responses`` holds, for each agent, an upper
     bound that a certificate proves, or the LP optimum where none confirms,
     and ``confirmed`` is the LP route's verdict: a confirmed certificate's
@@ -458,15 +471,10 @@ def _verify(
     owners = [a for a, _ in program.binaries]
     for a, bid in enumerate(program.bids):
         got = surplus[bid.agent_id]
-        best = None
-        if duals is not None:
-            own = tuple(v if owner == a else 0 for owner, v in zip(owners, cell))
-            bound = _certificate(program, a, own, prices, duals)
-            if bound - got <= tol:
-                best = (bound if a not in owners else
-                        best_response_value(program, a, prices, incumbent=(bound, own)))
-        if best is None:
-            best = best_response_value(program, a, prices)
+        own = tuple(v if owner == a else 0 for owner, v in zip(owners, cell))
+        bound = math.inf if duals is None else _certificate(program, a, own, prices, duals)
+        incumbent = (bound, own) if bound - got <= tol else None
+        best = best_response_value(program, a, prices, incumbent=incumbent)
         gaps[bid.agent_id] = best - got
         best_responses[bid.agent_id] = best
         achieved[bid.agent_id] = got

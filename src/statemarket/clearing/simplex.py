@@ -101,7 +101,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NumericalFailure
+from ..errors import NumericalFailure, check_lp
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7  # a basic value this close to its bounds, times scale, is feasible
@@ -124,7 +124,14 @@ class LinearProgram:
     """Dense LP: optimize c'x + constant subject to ``matrix @ x (senses)
     rhs``, senses being "<=", ">=" or "=", and ``lower <= x <= upper``.
     Nothing writes to the arrays, which may be read-only views into a welfare
-    program's."""
+    program's.
+
+    An LP's data is checked once, where it enters: a hand-made LP by
+    ``__post_init__`` (``check_lp``), an assembled welfare program by its
+    own. An LP cut from a checked program (``clearing.core.build_lp`` and
+    the branch-and-bound relaxations) is made by ``_unchecked``, which skips
+    ``__post_init__``; the cutter checks only the values it computes from
+    data outside the program."""
 
     objective: np.ndarray
     lower: np.ndarray
@@ -139,41 +146,18 @@ class LinearProgram:
         for name in ("objective", "lower", "upper", "matrix", "rhs"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         object.__setattr__(self, "senses", np.asarray(self.senses, dtype=str))
-        c, lo, hi, a, senses, b = (self.objective, self.lower, self.upper, self.matrix,
-                                   self.senses, self.rhs)
         if self.sense not in ("max", "min"):
             raise ValueError(f"unknown objective sense {self.sense!r}")
-        if not (c.ndim == 1 and c.shape == lo.shape == hi.shape):
-            raise ValueError("objective and bounds must have matching shapes")
-        if not (b.ndim == 1 and senses.shape == b.shape and a.shape == (b.size, c.size)):
-            raise ValueError("matrix, senses and rhs must have shapes (m, n), (m,) and (m,)")
-        if not (np.all(np.isfinite(c)) and math.isfinite(self.constant)):
-            raise ValueError("objective coefficients must be finite")
-        crossed = np.flatnonzero(~(lo <= hi))  # also true for a NaN bound
-        if crossed.size:
-            raise ValueError(f"column {crossed[0]}: lower bound exceeds its upper bound")
-        pinned_at_infinity = np.flatnonzero(np.isinf(lo) & (lo == hi))
-        if pinned_at_infinity.size:
-            j = pinned_at_infinity[0]
-            raise ValueError(f"column {j}: both bounds are {lo[j]}")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError("row coefficients must be finite")
-        unknown = senses[(senses != "<=") & (senses != ">=") & (senses != "=")]
-        if unknown.size:
-            raise ValueError(f"unknown row sense {str(unknown[0])!r}")
+        check_lp(self.objective, self.lower, self.upper, self.matrix, self.senses,
+                 self.rhs, self.constant)
 
-    def _rebounded(self, lower: np.ndarray, upper: np.ndarray, changed: slice
-                   ) -> LinearProgram:
-        """This LP with the bounds ``lower`` and ``upper``, float arrays that
-        differ from its own only on the columns ``changed``. The rest was
-        checked when this LP was made, so only ``lower <= upper`` on those
-        columns is checked again, and ``__post_init__`` does not run."""
-        crossed = np.flatnonzero(~(lower[changed] <= upper[changed]))
-        if crossed.size:
-            j = range(self.num_vars)[changed][crossed[0]]
-            raise ValueError(f"column {j}: lower bound exceeds its upper bound")
-        lp = object.__new__(LinearProgram)
-        lp.__dict__.update(self.__dict__, lower=lower, upper=upper)
+    @classmethod
+    def _unchecked(cls, *values, **fields) -> LinearProgram:
+        """The LP ``LinearProgram(*values, **fields)`` without ``__post_init__``:
+        every field is given, the arrays as float arrays and the senses as a
+        str array, and the caller vouches that ``check_lp`` would pass."""
+        lp = object.__new__(cls)
+        lp.__dict__.update(zip(cls.__dataclass_fields__, values), **fields)
         return lp
 
     @property

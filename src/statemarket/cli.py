@@ -84,6 +84,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
         solution = quantize.solve_lloyd(
             scen, args.states, restarts=args.restarts, seed=args.seed
         )
+    if args.svg is not None:  # first, so a partition it refuses writes nothing
+        quantize.export_partition_svg(solution, args.svg)
     _write_json(
         args.out,
         {
@@ -93,8 +95,6 @@ def cmd_partition(args: argparse.Namespace) -> int:
     )
     text = quantize.describe_states(solution)
     Path(args.out).with_suffix(".states.txt").write_text(text, encoding="utf-8")
-    if args.svg is not None:
-        quantize.export_partition_svg(solution, args.svg)
     bound = "" if solution.lower_bound is None else f" lower_bound={solution.lower_bound:.9g}"
     print(f"objective: {solution.objective:.9g} (solver: {solution.provenance}{bound})")
     print(text, end="")

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the checks of input
+data that more than one module applies.
 
 Three bases map onto the CLI exit codes: validation problems (bad input,
 unmet preconditions), solver failures, and verification failures.
@@ -7,6 +8,8 @@ unmet preconditions), solver failures, and verification failures.
 import contextlib
 import json
 from pathlib import Path
+
+import numpy as np
 
 
 class StateMarketError(Exception):
@@ -61,6 +64,32 @@ def text(value) -> str:
 def numbers(value):
     """``number`` applied to each entry of a list, nested to any depth."""
     return [numbers(v) for v in value] if isinstance(value, list) else number(value)
+
+
+def check_lp(c, lo, hi, a, senses, b, constant: float = 0.0) -> None:
+    """Raise ValueError unless these arrays are an LP's data: the objective
+    ``c`` and ``constant`` and the rows ``a``, ``b`` finite, bounds
+    ``lo <= hi`` and not both the same infinity, senses "<=", ">=" or "=",
+    and shapes (n,), (n,), (n,), (m, n), (m,), (m,). ``LinearProgram``
+    checks a hand-made LP with it and ``WelfareProgram`` an assembled
+    program, the two places where LP data enters."""
+    if not (c.ndim == 1 and c.shape == lo.shape == hi.shape):
+        raise ValueError("objective and bounds must have matching shapes")
+    if not (b.ndim == 1 and senses.shape == b.shape and a.shape == (b.size, c.size)):
+        raise ValueError("matrix, senses and rhs must have shapes (m, n), (m,) and (m,)")
+    if not (np.all(np.isfinite(c)) and np.isfinite(constant)):
+        raise ValueError("objective coefficients must be finite")
+    crossed = np.flatnonzero(~(lo <= hi))  # also true for a NaN bound
+    if crossed.size:
+        raise ValueError(f"column {crossed[0]}: lower bound exceeds its upper bound")
+    pinned = np.flatnonzero(np.isinf(lo) & (lo == hi))
+    if pinned.size:
+        raise ValueError(f"column {pinned[0]}: both bounds are {lo[pinned[0]]}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("row coefficients must be finite")
+    unknown = senses[(senses != "<=") & (senses != ">=") & (senses != "=")]
+    if unknown.size:
+        raise ValueError(f"unknown row sense {str(unknown[0])!r}")
 
 
 # --- scenario ingestion ---

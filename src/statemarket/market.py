@@ -21,6 +21,7 @@ from .errors import (
     EmptyMarket,
     InconsistentDimensions,
     ValidationError,
+    check_lp,
     number,
     numbers,
     reading,
@@ -324,6 +325,12 @@ class WelfareProgram:
     and its S per-state rows, in state order. ``rows`` (labels) and
     ``variables`` (owning agent of each column) are kept for the benchmark
     harness.
+
+    Its LP data is checked once, here (``check_lp``), and ``binary_matrix``
+    must be finite too. So an LP cut from it needs no check of its slices:
+    bounds are the program's or [0, 1], senses the program's, and
+    coefficients the program's. Only what the cutter computes from other
+    data, such as prices or sums, is checked again (``clearing.build_lp``).
     """
 
     bids: tuple[AgentBid, ...]
@@ -349,6 +356,9 @@ class WelfareProgram:
     binary_objective: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
+        check_lp(self.objective, self.lower, self.upper, self.matrix, self.senses, self.rhs)
+        if not np.all(np.isfinite(self.binary_matrix)):
+            raise ValueError("row coefficients must be finite")
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False  # LPs hold slices of these

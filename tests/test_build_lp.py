@@ -1,13 +1,15 @@
 """Cell, agent and relaxation LPs sliced from the program's arrays, against
-the row-wise reference builder, and the row view the benchmark harness reads."""
+the row-wise reference builder and the LP check they skip, and the row view
+the benchmark harness reads."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from statemarket.cli import fixture_path
-from statemarket.clearing import build_lp, clear
+from statemarket.clearing import LinearProgram, build_lp, clear
 from statemarket.market import (
     AgentBid,
     Decision,
@@ -63,10 +65,15 @@ def lp_arrays(lp):
 
 
 def assert_same_bits(lp, reference):
+    """``lp`` has the bits of the reference arrays, and passes unchanged
+    the check that ``build_lp`` skips (``replace`` runs ``__post_init__``)."""
     names = ("objective", "lower", "upper", "matrix", "senses", "rhs")
-    for name, ours, theirs in zip(names, lp_arrays(lp), reference):
-        assert ours.shape == theirs.shape, name
-        assert ours.tobytes() == theirs.tobytes(), name
+    checked = replace(lp)
+    assert (checked.sense, checked.constant) == (lp.sense, lp.constant)
+    for name, ours, theirs, again in zip(names, lp_arrays(lp), reference, lp_arrays(checked)):
+        assert ours.shape == theirs.shape == again.shape, name
+        assert ours.dtype == again.dtype, name
+        assert ours.tobytes() == theirs.tobytes() == again.tobytes(), name
 
 
 @pytest.mark.parametrize("market", list(markets()))
@@ -101,6 +108,17 @@ def test_every_relaxation_matches_the_row_wise_builder(market):
         for cell, free in nodes(program, a):
             assert_same_bits(build_lp(program, cell, a, prices, free),
                              reference_lp(bids, dims, cell, a, prices, free))
+
+
+def test_clearing_runs_no_lp_check(monkeypatch):
+    checked = []
+    post_init = LinearProgram.__post_init__
+    monkeypatch.setattr(LinearProgram, "__post_init__",
+                        lambda lp: checked.append(lp) or post_init(lp))
+    for market in [random_convex_market(seed) for seed in range(10)] + [
+            random_commitment_market(seed) for seed in range(70)]:
+        clear(assemble_welfare(*market))
+    assert checked == []
 
 
 def test_link_row_with_binaries_listed_in_descending_order():

@@ -145,6 +145,42 @@ def test_perturbed_prices_break_equilibrium():
     assert not report.confirmed
 
 
+def overflowing_price_searches():
+    """(program, agent, price) whose priced LP has a non-finite objective: the
+    wind farm's lower end -10 overflows its constant at either sign, and a
+    slope of 1.5e308 less a price of -1.7e308 overflows a coefficient."""
+    program = assemble_welfare(*price_formation_bids(0.5))
+    yield program, 0, 1.7e308
+    yield program, 0, -1.7e308
+    steep = PiecewiseUtility([0.0, 1.0], [0.0, 1.5e308])
+    bids = [AgentBid(name, np.array([1.0]), utilities={(0, 0, 0): steep}) for name in "ab"]
+    yield assemble_welfare(bids, MarketDimensions(1, 1, 1)), 0, -1.7e308
+
+
+@pytest.mark.parametrize("program, agent, price", list(overflowing_price_searches()),
+                         ids=["constant_high", "constant_low", "coefficient"])
+def test_best_response_rejects_prices_that_overflow_the_objective(program, agent, price):
+    prices = ContractGrid(np.full(program.dims.shape, price))
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="objective coefficients must be finite"):
+        best_response_value(program, agent, prices)
+
+
+def test_clear_rejects_a_binary_shift_that_overflows_a_row():
+    # the row's rhs -1.7e308, less the binary's 1.7e308 once it is set, is -inf
+    bid = AgentBid(
+        "unit", np.array([1.0]),
+        utilities={(0, 0, 0): PiecewiseUtility([0.0, 1.0], [0.0, 1.0])},
+        decisions=(Decision("on", "binary"),),
+        constraints=(LinkingConstraint((((0, 0, 0), 1.0),), (("on", 1.7e308),), "<=",
+                                       -1.7e308),),
+    )
+    program = assemble_welfare([bid], MarketDimensions(1, 1, 1))
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="row coefficients must be finite"):
+        clear(program)
+
+
 def test_welfare_equivalence_on_table_rows():
     for pi1 in (0.2, 0.4, 0.6, 0.8):
         bids, dims = price_formation_bids(pi1)

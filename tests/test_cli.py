@@ -252,6 +252,18 @@ def test_partition_rejects_a_negative_seed_naming_it(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_partition_refusing_the_svg_writes_nothing(tmp_path, capsys):
+    scenarios = tmp_path / "line.csv"
+    scenarios.write_text("scenario_id,weight,xi_1\n1,0.25,0\n2,0.25,1\n3,0.25,5\n4,0.25,6\n")
+    out, svg = tmp_path / "part.json", tmp_path / "s.svg"
+    assert run(["partition", "--scenarios", scenarios, "--solver", "exact", "--states", 2,
+                "--svg", svg, "--out", out]) == 1
+    assert "error: SVG export requires k=2, got k=1" in capsys.readouterr().err
+    assert not out.exists()
+    assert not out.with_suffix(".states.txt").exists()
+    assert not svg.exists()
+
+
 def test_partition_text_has_one_decimal_centers(tmp_path):
     out = tmp_path / "p.json"
     run(["partition", "--scenarios", SCENARIOS, "--states", 2, "--out", out])
@@ -350,6 +362,19 @@ def test_clear_rejects_non_finite_bid_numbers_where_they_enter(
     bids.write_text(json.dumps(payload))
     assert run(["clear", "--bids", bids, "--out", tmp_path / "r.json"]) == 1
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_clear_rejects_an_overflowing_balance_row(tmp_path, capsys):
+    points = [[-1.7e308, -1.0], [0.0, 0.0]]
+    agents = [{"id": name, "beliefs": [1.0], "risk": "expectation",
+               "utilities": [{"node": 0, "period": 0, "state": 0, "points": points}]}
+              for name in ("a", "b")]
+    bids = tmp_path / "overflow.json"
+    bids.write_text(json.dumps({"dimensions": {"states": 1}, "agents": agents}))
+    with np.errstate(over="ignore"):
+        assert run(["clear", "--bids", bids, "--out", tmp_path / "r.json"]) == 1
+    assert "error: row coefficients must be finite" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
 
 

@@ -232,6 +232,15 @@ def test_assemble_rejects_out_of_range_coordinates():
         assemble_welfare([bid], MarketDimensions(1, 1, 1))
 
 
+def test_assemble_rejects_an_overflowing_row_where_the_program_is_made():
+    # both quantities start at -1.7e308, so the balance rhs, minus their sum, is +inf
+    utility = PiecewiseUtility([-1.7e308, 0.0], [-1.0, 0.0])
+    bids = [AgentBid(name, np.array([1.0]), utilities={(0, 0, 0): utility}) for name in "ab"]
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="row coefficients must be finite"):
+        assemble_welfare(bids, MarketDimensions(1, 1, 1))
+
+
 def test_every_variable_belongs_to_exactly_one_agent_block():
     bids, dims = price_formation_bids(0.4)
     program = assemble_welfare(bids, dims)
