@@ -406,9 +406,13 @@ def solve_lp(lp: LinearProgram, start: ColumnState | None = None) -> LPResult:
     pivots and bound flips, and each loop's final pricing. "infeasible" is a
     row that no column can bring within its bounds, checked on a fresh
     inverse. The reported objective is c'x + constant. Duals follow the
-    user's sense (derivative of the optimum w.r.t. the row rhs);
-    complementary slackness is verified to FEAS_TOL before returning.
-    Raises NumericalFailure instead of returning silently wrong answers.
+    user's sense (derivative of the optimum w.r.t. the row rhs).
+
+    Before an optimum is returned, ``_validate_solution`` checks it in the
+    computational form, over every column and every row's slack: each value
+    within its bounds and each reduced cost of the sign its bounds allow.
+    A fault raises NumericalFailure naming the variable or row (the CLI
+    exits 2), never a silently wrong price.
 
     ``start`` is the ``state`` of an optimal result of an LP with the same
     matrix, senses, rhs and objective; only the structural bounds may
@@ -422,38 +426,40 @@ def solve_lp(lp: LinearProgram, start: ColumnState | None = None) -> LPResult:
     sign = -1.0 if lp.sense == "max" else 1.0
     x = state.values()[: state.n_struct]
     y = state._solve_basis(state.cost[state.basis], transpose=True)
-    reduced_user = sign * (state.cost - state.A.T @ y)[: state.n_struct]
-    _validate_solution(lp, state, x, reduced_user)
+    reduced = state.cost - state.A.T @ y
+    _validate_solution(state, x, reduced)
     return LPResult("optimal", x, float(lp.objective @ x) + lp.constant, sign * y,
-                    reduced_user, state.iterations, ColumnState(state.basis, state.improving))
+                    sign * reduced[: state.n_struct], state.iterations,
+                    ColumnState(state.basis, state.improving))
 
 
-def _validate_solution(lp, state, x, reduced_user) -> None:
-    """Primal feasibility, reduced-cost signs, complementary slackness; the
-    first row or variable at fault is named."""
-    tol = FEAS_TOL * state.scale
-    if np.any(x < lp.lower - tol) or np.any(x > lp.upper + tol):
-        raise NumericalFailure("primal bounds violated at claimed optimum")
-    residuals = state.A[:, : state.n_struct] @ x - state.b
-    excess = np.where(lp.senses == "<=", residuals, -residuals)  # > 0 where violated
-    excess = np.where(lp.senses == "=", np.abs(residuals), excess)
-    violated = np.flatnonzero(excess > tol)
-    if violated.size:
-        i = violated[0]
-        kind = "equality row" if lp.senses[i] == "=" else "row"
-        raise NumericalFailure(f"{kind} {i} violated by {residuals[i]:.3e}")
-    # sign convention in the user's sense: improving directions must be blocked
-    r = (1.0 if lp.sense == "max" else -1.0) * reduced_user
-    slack_lo = x - lp.lower
-    slack_hi = lp.upper - x
-    interior = (slack_lo > tol) & (slack_hi > tol) & (np.abs(r) > tol * 10)
-    at_lower = (slack_lo <= tol) & (tol < slack_hi) & (r > tol * 10)
-    at_upper = (slack_hi <= tol) & (tol < slack_lo) & (r < -tol * 10)
-    faulty = np.flatnonzero(interior | at_lower | at_upper)
-    if faulty.size:
-        j = faulty[0]
-        if interior[j]:
-            raise NumericalFailure(f"interior variable {j} has nonzero reduced cost")
-        if at_lower[j]:
-            raise NumericalFailure(f"variable {j} at lower bound wants to increase")
-        raise NumericalFailure(f"variable {j} at upper bound wants to decrease")
+def _validate_solution(state: _Simplex, x: np.ndarray, reduced: np.ndarray) -> None:
+    """Check an optimum in the computational form before ``solve_lp``
+    returns it. Values: v = (x, b - A x), the slacks recomputed from x, lies
+    within ``state.lower`` and ``state.upper`` to FEAS_TOL * scale, one check
+    over every structural bound and every row. Reduced costs: each of the
+    n + m entries of ``cost - A'y`` is zero, to 10 times that, where its
+    value is strictly inside its bounds, and at a bound has the sign under
+    which no move off it improves the objective; over the slacks that is
+    each row's dual sign and complementary slackness. The first column at
+    fault raises NumericalFailure (the CLI exits 2) naming ``variable j`` or
+    ``row i``'s slack and the size of the fault."""
+    n, tol = state.n_struct, FEAS_TOL * state.scale
+    v = np.concatenate([x, state.b - state.A[:, :n] @ x])
+
+    def name(k):
+        return f"variable {k}" if k < n else f"row {k - n}'s slack"
+
+    outside = np.maximum(state.lower - v, v - state.upper)
+    beyond = outside > tol
+    if beyond.any():
+        k = int(beyond.argmax())
+        raise NumericalFailure(f"{name(k)} is {outside[k]:.3e} outside its bounds")
+    at_lower, at_upper = v - state.lower <= tol, state.upper - v <= tol
+    wrong = ((reduced < -10 * tol) & ~at_upper) | ((reduced > 10 * tol) & ~at_lower)
+    if wrong.any():
+        k = int(wrong.argmax())
+        where = ("at its lower bound" if at_lower[k] else "at its upper bound" if at_upper[k]
+                 else "inside its bounds")
+        raise NumericalFailure(f"{name(k)} {where} has reduced cost {reduced[k]:.3e}, "
+                               "so the objective can still improve")

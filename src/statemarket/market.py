@@ -9,6 +9,7 @@ advance-commitment decisions through linear constraints.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -126,23 +127,23 @@ class PiecewiseUtility:
 
     def segments(self) -> list[tuple[float, float]]:
         """(width, slope) per linear piece, left to right."""
-        widths = np.diff(self.breakpoints)
-        slopes = np.diff(self.utilities) / widths
-        return list(zip(widths.tolist(), slopes.tolist()))
+        q, v = self.breakpoints.tolist(), self.utilities.tolist()
+        return [(q1 - q0, (v1 - v0) / (q1 - q0)) for q0, q1, v0, v1 in zip(q, q[1:], v, v[1:])]
 
     def value(self, quantity: float, tol: float = FEASIBILITY_TOL) -> float:
-        """Utility at ``quantity``; -inf outside the trading interval (+/- tol)."""
-        if quantity < self.lower - tol or quantity > self.upper + tol:
+        """Utility at ``quantity``; -inf outside the trading interval (+/- tol).
+        Python floats throughout, which round as numpy's do."""
+        q_points, v_points = self.breakpoints.tolist(), self.utilities.tolist()
+        lower, upper = q_points[0], q_points[-1]
+        if quantity < lower - tol or quantity > upper + tol:
             return NEG_INF
-        q = min(max(quantity, self.lower), self.upper)
-        if self.breakpoints.size == 1:
-            return float(self.utilities[0])
-        pos = int(np.searchsorted(self.breakpoints, q, side="right"))
-        pos = min(max(pos, 1), self.breakpoints.size - 1)
-        left_q = self.breakpoints[pos - 1]
-        left_v = self.utilities[pos - 1]
-        slope = (self.utilities[pos] - left_v) / (self.breakpoints[pos] - left_q)
-        return float(left_v + slope * (q - left_q))
+        if len(q_points) == 1:
+            return v_points[0]
+        q = min(max(float(quantity), lower), upper)
+        pos = min(max(bisect.bisect_right(q_points, q), 1), len(q_points) - 1)
+        left_q, left_v = q_points[pos - 1], v_points[pos - 1]
+        slope = (v_points[pos] - left_v) / (q_points[pos] - left_q)
+        return left_v + slope * (q - left_q)
 
 
 @dataclass(frozen=True)

@@ -181,6 +181,20 @@ def test_clear_rejects_a_binary_shift_that_overflows_a_row():
         clear(program)
 
 
+def test_assembly_rejects_a_binary_listed_twice_whose_coefficients_overflow():
+    # 1.7e308 + 1.7e308 in the binary's column of the row is inf
+    bid = AgentBid(
+        "unit", np.array([1.0]),
+        utilities={(0, 0, 0): PiecewiseUtility([0.0, 1.0], [0.0, 1.0])},
+        decisions=(Decision("on", "binary"),),
+        constraints=(LinkingConstraint((((0, 0, 0), 1.0),), (("on", 1.7e308), ("on", 1.7e308)),
+                                       "<=", 0.0),),
+    )
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="^row coefficients must be finite$"):
+        assemble_welfare([bid], MarketDimensions(1, 1, 1))
+
+
 def test_welfare_equivalence_on_table_rows():
     for pi1 in (0.2, 0.4, 0.6, 0.8):
         bids, dims = price_formation_bids(pi1)

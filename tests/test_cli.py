@@ -180,6 +180,28 @@ def test_ingest_rejects_a_location_off_the_globe(tmp_path, capsys, location):
     assert not (tmp_path / "cache").exists()
 
 
+def test_ingest_from_an_endpoint_needs_a_location(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert run(["ingest", "--endpoint", ENDPOINT, "--out", out]) == 1
+    assert "error: ingest from an endpoint needs at least one --location" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ingest_without_a_source_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("STATEMARKET_ENDPOINT", raising=False)
+    out = tmp_path / "s.csv"
+    assert run(["ingest", "--out", out]) == 1
+    assert "error: ingest needs --scenarios or an endpoint" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ingest_rejects_a_location_without_a_longitude(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert run(["ingest", "--endpoint", ENDPOINT, "--location", "52.0", "--out", out]) == 1
+    assert "error: --location must be 'lat,lon', got '52.0'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ingest_bad_endpoint_exit_code(tmp_path, capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise requests.ConnectionError("name or service not known")
@@ -378,6 +400,18 @@ def test_clear_rejects_an_overflowing_balance_row(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_clear_rejects_a_binary_listed_twice_whose_coefficients_overflow(tmp_path, capsys):
+    payload = json.loads(COMMIT_BIDS.read_text())
+    constraint = _agent(payload, "thermal_plant")["constraints"][0]
+    constraint["z"] = [{"name": "on", "coeff": 1.7e308}, {"name": "on", "coeff": 1.7e308}]
+    bids = tmp_path / "overflow.json"
+    bids.write_text(json.dumps(payload))
+    with np.errstate(over="ignore"):
+        assert run(["clear", "--bids", bids, "--out", tmp_path / "r.json"]) == 1
+    assert "error: row coefficients must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_clear_rejects_a_contract_listed_twice(tmp_path, capsys):
     payload = json.loads(PRICE_BIDS.read_text())
     utilities = _agent(payload, "wind_farm")["utilities"]
@@ -400,6 +434,12 @@ def test_clear_rejects_a_tolerance_that_is_not_finite_and_non_negative(
     err = capsys.readouterr().err
     assert "usage:" in err
     assert f"--tolerance: must be finite and >= 0, got '{tolerance}'" in err
+
+
+def test_clear_passes_a_valid_tolerance_to_the_verification(tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["clear", "--bids", PRICE_BIDS, "--tolerance", "1e-3", "--out", out]) == 0
+    assert json.loads(out.read_text())["verification"]["tolerance"] == 1e-3
 
 
 def test_solver_failure_names_the_cell_and_exits_2(tmp_path, capsys, monkeypatch):
@@ -490,48 +530,81 @@ def test_unbounded_market_exit_code(tmp_path, capsys):
     assert "cell (), welfare LP 1x3: the objective is unbounded" in err
 
 
+# min-run block larger than the only buyer's demand: no equilibrium exists,
+# so the clearing reports a positive best-response gap
+NONCONVEX = {
+    "dimensions": {"states": 2},
+    "agents": [
+        {
+            "id": "block_plant",
+            "beliefs": [0.5, 0.5],
+            "decisions": [{"name": "on", "kind": "binary"}],
+            "utilities": [
+                {"node": 0, "period": 0, "state": 0, "points": [[-20.0, -600.0], [0.0, 0.0]]},
+                {"node": 0, "period": 0, "state": 1, "points": [[-20.0, -600.0], [0.0, 0.0]]},
+            ],
+            "constraints": [
+                {"x": [{"node": 0, "period": 0, "state": 0, "coeff": 1.0}],
+                 "z": [{"name": "on", "coeff": 10.0}], "sense": "<=", "rhs": 0.0},
+                {"x": [{"node": 0, "period": 0, "state": 0, "coeff": 1.0}],
+                 "z": [{"name": "on", "coeff": 20.0}], "sense": ">=", "rhs": 0.0},
+                {"x": [{"node": 0, "period": 0, "state": 1, "coeff": 1.0}],
+                 "z": [{"name": "on", "coeff": 10.0}], "sense": "<=", "rhs": 0.0},
+                {"x": [{"node": 0, "period": 0, "state": 1, "coeff": 1.0}],
+                 "z": [{"name": "on", "coeff": 20.0}], "sense": ">=", "rhs": 0.0},
+            ],
+        },
+        {
+            "id": "small_buyer",
+            "beliefs": [0.5, 0.5],
+            "utilities": [
+                {"node": 0, "period": 0, "state": 0, "points": [[0.0, 0.0], [5.0, 500.0]]},
+                {"node": 0, "period": 0, "state": 1, "points": [[0.0, 0.0], [5.0, 500.0]]},
+            ],
+        },
+    ],
+}
+
+
 def test_nonconvex_verification_failure_exit_code(tmp_path, capsys):
-    # min-run block larger than the only buyer's demand: no equilibrium exists,
-    # the clearing reports a positive best-response gap, exit code 3
-    nonconvex = {
-        "dimensions": {"states": 2},
-        "agents": [
-            {
-                "id": "block_plant",
-                "beliefs": [0.5, 0.5],
-                "decisions": [{"name": "on", "kind": "binary"}],
-                "utilities": [
-                    {"node": 0, "period": 0, "state": 0, "points": [[-20.0, -600.0], [0.0, 0.0]]},
-                    {"node": 0, "period": 0, "state": 1, "points": [[-20.0, -600.0], [0.0, 0.0]]},
-                ],
-                "constraints": [
-                    {"x": [{"node": 0, "period": 0, "state": 0, "coeff": 1.0}],
-                     "z": [{"name": "on", "coeff": 10.0}], "sense": "<=", "rhs": 0.0},
-                    {"x": [{"node": 0, "period": 0, "state": 0, "coeff": 1.0}],
-                     "z": [{"name": "on", "coeff": 20.0}], "sense": ">=", "rhs": 0.0},
-                    {"x": [{"node": 0, "period": 0, "state": 1, "coeff": 1.0}],
-                     "z": [{"name": "on", "coeff": 10.0}], "sense": "<=", "rhs": 0.0},
-                    {"x": [{"node": 0, "period": 0, "state": 1, "coeff": 1.0}],
-                     "z": [{"name": "on", "coeff": 20.0}], "sense": ">=", "rhs": 0.0},
-                ],
-            },
-            {
-                "id": "small_buyer",
-                "beliefs": [0.5, 0.5],
-                "utilities": [
-                    {"node": 0, "period": 0, "state": 0, "points": [[0.0, 0.0], [5.0, 500.0]]},
-                    {"node": 0, "period": 0, "state": 1, "points": [[0.0, 0.0], [5.0, 500.0]]},
-                ],
-            },
-        ],
-    }
     bids = tmp_path / "nonconvex.json"
-    bids.write_text(json.dumps(nonconvex))
+    bids.write_text(json.dumps(NONCONVEX))
     out = tmp_path / "r.json"
     assert run(["clear", "--bids", bids, "--out", out]) == 3
     payload = json.loads(out.read_text())  # results still written for inspection
     assert payload["verification"]["confirmed"] is False
     assert max(payload["verification"]["gaps"].values()) > 1e-6
+
+
+def test_a_sweep_with_an_unconfirmed_point_exits_3_after_writing(tmp_path, capsys):
+    bids = tmp_path / "nonconvex.json"
+    bids.write_text(json.dumps(NONCONVEX))
+    out = tmp_path / "sweep.json"
+    assert run(["clear", "--bids", bids, "--sweep-pi", "--out", out]) == 3
+    assert ("verification failure: some sweep points failed equilibrium verification"
+            in capsys.readouterr().err)
+    sweep = json.loads(out.read_text())["sweep"]  # still written for inspection
+    assert [entry["pi1"] for entry in sweep] == [round(0.1 * i, 1) for i in range(11)]
+    assert not all(entry["result"]["verification"]["confirmed"] for entry in sweep)
+    assert out.with_suffix(".prices.csv").exists()
+
+
+def test_a_sweep_over_two_periods_labels_columns_node_period_state(tmp_path):
+    def bid(agent_id, points):
+        return {"id": agent_id, "beliefs": [0.5, 0.5], "utilities": [
+            {"node": 0, "period": t, "state": s, "points": points}
+            for t in range(2) for s in range(2)]}
+
+    bids = tmp_path / "periods.json"
+    bids.write_text(json.dumps({"dimensions": {"periods": 2, "states": 2}, "agents": [
+        bid("seller", [[-5.0, -50.0], [0.0, 0.0]]), bid("buyer", [[0.0, 0.0], [5.0, 100.0]])]}))
+    out = tmp_path / "sweep.json"
+    assert run(["clear", "--bids", bids, "--sweep-pi", "--out", out]) == 0
+    with open(out.with_suffix(".prices.csv")) as handle:
+        header = next(csv.reader(handle))
+    labels = ["0_0_1", "0_0_2", "0_1_1", "0_1_2"]
+    assert header == ["pi1", "pi2", *(f"x_seller_{c}" for c in labels),
+                      *(f"x_buyer_{c}" for c in labels), *(f"lambda_{c}" for c in labels)]
 
 
 def test_full_pipeline_deterministic_outputs(tmp_path):
@@ -640,6 +713,11 @@ def test_report_payments(capsys):
     text = capsys.readouterr().out
     assert "wind_farm: receives 200" in text
     assert "load: pays 300" in text
+
+
+def test_report_without_an_input_exits_1(capsys):
+    assert run(["report"]) == 1
+    assert "error: report needs --result, --partition, or --payments" in capsys.readouterr().err
 
 
 def test_report_rejects_wrong_file_kind(tmp_path, capsys):

@@ -1019,3 +1019,65 @@ def test_column_state_holds_after_every_dual_pivot(monkeypatch):
         assert verdict in ("feasible", "infeasible") and updates == 0
         pivots += sum(verdict is None for verdict, _ in calls)
     assert pivots > 100
+
+
+def claimed_optimum(monkeypatch, objective, row_1, start, sense="max", bounds=(0.0, 5.0)):
+    """solve_lp with both loops stopped at once, so the start's basis is
+    the claimed optimum that ``_validate_solution`` checks. Columns 0 and 1
+    are x0 in [0, 5] and x1 in ``bounds``, columns 2 and 3 the slacks of
+    row 0, x0 <= 5, and row 1, x1 ``row_1`` (a sense and an rhs); ``start``
+    is (basis, improving), or None for the slack basis."""
+    monkeypatch.setattr(simplex._Simplex, "run_dual", lambda self: "feasible")
+    monkeypatch.setattr(simplex._Simplex, "run", lambda self: "optimal")
+    lp = LinearProgram(np.array(objective, dtype=float), np.array([0.0, bounds[0]]),
+                       np.array([5.0, bounds[1]]), np.eye(2), np.array(["<=", row_1[0]]),
+                       np.array([5.0, row_1[1]]), sense=sense)
+    if start is not None:
+        start = simplex.ColumnState(np.array(start[0]), np.array(start[1], dtype=float))
+    return solve_lp(lp, start=start)
+
+
+@pytest.mark.parametrize("row_1, start, message", [
+    # x1 basic at 7 above its bound 5
+    (("=", 7.0), ([2, 1], [-1, 0, 0, 0]), "variable 1 is 2.000e+00 outside its bounds"),
+    # x1 at its upper bound 5 violates row 1
+    (("<=", 1.0), ([2, 3], [-1, 1, 0, 0]), "row 1's slack is 4.000e+00 outside its bounds"),
+    ((">=", 6.0), ([2, 3], [-1, 1, 0, 0]), "row 1's slack is 1.000e+00 outside its bounds"),
+    (("=", 6.0), ([2, 3], [-1, 1, 0, 0]), "row 1's slack is 1.000e+00 outside its bounds"),
+], ids=["variable", "le_row", "ge_row", "eq_row"])
+def test_a_claimed_optimum_outside_its_bounds_names_the_column(
+        monkeypatch, row_1, start, message):
+    with pytest.raises(NumericalFailure) as failure:
+        claimed_optimum(monkeypatch, [1.0, 1.0], row_1, start)
+    assert str(failure.value) == message
+
+
+@pytest.mark.parametrize("sense, row_1, start, bounds, message", [
+    # x1 free, nonbasic at 0, with the max's cost -1
+    ("max", ("<=", 1.0), None, (-np.inf, np.inf),
+     "variable 1 inside its bounds has reduced cost -1.000e+00"),
+    ("max", ("<=", 1.0), ([2, 3], [-1, -1, 0, 0]), (0.0, 5.0),
+     "variable 1 at its lower bound has reduced cost -1.000e+00"),
+    ("min", ("<=", 10.0), ([2, 3], [-1, 1, 0, 0]), (0.0, 5.0),
+     "variable 1 at its upper bound has reduced cost 1.000e+00"),
+    # x1 basic at 1, row 1 tight, but the optimum is x1 = 5 (max) or 0 (min):
+    # the row's dual has the wrong sign, and x and every structural reduced
+    # cost look optimal
+    ("max", (">=", 1.0), ([2, 1], [-1, 0, 0, 1]), (0.0, 5.0),
+     "row 1's slack at its upper bound has reduced cost 1.000e+00"),
+    ("min", ("<=", 1.0), ([2, 1], [-1, 0, 0, -1]), (0.0, 5.0),
+     "row 1's slack at its lower bound has reduced cost -1.000e+00"),
+], ids=["interior", "at_lower", "at_upper", "ge_row_dual", "le_row_dual"])
+def test_a_claimed_optimum_that_can_improve_names_the_column(
+        monkeypatch, sense, row_1, start, bounds, message):
+    with pytest.raises(NumericalFailure) as failure:
+        claimed_optimum(monkeypatch, [0.0, 1.0], row_1, start, sense, bounds)
+    assert str(failure.value) == f"{message}, so the objective can still improve"
+
+
+def test_a_start_with_a_singular_basis_raises():
+    lp = LinearProgram(np.ones(2), np.zeros(2), np.full(2, 5.0), np.eye(2),
+                       np.array(["<=", "<="]), np.full(2, 5.0))
+    start = simplex.ColumnState(np.array([0, 0]), np.zeros(4))
+    with pytest.raises(NumericalFailure, match="^singular basis: "):
+        solve_lp(lp, start=start)
