@@ -21,25 +21,43 @@ The dual simplex pivots until every basic value is within FEAS_TOL * scale
 of its bounds. The basic column with the largest violation leaves for the
 bound it violates; violations within the tolerance of the largest tie, and
 the smallest position among them leaves, so the last bits of a basic value
-do not choose the pivot. The entering column is the one whose reduced cost
-reaches zero first as the leaving one's moves off its bound: among the
-columns that can move the leaving value toward its bound, with |alpha|
-above PIVOT_TOL in its row ``alpha`` of ``Binv @ A``, those whose ratio
-reduced cost / alpha, clipped at 0, is within PIVOT_TOL of the least; the
-largest |alpha| among them, then the smallest index. A dual infeasible
-column's ratio is below 0 and clipped to 0, the least there is. A row that
-no column can move proves the LP infeasible: each nonbasic column sits at a
-bound and can move only away from it, so the row's value cannot reach its
-bound; the proof needs no dual feasibility. The dual simplex has no
+do not choose the pivot. The candidates to enter are the columns that can
+move the leaving value toward its bound, with |alpha| above PIVOT_TOL in
+its row ``alpha`` of ``Binv @ A``. Each has a breakpoint, its ratio reduced
+cost / alpha clipped at 0, where its reduced cost reaches zero as the
+leaving column's moves off its bound; a dual infeasible column's ratio is
+below 0 and clipped to 0, the least there is. The ratio test takes the
+long step (Fourer 1994; Kostina 2002). It walks the breakpoints in (ratio,
+index) order, in groups within PIVOT_TOL of each group's first ratio.
+Flipping a column to its other bound moves the leaving value toward its
+bound by the column's width, |alpha| * (upper - lower), so the violation
+left falls by each group's widths; it is the slope of the dual objective.
+While more than FEAS_TOL * scale of it is left after a group and another
+group follows, the group's columns flip, which edits ``nonbasic`` and
+``improving`` in place and no ``Binv``, like the primal simplex's bound
+flip. A free or one-sided column's width is infinite, so its group stops
+the walk. In the group that stops the walk, the largest |alpha| enters,
+then the smallest index; every flip before it left the leaving row
+violated, so the pivot is still one basis change. Where the first group
+stops the walk, the pivot is the short step, the column whose reduced cost
+reaches zero first, and nothing is sorted; a pivot that passes a
+breakpoint sorts its candidates once. Welfare LP columns are almost all
+boxed segment widths, so one pivot often passes many of them. A row that
+no column can move proves the LP infeasible: each nonbasic column sits at
+a bound and can move only away from it, so the row's value cannot reach
+its bound; the proof needs no dual feasibility. The dual simplex has no
 anti-cycling rule: a run past its pivot limit raises NumericalFailure
 naming "the dual simplex".
 
 The primal simplex then runs from the feasible basis. A nonbasic column
 scores sign * reduced cost (see ``improving`` below), or |reduced cost| if
-it is free, and is eligible when its score exceeds the tolerance. The column
-with the largest score enters (Dantzig 1963). Scores within the tolerance of
-the largest tie (within one unit in the last place of the largest, where
-that is wider), and the smallest index among them enters, so the last bits
+it is free, and is eligible when its score exceeds the tolerance, PIVOT_TOL
+times ``cost_scale``, the largest |cost| (at least 1): a reduced cost is in
+the objective's units, so the rhs, which scales the dual simplex's
+tolerances, does not widen it. The column with the largest score enters
+(Dantzig 1963). Scores within the tolerance of the largest tie (within one
+unit in the last place of the largest, where that is wider), and the
+smallest index among them enters, so the last bits
 of a reduced cost do not choose the pivot. After DEGENERATE_LIMIT basis
 changes in a row with a zero step (at most PIVOT_TOL) the smallest eligible
 index enters instead (Bland 1977), until a pivot or a bound flip moves by a
@@ -212,6 +230,7 @@ class _Simplex:
         self.cost = np.zeros(self.total)
         self.cost[:n] = (-1.0 if lp.sense == "max" else 1.0) * lp.objective
         self.A = np.hstack([struct, np.eye(m)])
+        self.span = self.upper - self.lower  # inf for a free or one-sided column
         self.updates = 0  # basis changes applied to Binv since it was inverted
         if start is None:  # the slack basis is its own inverse
             self._read(np.arange(n, self.total, dtype=np.intp), self.cost < 0)
@@ -221,7 +240,10 @@ class _Simplex:
             self.Binv = self._solve_basis(np.eye(m))
         self.iterations = 0
         self.scale = max(1.0, float(np.max(np.abs(self.b), initial=0.0)))
-        self.tol = PIVOT_TOL * self.scale  # a column is eligible if its score exceeds it
+        self.tol = PIVOT_TOL * self.scale  # basic values this close tie to leave
+        # a reduced cost is in the objective's units, not the rhs's
+        self.cost_scale = max(1.0, float(np.max(np.abs(self.cost), initial=0.0)))
+        self.cost_tol = PIVOT_TOL * self.cost_scale  # a score above it is eligible
 
     def _read(self, basis: np.ndarray, at_upper_side: np.ndarray) -> None:
         """Set the column state from ``basis`` and the bounds: a nonbasic
@@ -316,31 +338,67 @@ class _Simplex:
         below = self.lower[basis] - x_basic
         above = x_basic - self.upper[basis]
         violation = np.maximum(below, above)
-        largest = violation.max()
-        if largest <= FEAS_TOL * self.scale:
+        largest, feasible = violation.max(), FEAS_TOL * self.scale
+        if largest <= feasible:
             return "feasible"
         pos = int((violation >= largest - self.tol).argmax())  # the first of the near-largest
         to_upper = bool(above[pos] > below[pos])
         # s * alpha: the rate at which a column's increase moves the leaving
         # value toward its bound
         toward = (1.0 if to_upper else -1.0) * (self.Binv[pos] @ self.A)
-        eligible = (self.improving * toward < 0) & (np.abs(toward) > PIVOT_TOL)
+        # improving is -1, 0 or +1, so its product with toward is exact: below
+        # -PIVOT_TOL, the column moves the leaving value toward its bound
+        eligible = self.improving * toward < -PIVOT_TOL
         if self.free is not None:
             eligible |= self.free & (np.abs(toward) > PIVOT_TOL)
         candidates = np.flatnonzero(eligible)
         if not candidates.size:
             return "infeasible"
         y = self.cost[basis] @ self.Binv
+        rates = toward[candidates]
         reduced = self.cost[candidates] - self.A[:, candidates].T @ y
-        ratios = np.maximum(reduced / toward[candidates], 0.0)
-        size = np.where(ratios <= ratios.min() + PIVOT_TOL, np.abs(toward[candidates]), -1.0)
-        entering = int(candidates[size.argmax()])
+        ratios = np.maximum(reduced / rates, 0.0)
+        size, span = np.abs(rates), self.span[candidates]
+        near = ratios <= ratios.min() + PIVOT_TOL
+        # the violation left once the first group's columns flip; -inf if
+        # one of them is free or one-sided
+        slope = float(violation[pos] - size @ np.where(near, span, 0.0))
+        if slope <= feasible:
+            entering = int(candidates[np.where(near, size, -1.0).argmax()])
+        else:
+            entering = self._long_step(candidates, ratios, size, size * span, slope)
         self._replace(pos, entering, self.Binv @ self.A[:, entering], to_upper)
         return None
 
+    def _long_step(self, candidates, ratios, size, widths, slope: float) -> int:
+        """Walk the breakpoints past the first group, which leaves ``slope``
+        of the violation: in (ratio, index) order, each group within
+        PIVOT_TOL of its first ratio takes its widths |alpha| * span off the
+        slope, and the walk stops at the group that leaves at most
+        FEAS_TOL * scale, or at the last. Every column before that group
+        flips to its other bound; returns the entering column, the group's
+        largest |alpha|, then smallest index."""
+        order = np.argsort(ratios, kind="stable").tolist()  # candidates ascend
+        ratios, size, widths = ratios.tolist(), size.tolist(), widths.tolist()
+        start = 0
+        while True:
+            end = start + 1
+            while end < len(order) and ratios[order[end]] <= ratios[order[start]] + PIVOT_TOL:
+                end += 1
+            if start:  # the first group's widths are off the slope already
+                slope -= sum(widths[i] for i in order[start:end])
+            if end == len(order) or slope <= FEAS_TOL * self.scale:
+                break
+            start = end
+        columns = candidates[order[:start]]
+        self.improving[columns] = -self.improving[columns]
+        self.nonbasic[columns] = np.where(self.improving[columns] > 0, self.upper[columns],
+                                          self.lower[columns])
+        return int(candidates[max(order[start:end], key=lambda i: (size[i], -i))])
+
     def _pivot(self) -> str | None:
         """One pivot or bound flip; returns a verdict instead when no pivot exists."""
-        cost, tol = self.cost, self.tol
+        cost, tol = self.cost, self.cost_tol
         y = cost[self.basis] @ self.Binv
         reduced = cost - self.A.T @ y  # a transposed copy may change BLAS's summation order
         score = self.improving * reduced  # each column's gain per unit step
@@ -402,8 +460,10 @@ def solve_lp(lp: LinearProgram, start: ColumnState | None = None) -> LPResult:
     feasible basis and the primal simplex optimizes from it, as the module
     docstring sets out. Each may take ``200 * (columns + rows + 1)`` pivots;
     exceeding that raises NumericalFailure naming "the dual simplex" or "the
-    primal simplex". ``iterations`` counts the dual pivots, the primal
-    pivots and bound flips, and each loop's final pricing. "infeasible" is a
+    primal simplex". ``iterations`` counts the steps of both loops: each
+    dual pivot, one basis change together with its long step's flips; each
+    primal pivot or bound flip; and each loop's final pricing, whose
+    confirmation on a fresh inverse is not counted again. "infeasible" is a
     row that no column can bring within its bounds, checked on a fresh
     inverse. The reported objective is c'x + constant. Duals follow the
     user's sense (derivative of the optimum w.r.t. the row rhs).
@@ -438,8 +498,9 @@ def _validate_solution(state: _Simplex, x: np.ndarray, reduced: np.ndarray) -> N
     returns it. Values: v = (x, b - A x), the slacks recomputed from x, lies
     within ``state.lower`` and ``state.upper`` to FEAS_TOL * scale, one check
     over every structural bound and every row. Reduced costs: each of the
-    n + m entries of ``cost - A'y`` is zero, to 10 times that, where its
-    value is strictly inside its bounds, and at a bound has the sign under
+    n + m entries of ``cost - A'y`` is zero, to 10 * FEAS_TOL * cost_scale
+    (the units of the primal simplex's pricing), where its value is
+    strictly inside its bounds, and at a bound has the sign under
     which no move off it improves the objective; over the slacks that is
     each row's dual sign and complementary slackness. The first column at
     fault raises NumericalFailure (the CLI exits 2) naming ``variable j`` or
@@ -456,7 +517,8 @@ def _validate_solution(state: _Simplex, x: np.ndarray, reduced: np.ndarray) -> N
         k = int(beyond.argmax())
         raise NumericalFailure(f"{name(k)} is {outside[k]:.3e} outside its bounds")
     at_lower, at_upper = v - state.lower <= tol, state.upper - v <= tol
-    wrong = ((reduced < -10 * tol) & ~at_upper) | ((reduced > 10 * tol) & ~at_lower)
+    reduced_tol = 10 * FEAS_TOL * state.cost_scale
+    wrong = ((reduced < -reduced_tol) & ~at_upper) | ((reduced > reduced_tol) & ~at_lower)
     if wrong.any():
         k = int(wrong.argmax())
         where = ("at its lower bound" if at_lower[k] else "at its upper bound" if at_upper[k]

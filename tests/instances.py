@@ -114,6 +114,33 @@ def commitment_bids(risk: str):
     return [thermal_plant_bid(risk), buyer], TWO_STATE
 
 
+def near_tie_worst_case_bids():
+    """Two worst-case traders and a 1 MWh must-run load in (period 1, state
+    0), over two periods and two states. The producer's first segment in
+    (0, 0, 0) is 1e-6 dearer than its second, a near tie. The epigraph rows
+    carry the producer's utilities at -5, so the welfare LP's rhs reaches
+    220 while every |cost| is 1: a pricing tolerance scaled by the rhs lets
+    the primal simplex stop with a reduced cost of -2.2e-7 on a 2.5-wide
+    segment, 5.4e-7 of the producer's value left unpriced."""
+    sell, buy = [-5.0, -2.5, 0.0], [0.0, 2.5, 5.0]
+    half = np.array([0.5, 0.5])
+    producer = AgentBid("producer", half, "worst_case", utilities={
+        (0, 0, 0): PiecewiseUtility(sell, [-179.9999975, -89.9999975, 0.0]),
+        (0, 0, 1): PiecewiseUtility(sell, [-25.0, -12.5, 0.0]),
+        (0, 1, 0): PiecewiseUtility(sell, [-40.0, -20.0, 0.0]),
+        (0, 1, 1): PiecewiseUtility(sell, [-25.0, -12.5, 0.0]),
+    })
+    consumer = AgentBid("consumer", half, "worst_case", utilities={
+        (0, 0, 0): PiecewiseUtility(buy, [0.0, 12.5, 25.0]),
+        (0, 0, 1): PiecewiseUtility(buy, [0.0, 15.0, 30.0]),
+        (0, 1, 0): PiecewiseUtility(buy, [0.0, 12.5, 25.0]),
+        (0, 1, 1): PiecewiseUtility(buy, [0.0, 12.5, 25.0]),
+    })
+    must_run = AgentBid("must_run", half, "expectation",
+                        utilities={(0, 1, 0): PiecewiseUtility([-1.0], [0.0])})
+    return [producer, consumer, must_run], MarketDimensions(1, 2, 2)
+
+
 def _producer(rng, agent_id, states, periods) -> AgentBid:
     utilities = {}
     for t in range(periods):

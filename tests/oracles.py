@@ -153,8 +153,10 @@ def lp_vertex_oracle(lp) -> float:
     """Optimal objective of a bounded LP by enumerating basic solutions.
 
     Collects every row and finite bound as a hyperplane, forces equality rows
-    active, and scans all choices of active sets of size n. Exponential, for
-    tiny test instances only.
+    active, and scans all choices of active sets of size n. An equality row
+    whose coefficients depend on earlier ones is not forced: it would make
+    every active set singular, and the feasibility check still holds each
+    point to it. Exponential, for tiny test instances only.
     """
     n = lp.num_vars
     planes = []  # (coeff vector, rhs, kind) with kind in {"eq", "ineq"}
@@ -168,7 +170,11 @@ def lp_vertex_oracle(lp) -> float:
         if np.isfinite(lp.upper[j]):
             planes.append((unit.copy(), lp.upper[j], "ineq"))
 
-    forced = [i for i, p in enumerate(planes) if p[2] == "eq"]
+    forced = []
+    for i, (a, _, kind) in enumerate(planes):
+        if kind == "eq" and np.linalg.matrix_rank(
+                np.vstack([planes[k][0] for k in forced] + [a])) > len(forced):
+            forced.append(i)
     optional = [i for i, p in enumerate(planes) if p[2] == "ineq"]
     need = n - len(forced)
     if need < 0:

@@ -228,12 +228,13 @@ def test_clearing_the_random_corpus_solves_fewer_lps(monkeypatch):
     were inherited, 2 505 after, 2 488 since the simplex enters by the
     largest score, 2 114 since the search dives toward each relaxation's
     rounding, 1 570 since the verification certifies convex agents and
-    cleared cells from the welfare LP's duals, and 1 537 since every LP
-    starts from the slack basis or a relaxation's."""
+    cleared cells from the welfare LP's duals, 1 537 since every LP starts
+    from the slack basis or a relaxation's, and 1 526 since a dual pivot
+    passes every breakpoint a boxed column can flip past."""
     calls = lps_solved(monkeypatch)
     for seed in range(70):
         clear(assemble_welfare(*random_commitment_market(seed)))
-    assert len(calls) <= 1537
+    assert len(calls) <= 1526
 
 
 def iterations_taken(monkeypatch) -> list[int]:
@@ -256,21 +257,33 @@ def test_clearing_the_random_corpus_takes_fewer_iterations(monkeypatch):
     starts from the basis of the nearest one solved above it, 28 309 since
     certified best responses take no LP, and 13 519 since every LP starts
     from the slack basis, with no phase 1, and reaches a feasible basis by
-    the dual simplex."""
+    the dual simplex, and 12 510 since its ratio test takes the long step."""
     iterations = iterations_taken(monkeypatch)
     for seed in range(70):
         clear(assemble_welfare(*random_commitment_market(seed)))
-    assert sum(iterations) <= 13519
+    assert sum(iterations) <= 12510
+
+
+def test_clearing_the_convex_corpus_takes_fewer_iterations(monkeypatch):
+    """One welfare LP per ``random_convex_market`` seed 0-99, and no
+    verification LP: 2 569 iterations with the dual simplex's short step,
+    1 795 with the long step."""
+    iterations = iterations_taken(monkeypatch)
+    for seed in range(100):
+        clear(assemble_welfare(*random_convex_market(seed)))
+    assert len(iterations) == 100
+    assert sum(iterations) <= 1795
 
 
 @pytest.mark.parametrize(
     "make, error, lps, iterations",
-    [(infeasible_commitment_market, Infeasible, 20, 499),
-     (unbounded_commitment_market, Unbounded, 128, 2712)],
+    [(infeasible_commitment_market, Infeasible, 20, 448),
+     (unbounded_commitment_market, Unbounded, 128, 2386)],
     ids=["infeasible", "unbounded"],
 )
 def test_clearing_a_flawed_corpus_takes_no_more_work(monkeypatch, make, error, lps, iterations):
-    """The LPs and iterations of clearing seeds 0-19 up to the typed error."""
+    """The LPs and iterations of clearing seeds 0-19 up to the typed error:
+    499 and 2 712 iterations with the dual simplex's short step."""
     taken = iterations_taken(monkeypatch)
     for seed in range(20):
         with pytest.raises(error):

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from statemarket.clearing import clear, core
 from statemarket.clearing.core import _best_cell
@@ -30,6 +30,7 @@ from statemarket.market import (
     valuation,
 )
 
+from instances import near_tie_worst_case_bids
 from oracles import assert_same_search, best_cell_by_enumeration
 
 
@@ -194,6 +195,7 @@ def value_through_valuation(program, found, agent=None, prices=None):
 
 @settings(max_examples=40, deadline=None)
 @given(markets())
+@example(near_tie_worst_case_bids())
 def test_welfare_is_the_sum_of_valuations_at_the_allocation(market):
     bids, dims = market
     program = assemble_welfare(bids, dims)

@@ -21,6 +21,7 @@ from instances import (
     commitment_bids,
     ladder_lp,
     long_lp,
+    near_tie_worst_case_bids,
     price_formation_bids,
     random_commitment_market,
     random_convex_market,
@@ -187,6 +188,34 @@ def test_duplicated_equality_row_keeps_its_artificial_at_zero():
     assert result.objective == pytest.approx(2.0)
 
 
+def test_a_reduced_cost_is_priced_in_the_objectives_units():
+    """Every |cost| of this welfare LP is 1 and its rhs reaches 220, so
+    PIVOT_TOL times the rhs would let the primal simplex stop with a
+    reduced cost of -2.2e-7 on a segment at its upper bound. Priced against
+    PIVOT_TOL in the objective's units, no reduced cost has the wrong sign
+    by more than that."""
+    lp = build_lp(assemble_welfare(*near_tie_worst_case_bids()), ())
+    assert np.abs(lp.objective).max() == 1.0 and PIVOT_TOL * np.abs(lp.rhs).max() > 2e-7
+    result = solve_lp(lp)
+    assert result.status == "optimal"
+    at_lower, at_upper = result.x <= lp.lower, result.x >= lp.upper
+    rc = result.reduced_costs
+    assert np.all(np.where(at_lower, rc, np.where(at_upper, -rc, np.abs(rc))) <= PIVOT_TOL)
+
+
+def test_costs_far_above_the_rhs_are_priced_and_checked_in_the_same_units():
+    """max 1e4 x0 + (1e4 + 5e-6) x1 with x0 + x1 <= 1: the scores tie within
+    PIVOT_TOL times the largest |cost|, so x0 enters and pricing stops with
+    x1's reduced cost at -5e-6. The check of the optimum reads reduced costs
+    in the same units, so this is an optimum, not a NumericalFailure."""
+    lp = LinearProgram(np.array([1e4, 1e4 + 5e-6]), np.zeros(2), np.full(2, np.inf),
+                       np.array([[1.0, 1.0]]), np.array(["<="]), np.ones(1), sense="max")
+    result = solve_lp(lp)
+    assert result.status == "optimal" and result.x.tolist() == [1.0, 0.0]
+    assert result.objective == pytest.approx(1e4 + 5e-6, abs=PIVOT_TOL * 1e4)
+    assert result.reduced_costs[1] == pytest.approx(5e-6)
+
+
 def test_reduced_cost_signs_at_optimum():
     rng = np.random.default_rng(81)
     for _ in range(10):
@@ -254,8 +283,10 @@ def refactoring_run(self):
     ``improving``, ``free`` or ``Binv``. It enters by the same rule: the
     smallest index whose score is within tol (or one ulp of the largest, if
     wider) of the largest, or the smallest eligible index once
-    DEGENERATE_LIMIT basis changes in a row have had a zero step."""
-    cost, tol = self.cost, PIVOT_TOL * self.scale
+    DEGENERATE_LIMIT basis changes in a row have had a zero step. tol is in
+    the objective's units: PIVOT_TOL times the largest |cost|, at least 1."""
+    cost = self.cost
+    tol = PIVOT_TOL * max(1.0, float(np.abs(cost).max(initial=0.0)))
     movable = ~(self.upper - self.lower <= 0.0)
     limit = 200 * (self.total + 1)
     degenerate = 0
@@ -325,10 +356,11 @@ def refactoring_run_dual(self):
     ``refactoring_run`` it reads a column's bound status from its value and
     basis membership and keeps only ``basis`` and ``nonbasic`` current: the
     first position whose violation is within tol of the largest leaves for
-    the bound it violates, and among the
-    columns that can move it toward that bound, those whose ratio reduced
-    cost / alpha, clipped at 0, is within PIVOT_TOL of the least, the
-    largest |alpha| enters, then the smallest index."""
+    the bound it violates. The columns that can move it toward that bound
+    have breakpoints, their ratios reduced cost / alpha clipped at 0; a
+    plain walk over them in (ratio, index) order takes the long step, and in
+    the group where it stops the largest |alpha| enters, then the smallest
+    index."""
     movable = ~(self.upper - self.lower <= 0.0)
     limit = 200 * (self.total + 1)
     for _ in range(limit):
@@ -357,8 +389,27 @@ def refactoring_run_dual(self):
         y = self._solve_basis(self.cost[self.basis], transpose=True)
         reduced = self.cost[candidates] - self.A[:, candidates].T @ y
         ratios = np.maximum(reduced / toward[candidates], 0.0)
-        near = ratios <= ratios.min() + PIVOT_TOL
-        entering = int(candidates[np.argmax(np.where(near, np.abs(toward[candidates]), -1.0))])
+        # the long step: walk the breakpoints in (ratio, index) order, in
+        # groups within PIVOT_TOL of each group's first ratio; flip a group
+        # while more than FEAS_TOL * scale of the violation is left after
+        # it and another group follows
+        groups = []
+        for ratio, col in sorted(zip(ratios.tolist(), candidates.tolist())):
+            if groups and ratio <= groups[-1][0][0] + PIVOT_TOL:
+                groups[-1].append((ratio, col))
+            else:
+                groups.append([(ratio, col)])
+        slope = violation[pos]
+        for k, group in enumerate(groups):
+            slope -= sum(abs(toward[col]) * (self.upper[col] - self.lower[col])
+                         for _, col in group)
+            if slope <= simplex.FEAS_TOL * self.scale or k == len(groups) - 1:
+                break
+            for _, col in group:
+                other = self.upper if self.nonbasic[col] == self.lower[col] else self.lower
+                self.nonbasic[col] = other[col]
+        entering = min(col for _, col in group
+                       if abs(toward[col]) == max(abs(toward[c]) for _, c in group))
         leaving = int(self.basis[pos])
         self.basis[pos] = entering
         self.nonbasic[entering] = 0.0
@@ -471,7 +522,7 @@ def test_updated_inverse_matches_refactoring_loop_at_desk_scale():
     ]
     assert [lp.matrix.shape for lp in lps] == [(24, 194), (32, 512), (46, 45)]
     iterations = [assert_matches_refactoring_loop(lp).iterations for lp in lps]
-    assert iterations[1] == 281
+    assert iterations[1] == 34
 
 
 def test_the_reference_dual_loop_matches_on_warm_starts():
@@ -527,17 +578,23 @@ def test_the_fallback_ends_the_cycles_of_chvatals_example(monkeypatch):
 @pytest.mark.parametrize("cost", [0.0, -1.0], ids=["basic", "not_eligible"])
 @pytest.mark.parametrize("gain", [2e7, 1e300])
 def test_a_score_too_large_for_the_tie_window_still_enters(cost, gain):
-    """gain - tol rounds to gain, yet x2 must enter, not column 0: column 0
-    starts basic (cost 0, in the row) or at its lower bound with a score
-    below tol (cost -1, in no row, from the slack basis), and entering it
-    would report an LP with optimum gain unbounded."""
-    row = [1.0, 1.0, 1.0] if cost == 0.0 else [0.0, 1.0, 1.0]
-    lp = LinearProgram(np.array([cost, 0.0, gain]), np.zeros(3), np.full(3, np.inf),
-                       np.array([row]), np.array(["<="]), np.ones(1))
-    start = simplex.ColumnState(np.array([0]), np.array([0.0, -1.0, -1.0, -1.0]))
-    result = assert_matches_refactoring_loop(lp, start if cost == 0.0 else None)
+    """gain - tol rounds to gain, yet x2 must enter, not column 0. Every
+    |cost| is at most 1, so tol is PIVOT_TOL; x2's score, gain, comes from
+    the row, once its carrier is basic at 0 after a zero step. Column 0 is
+    that carrier (cost 0: x0 - gain x2 <= 0) or, with the carrier second, a
+    column in no row whose score is below tol (cost -1); entering it would
+    report an LP with optimum gain unbounded."""
+    carrier = 0 if cost == 0.0 else 1
+    objective, row = np.zeros(3), np.zeros(3)
+    objective[carrier], row[carrier], row[2] = 1.0, 1.0, -gain
+    objective[0] += cost
+    lp = LinearProgram(objective, np.zeros(3), np.array([np.inf, np.inf, 1.0]),
+                       np.array([row]), np.array(["<="]), np.zeros(1))
+    result = assert_matches_refactoring_loop(lp)
     assert result.status == "optimal"
-    assert result.x.tolist() == [0.0, 0.0, 1.0] and result.objective == gain
+    expected = [0.0, 0.0, 1.0]
+    expected[carrier] = gain
+    assert result.x.tolist() == expected and result.objective == gain
 
 
 def test_bland_enters_after_three_zero_steps_and_yields_after_a_positive_one(monkeypatch):
@@ -552,7 +609,7 @@ def test_bland_enters_after_three_zero_steps_and_yields_after_a_positive_one(mon
     pivot = simplex._Simplex._pivot
 
     def spy(self):
-        tol = self.tol
+        tol = self.cost_tol
         y = self.cost[self.basis] @ self.Binv
         reduced = self.cost - self.A.T @ y
         score = self.improving * reduced
@@ -1081,3 +1138,196 @@ def test_a_start_with_a_singular_basis_raises():
     start = simplex.ColumnState(np.array([0, 0]), np.zeros(4))
     with pytest.raises(NumericalFailure, match="^singular basis: "):
         solve_lp(lp, start=start)
+
+
+# --- the long step: a dual pivot passes the breakpoints boxed columns flip past
+
+def short_step(state):
+    """(position, entering column) of the dual pivot before the long step,
+    on the state's own ``Binv``: the first near-largest violation leaves,
+    and of the columns whose ratio is within PIVOT_TOL of the least, the
+    largest |alpha| enters, then the smallest index; None for a verdict."""
+    basis = state.basis
+    if not basis.size:
+        return None
+    x_basic = state.Binv @ (state.b - state.A @ state.nonbasic)
+    below, above = state.lower[basis] - x_basic, x_basic - state.upper[basis]
+    violation = np.maximum(below, above)
+    if violation.max() <= simplex.FEAS_TOL * state.scale:
+        return None
+    pos = int((violation >= violation.max() - state.tol).argmax())
+    toward = (1.0 if above[pos] > below[pos] else -1.0) * (state.Binv[pos] @ state.A)
+    eligible = (state.improving * toward < 0) & (np.abs(toward) > PIVOT_TOL)
+    if state.free is not None:
+        eligible |= state.free & (np.abs(toward) > PIVOT_TOL)
+    candidates = np.flatnonzero(eligible)
+    if not candidates.size:
+        return None
+    y = state.cost[basis] @ state.Binv
+    reduced = state.cost[candidates] - state.A[:, candidates].T @ y
+    ratios = np.maximum(reduced / toward[candidates], 0.0)
+    size = np.where(ratios <= ratios.min() + PIVOT_TOL, np.abs(toward[candidates]), -1.0)
+    return pos, int(candidates[size.argmax()])
+
+
+def solve_long_step_corpus():
+    """The seed-83 ``random_lp`` draws, and ``clear`` on
+    ``random_convex_market`` and ``random_commitment_market`` seeds 0-19."""
+    rng = np.random.default_rng(83)
+    for _ in range(300):
+        solve_lp(random_lp(rng))
+    for seed in range(20):
+        clear(assemble_welfare(*random_convex_market(seed)))
+        clear(assemble_welfare(*random_commitment_market(seed)))
+
+
+def test_a_dual_pivot_that_passes_no_breakpoint_is_the_short_step(monkeypatch):
+    pivots = {"short": 0, "long": 0}
+    dual_pivot = simplex._Simplex._dual_pivot
+
+    def spy(self):
+        expected = short_step(self)
+        basis, improving = self.basis.copy(), self.improving.copy()
+        verdict = dual_pivot(self)
+        if verdict is None and (improving * self.improving < 0).any():
+            pivots["long"] += 1
+        elif verdict is None:
+            (pos,) = np.flatnonzero(basis != self.basis)
+            assert (int(pos), int(self.basis[pos])) == expected
+            pivots["short"] += 1
+        return verdict
+
+    monkeypatch.setattr(simplex._Simplex, "_dual_pivot", spy)
+    solve_long_step_corpus()
+    assert min(pivots.values()) >= 100, pivots
+
+
+def test_a_long_step_flips_only_while_the_leaving_row_stays_violated(monkeypatch):
+    """After a dual pivot's flips and before its basis change, the leaving
+    value is still beyond the bound it leaves for by more than FEAS_TOL *
+    scale, and each flipped column sits at its other finite bound."""
+    flips, before = [], {}
+    dual_pivot, replace = simplex._Simplex._dual_pivot, simplex._Simplex._replace
+
+    def spy_dual_pivot(self):
+        before.update(improving=self.improving.copy(), nonbasic=self.nonbasic.copy())
+        verdict = dual_pivot(self)
+        before.clear()
+        return verdict
+
+    def spy_replace(self, pos, col, w, to_upper):
+        if before:  # a dual pivot's basis change
+            flipped = np.flatnonzero(before["improving"] * self.improving < 0)
+            if flipped.size:
+                leaving = self.basis[pos]
+                value = (self.Binv @ (self.b - self.A @ self.nonbasic))[pos]
+                beyond = value - self.upper[leaving] if to_upper else self.lower[leaving] - value
+                assert beyond > simplex.FEAS_TOL * self.scale
+                assert col not in flipped
+                lower, upper = self.lower[flipped], self.upper[flipped]
+                assert np.isfinite(lower).all() and np.isfinite(upper).all()
+                was_lower = before["improving"][flipped] < 0
+                assert np.array_equal(before["nonbasic"][flipped], np.where(was_lower, lower, upper))
+                assert np.array_equal(self.nonbasic[flipped], np.where(was_lower, upper, lower))
+                flips.append(flipped.size)
+        replace(self, pos, col, w, to_upper)
+
+    monkeypatch.setattr(simplex._Simplex, "_dual_pivot", spy_dual_pivot)
+    monkeypatch.setattr(simplex._Simplex, "_replace", spy_replace)
+    solve_long_step_corpus()
+    assert len(flips) >= 100 and max(flips) >= 4
+
+
+def boxed_lps(seed, count):
+    """``random_lp`` draws with every infinite bound replaced by -10 or 10,
+    each once from the slack start and once from the slack basis with every
+    structural column at the bound its cost does not prefer, a dual
+    infeasible start wherever a cost is nonzero."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        lp = random_lp(rng, max_vars=5, max_rows=3)
+        lp = dataclasses.replace(lp, lower=np.where(np.isfinite(lp.lower), lp.lower, -10.0),
+                                 upper=np.where(np.isfinite(lp.upper), lp.upper, 10.0))
+        m, n = lp.matrix.shape
+        prefers_upper = (lp.objective > 0) == (lp.sense == "max")
+        improving = np.concatenate([np.where(prefers_upper, -1.0, 1.0), np.zeros(m)])
+        yield lp, None
+        yield lp, simplex.ColumnState(np.arange(n, n + m), improving)
+
+
+def test_boxed_lps_match_the_oracles_from_dual_infeasible_starts_too(monkeypatch):
+    long_steps = []
+    long_step = simplex._Simplex._long_step
+
+    def spy(self, *args):
+        long_steps.append(args)
+        return long_step(self, *args)
+
+    monkeypatch.setattr(simplex._Simplex, "_long_step", spy)
+    statuses = {"optimal": 0, "infeasible": 0}
+    highs = importlib.util.find_spec("scipy") is not None
+    for lp, start in boxed_lps(87, 100):
+        result = solve_lp(lp, start)
+        verdicts = [vertex_verdict(lp)]
+        for status, objective in verdicts + ([highs_verdict(lp)] if highs else []):
+            assert result.status == status
+            if status == "optimal":
+                assert result.objective == pytest.approx(objective, abs=1e-9)
+        statuses[result.status] += 1
+    assert min(statuses.values()) >= 20, statuses
+    assert len(long_steps) >= 20
+
+
+@pytest.mark.parametrize("matrix, rhs", [
+    # x0 + x1 + x2 reaches 6 at most
+    ([[1.0, 1.0, 1.0]], [10.0]),
+    # either row alone holds at a corner, but together they need x0 >= 2.25
+    ([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]], [3.0, 1.5]),
+], ids=["one_row", "two_rows"])
+def test_a_boxed_lp_that_no_flips_make_feasible_is_infeasible_on_a_fresh_inverse(
+        monkeypatch, matrix, rhs):
+    """min x0 + 2 x1 + 3 x2 over [0, 2]^3 with ``matrix @ x >= rhs``: the
+    slack start is dual feasible, a long step flips columns to their upper
+    bounds, and the infeasible verdict comes on a fresh inverse."""
+    calls, long_steps = [], []
+    dual_pivot, long_step = simplex._Simplex._dual_pivot, simplex._Simplex._long_step
+
+    def spy(self):
+        verdict = dual_pivot(self)
+        calls.append((verdict, self.updates))
+        return verdict
+
+    def spy_long_step(self, *args):
+        long_steps.append(args)
+        return long_step(self, *args)
+
+    monkeypatch.setattr(simplex._Simplex, "_dual_pivot", spy)
+    monkeypatch.setattr(simplex._Simplex, "_long_step", spy_long_step)
+    rows = len(rhs)
+    lp = LinearProgram(np.array([1.0, 2.0, 3.0]), np.zeros(3), np.full(3, 2.0),
+                       np.array(matrix), np.array([">="] * rows), np.array(rhs), sense="min")
+    assert solve_lp(lp).status == "infeasible"
+    assert calls[-1] == ("infeasible", 0) and long_steps
+    if importlib.util.find_spec("scipy") is not None:
+        assert highs_verdict(lp) == ("infeasible", None)
+
+
+def test_a_long_step_enters_the_largest_alpha_of_the_group_it_stops_at(monkeypatch):
+    """min x0 + 2 x1 + 4 x2 over [0, 2]^3 with x0 + x1 + 2 x2 >= 5: from the
+    slack start the breakpoints are x0's at 1 and x1's and x2's at 2. x0's
+    flip leaves 3 of the violation, and the next group stops the walk, so x2,
+    of the larger |alpha|, enters at 1.5 and the dual simplex ends."""
+    entered = []
+    replace = simplex._Simplex._replace
+
+    def spy(self, pos, col, w, to_upper):
+        entered.append((col, self.nonbasic[:3].tolist()))
+        replace(self, pos, col, w, to_upper)
+
+    monkeypatch.setattr(simplex._Simplex, "_replace", spy)
+    lp = LinearProgram(np.array([1.0, 2.0, 4.0]), np.zeros(3), np.full(3, 2.0),
+                       np.array([[1.0, 1.0, 2.0]]), np.array([">="]), np.array([5.0]),
+                       sense="min")
+    result = solve_lp(lp)
+    assert entered == [(2, [2.0, 0.0, 0.0])]
+    assert result.status == "optimal" and result.x.tolist() == [2.0, 0.0, 1.5]
